@@ -6,12 +6,12 @@
 //   $ CEXPLORER_THREADS=8 ./bench_parallel_build
 //   $ CEXPLORER_BENCH_FULL=1 ./bench_parallel_build
 //
-// The acceptance bar for the subsystem is a >= 2x build speedup at 4+
-// threads with BIT-IDENTICAL output: the core-number vector and the
-// serialized CL-tree of the parallel build must equal the sequential
-// ones exactly (both are checked on every run). On machines with fewer
-// cores the identity checks still run; the speedup line reports whatever
-// the hardware allows.
+// What the bench checks is BIT-IDENTITY: the core-number vector and the
+// serialized CL-tree of the parallel build must equal the sequential ones
+// exactly, on every run; the exit status is non-zero otherwise. The
+// speedup columns are reported, not gated. On a 4-core x86-64 box at
+// 120k authors the 4-thread build runs at 0.83-0.84x of one thread
+// overall: 0.54-0.57x for core decomposition, 0.87x for the CL-tree.
 
 #include <algorithm>
 #include <cstdio>

@@ -34,8 +34,6 @@
 //   compact                    fold the mutation overlay into an owned
 //                              dataset now; prints what the fold absorbed
 //                              (patched tree nodes / posting entries)
-//   shards [n]                 show or set sharded (BSP) execution; with n
-//                              prints the partition summary of the dataset
 //   demo                       run a canned exploration session
 //   help / quit
 //
@@ -54,7 +52,6 @@
 #include "common/timer.h"
 #include "common/strings.h"
 #include "data/dblp.h"
-#include "shard/partition.h"
 
 namespace {
 
@@ -362,33 +359,13 @@ void RunCommand(CliState* state, const std::string& line) {
                   stats.last_fold_postings == 1 ? "y" : "ies",
                   stats.last_compaction_ms);
     }
-  } else if (cmd == "shards") {
-    if (words.size() >= 2) {
-      shard::SetConfiguredShards(
-          static_cast<std::uint32_t>(std::atoi(words[1].c_str())));
-    }
-    const std::uint32_t shards = shard::ConfiguredShards();
-    std::printf("  sharded execution: %s (%u shards, %s partitioning)\n",
-                shards > 1 ? "on" : "off", shards,
-                shard::PartitionStrategyName(shard::ConfiguredStrategy()));
-    DatasetPtr dataset = state->service.dataset();
-    if (shards > 1 && dataset != nullptr) {
-      const auto plan = dataset->ShardedView(shards);
-      std::printf("  partition of %zu vertices:",
-                  dataset->graph().num_vertices());
-      for (const VertexList& owned : plan->owned) {
-        std::printf(" %zu", owned.size());
-      }
-      std::printf("\n  boundary vertices: %zu, cut edges: %zu\n",
-                  plan->boundary_vertices, plan->cut_edges);
-    }
   } else if (cmd == "demo") {
     RunDemo(state);
   } else if (cmd == "help") {
     std::printf(
         "  open/author/search/algo/view/zoom/profile/explore/compare/"
         "detect/export/snapshot save|load/link/unlink/addvertex/compact/"
-        "shards/demo/quit\n");
+        "demo/quit\n");
   } else if (cmd == "quit" || cmd == "exit") {
     std::exit(0);
   } else {

@@ -1,11 +1,9 @@
 #include "acq/acq.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/simd/simd.h"
 #include "core/kcore.h"
-#include "shard/coordinator.h"
 
 namespace cexplorer {
 
@@ -48,7 +46,6 @@ struct QueryContext {
   const AttributedGraph* g = nullptr;
   const ClTree* index = nullptr;  // null for the brute-force oracle
   ThreadPool* pool = nullptr;     // null -> sequential verification
-  shard::Coordinator* coord = nullptr;  // non-null -> sharded (BSP) peels
   VertexList query_vertices;      // non-empty; [0] is the anchor
   const ExecControl* control = nullptr;  // checked once per lattice level
   std::uint32_t k = 0;
@@ -77,12 +74,8 @@ bool ContainsAllQueryVertices(const QueryContext& ctx,
 VertexList PeelAndCheck(const QueryContext& ctx, VertexList candidates,
                         AcqStats* stats) {
   ++stats->candidates_verified;
-  VertexList community =
-      ctx.coord != nullptr
-          ? ctx.coord->PeelToKCoreSorted(candidates, ctx.k,
-                                         ctx.query_vertices[0])
-          : PeelToKCoreSorted(ctx.g->graph(), std::move(candidates), ctx.k,
-                              ctx.query_vertices[0]);
+  VertexList community = PeelToKCoreSorted(
+      ctx.g->graph(), std::move(candidates), ctx.k, ctx.query_vertices[0]);
   if (community.empty() || !ContainsAllQueryVertices(ctx, community)) {
     return {};
   }
@@ -162,12 +155,8 @@ std::vector<AttributedCommunity> FallbackCommunity(QueryContext* ctx,
                                                    const VertexList& universe) {
   // Both callers pass a sorted unique universe (the subtree component or
   // the full vertex range).
-  VertexList community =
-      ctx->coord != nullptr
-          ? ctx->coord->PeelToKCoreSorted(universe, ctx->k,
-                                          ctx->query_vertices[0])
-          : PeelToKCoreSorted(ctx->g->graph(), universe, ctx->k,
-                              ctx->query_vertices[0]);
+  VertexList community = PeelToKCoreSorted(ctx->g->graph(), universe, ctx->k,
+                                           ctx->query_vertices[0]);
   if (community.empty() || !ContainsAllQueryVertices(*ctx, community)) {
     return {};
   }
@@ -472,10 +461,9 @@ Result<QueryContext> MakeContext(const AttributedGraph& g, const ClTree* index,
 }
 
 Result<AcqResult> RunQuery(const AttributedGraph& g, const ClTree* index,
-                           ThreadPool* pool, const shard::ShardPlan* plan,
-                           VertexList query_vertices, std::uint32_t k,
-                           KeywordList keywords, AcqAlgorithm algo,
-                           const ExecControl* control) {
+                           ThreadPool* pool, VertexList query_vertices,
+                           std::uint32_t k, KeywordList keywords,
+                           AcqAlgorithm algo, const ExecControl* control) {
   const bool need_index = algo != AcqAlgorithm::kBruteForce;
   if (need_index && index == nullptr) {
     return Status::FailedPrecondition("indexed algorithm requires a CL-tree");
@@ -484,17 +472,6 @@ Result<AcqResult> RunQuery(const AttributedGraph& g, const ClTree* index,
                             std::move(keywords), need_index, control);
   if (!ctx_or.ok()) return ctx_or.status();
   QueryContext ctx = std::move(ctx_or.value());
-
-  // One BSP coordinator per query: every verification peel of this lattice
-  // walk runs as supersteps over the plan's shards. The verification pool
-  // is dropped — candidates verify one at a time, each across all shard
-  // workers — so the two parallelism schemes never compose surprisingly.
-  std::optional<shard::Coordinator> coordinator;
-  if (plan != nullptr && plan->num_shards > 1) {
-    coordinator.emplace(&g.graph(), plan);
-    ctx.coord = &*coordinator;
-    ctx.pool = nullptr;
-  }
 
   AcqResult result;
   if (need_index && ctx.node == kInvalidClNode) {
@@ -547,8 +524,8 @@ KeywordList SharedKeywords(const AttributedGraph& g,
 Result<AcqResult> AcqEngine::Search(VertexId q, std::uint32_t k,
                                     KeywordList keywords, AcqAlgorithm algo,
                                     const ExecControl* control) const {
-  return RunQuery(*g_, index_, pool_, shard_plan_, {q}, k, std::move(keywords),
-                  algo, control);
+  return RunQuery(*g_, index_, pool_, {q}, k, std::move(keywords), algo,
+                  control);
 }
 
 Result<AcqResult> AcqEngine::SearchByName(
@@ -573,8 +550,8 @@ Result<AcqResult> AcqEngine::SearchMulti(const VertexList& query_vertices,
                                          std::uint32_t k, KeywordList keywords,
                                          AcqAlgorithm algo,
                                          const ExecControl* control) const {
-  return RunQuery(*g_, index_, pool_, shard_plan_, query_vertices, k,
-                  std::move(keywords), algo, control);
+  return RunQuery(*g_, index_, pool_, query_vertices, k, std::move(keywords),
+                  algo, control);
 }
 
 }  // namespace cexplorer

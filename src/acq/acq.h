@@ -34,10 +34,6 @@
 
 namespace cexplorer {
 
-namespace shard {
-struct ShardPlan;
-}  // namespace shard
-
 /// Which ACQ query algorithm to run.
 enum class AcqAlgorithm {
   kBruteForce,  ///< exhaustive subset enumeration, no index (test oracle)
@@ -103,13 +99,6 @@ class AcqEngine {
             ThreadPool* pool = nullptr)
       : g_(graph), index_(index), pool_(pool) {}
 
-  /// Routes every candidate-verification peel through a per-query BSP
-  /// coordinator over `plan` (sharded execution; results bit-identical).
-  /// The plan must outlive the engine; nullptr restores local peels.
-  /// Sharded queries ignore the verification pool — the shard workers own
-  /// the parallelism.
-  void set_shard_plan(const shard::ShardPlan* plan) { shard_plan_ = plan; }
-
   /// Runs an ACQ query. With a `control`, the lattice walk checkpoints at
   /// every level and the query aborts with kCancelled / kDeadlineExceeded.
   ///
@@ -140,7 +129,6 @@ class AcqEngine {
   const AttributedGraph* g_;
   const ClTree* index_;
   ThreadPool* pool_;
-  const shard::ShardPlan* shard_plan_ = nullptr;
 };
 
 }  // namespace cexplorer

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "api/routes.h"
@@ -12,7 +13,6 @@
 #include "common/strings.h"
 #include "explorer/explorer.h"
 #include "metrics/quality.h"
-#include "shard/coordinator.h"
 
 namespace cexplorer {
 namespace api {
@@ -230,6 +230,13 @@ std::string ScalarToParamString(const JsonValue& value) {
   }
 }
 
+/// An explicit JSON `vertex`, `k` or edge endpoint through the checked
+/// conversion (CheckedUint32); a non-number fails like an out-of-range one.
+std::optional<std::uint32_t> Uint32Field(const JsonValue& value) {
+  if (value.type() != JsonValue::Type::kNumber) return std::nullopt;
+  return CheckedUint32(value.AsDouble());
+}
+
 /// Decodes the POST /v1/jobs body into a JobSpec (kind not yet resolved —
 /// the caller matches it against the registry). `kind_text` receives the
 /// raw "kind" field ("" when absent).
@@ -249,12 +256,15 @@ ApiResult<JobSpec> ParseJobSpec(const std::string& body,
   *kind_text = parsed->Get("kind").AsString();
   if (parsed->Has("name")) spec.query.name = parsed->Get("name").AsString();
   if (parsed->Has("vertex")) {
-    const std::int64_t v = parsed->Get("vertex").AsInt(-1);
-    if (v < 0) return ApiError::InvalidArgument("bad 'vertex'");
-    spec.query.vertices.push_back(static_cast<VertexId>(v));
+    const auto v = Uint32Field(parsed->Get("vertex"));
+    if (!v) return ApiError::InvalidArgument("bad 'vertex'");
+    spec.query.vertices.push_back(*v);
   }
-  spec.query.k =
-      static_cast<std::uint32_t>(parsed->Get("k").AsInt(/*fallback=*/4));
+  if (parsed->Has("k")) {
+    const auto k = Uint32Field(parsed->Get("k"));
+    if (!k) return ApiError::InvalidArgument("bad 'k'");
+    spec.query.k = *k;
+  }
   const JsonValue& kws = parsed->Get("keywords");
   if (kws.is_array()) {
     for (const JsonValue& kw : kws.Items()) {
@@ -653,13 +663,13 @@ ApiResult<std::vector<std::pair<VertexId, VertexId>>> ParseEdgePairs(
       return ApiError::InvalidArgument(
           "each edge must be a [u, v] pair of integers");
     }
-    const std::int64_t u = pair[0].AsInt(-1);
-    const std::int64_t v = pair[1].AsInt(-1);
-    if (u < 0 || v < 0) {
+    const auto u = Uint32Field(pair[0]);
+    const auto v = Uint32Field(pair[1]);
+    if (!u || !v) {
       return ApiError::InvalidArgument(
-          "edge endpoints must be non-negative vertex ids");
+          "edge endpoints must be vertex ids in [0, 4294967295]");
     }
-    edges.emplace_back(static_cast<VertexId>(u), static_cast<VertexId>(v));
+    edges.emplace_back(*u, *v);
   }
   if (edges.empty()) {
     return ApiError::InvalidArgument("empty edge batch");
@@ -1715,43 +1725,6 @@ ApiResult<std::string> QueryService::Stats() {
   w.Key("postings_patched");
   w.UInt(mutations.postings_patched);
   w.EndObject();
-  // The sharded execution tier: the partition shape of the served dataset
-  // plus lifetime BSP counters. Always present (disabled + zeros when
-  // CEXPLORER_SHARDS <= 1) so clients can rely on the shape.
-  const std::uint32_t shard_count = shard::ConfiguredShards();
-  const shard::ShardTierStats shard_stats = shard::ShardStatsNow();
-  w.Key("shards");
-  w.BeginObject();
-  w.Key("enabled");
-  w.Bool(shard_count > 1);
-  w.Key("count");
-  w.UInt(shard_count);
-  w.Key("strategy");
-  w.String(shard::PartitionStrategyName(shard::ConfiguredStrategy()));
-  std::uint64_t boundary_vertices = 0;
-  std::uint64_t cut_edges = 0;
-  if (shard_count > 1 && snapshot != nullptr) {
-    const auto plan = snapshot->ShardedView(shard_count);
-    boundary_vertices = plan->boundary_vertices;
-    cut_edges = plan->cut_edges;
-  }
-  w.Key("boundary_vertices");
-  w.UInt(boundary_vertices);
-  w.Key("cut_edges");
-  w.UInt(cut_edges);
-  w.Key("queries");
-  w.UInt(shard_stats.queries);
-  w.Key("peels");
-  w.UInt(shard_stats.peels);
-  w.Key("messages_sent");
-  w.UInt(shard_stats.messages_sent);
-  w.Key("messages_received");
-  w.UInt(shard_stats.messages_received);
-  w.Key("supersteps");
-  w.UInt(shard_stats.supersteps);
-  w.Key("last_query_supersteps");
-  w.UInt(shard_stats.last_query_supersteps);
-  w.EndObject();
   // Which kernel implementations this process resolved at startup, and the
   // posting storage of the live index — so a deploy can verify it actually
   // runs the vectorized paths it was built for.
@@ -2026,19 +1999,25 @@ ApiResult<BatchRequest> QueryService::ParseBatch(const std::string& json) {
     }
     if (item.Has("name")) decoded.search.name = item.Get("name").AsString();
     if (item.Has("vertex")) {
-      const std::int64_t v = item.Get("vertex").AsInt(-1);
-      if (v < 0) {
+      const auto v = Uint32Field(item.Get("vertex"));
+      if (!v) {
         decoded.error = "bad vertex";
         continue;
       }
-      decoded.search.vertices.push_back(static_cast<VertexId>(v));
+      decoded.search.vertices.push_back(*v);
     }
     if (decoded.search.name.empty() && decoded.search.vertices.empty()) {
       decoded.error = "entry needs a name or a vertex";
       continue;
     }
-    decoded.search.k =
-        static_cast<std::uint32_t>(item.Get("k").AsInt(/*fallback=*/4));
+    if (item.Has("k")) {
+      const auto k = Uint32Field(item.Get("k"));
+      if (!k) {
+        decoded.error = "bad k";
+        continue;
+      }
+      decoded.search.k = *k;
+    }
     const JsonValue& kws = item.Get("keywords");
     if (kws.is_array()) {
       for (const JsonValue& kw : kws.Items()) {

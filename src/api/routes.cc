@@ -462,8 +462,6 @@ std::string DescribeApi(
     w.Bool(descriptor->caps.progress);
     w.Key("indexed");
     w.Bool(descriptor->caps.indexed);
-    w.Key("sharded");
-    w.Bool(descriptor->caps.sharded);
     w.EndObject();
     w.Key("params");
     w.BeginArray();

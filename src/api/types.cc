@@ -1,6 +1,8 @@
 #include "api/types.h"
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 
 namespace cexplorer {
 namespace api {
@@ -28,6 +30,15 @@ bool ParseCursorField(std::string_view text, std::uint64_t* out) {
 std::uint64_t NextResultGeneration() {
   static std::atomic<std::uint64_t> counter{0};
   return ++counter;
+}
+
+std::optional<std::uint32_t> CheckedUint32(double value) {
+  constexpr double kMax = std::numeric_limits<std::uint32_t>::max();
+  // Written so NaN fails the range test too.
+  if (!(value >= 0.0 && value <= kMax) || std::trunc(value) != value) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint32_t>(value);
 }
 
 std::string PageToken::Encode() const {

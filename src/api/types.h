@@ -20,6 +20,7 @@
 #define CEXPLORER_API_TYPES_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,12 @@ struct PageToken {
 /// detect cache is replaced, a job completes), so a cursor can never page
 /// into any result set other than the one it was minted against.
 std::uint64_t NextResultGeneration();
+
+/// The one conversion every explicit `vertex` and `k` goes through, from a
+/// query parameter or a JSON number alike: integers in [0, 2^32 - 1] pass.
+/// Negative, fractional, larger and non-finite values are nullopt, so an
+/// out-of-range id is refused instead of wrapping or truncating.
+std::optional<std::uint32_t> CheckedUint32(double value);
 
 /// Page selection for member-list endpoints. limit == 0 means "legacy
 /// mode": the full (truncation-capped) list, byte-identical to the

@@ -455,8 +455,13 @@ double JsonValue::AsDouble(double fallback) const {
 }
 
 std::int64_t JsonValue::AsInt(std::int64_t fallback) const {
-  return type_ == Type::kNumber ? static_cast<std::int64_t>(number_)
-                                : fallback;
+  // 2^63 is exact as a double. Casting a number outside [-2^63, 2^63), or
+  // NaN, to int64 is undefined, so those read as the fallback.
+  constexpr double kLimit = 9223372036854775808.0;
+  if (type_ != Type::kNumber || !(number_ >= -kLimit && number_ < kLimit)) {
+    return fallback;
+  }
+  return static_cast<std::int64_t>(number_);
 }
 
 const std::string& JsonValue::AsString() const {

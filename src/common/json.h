@@ -94,7 +94,8 @@ class JsonValue {
   bool is_object() const { return type_ == Type::kObject; }
   bool is_array() const { return type_ == Type::kArray; }
 
-  /// Value accessors; defaults returned on type mismatch.
+  /// Value accessors; defaults returned on type mismatch. AsInt truncates
+  /// toward zero and returns the fallback for numbers outside int64.
   bool AsBool(bool fallback = false) const;
   double AsDouble(double fallback = 0.0) const;
   std::int64_t AsInt(std::int64_t fallback = 0) const;

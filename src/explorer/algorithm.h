@@ -41,10 +41,6 @@
 
 namespace cexplorer {
 
-namespace shard {
-struct ShardPlan;
-}  // namespace shard
-
 /// Read-only view of the loaded graph handed to algorithms. All pointers
 /// are owned by the Dataset snapshot and valid during the call (and until
 /// the next Upload for cached use).
@@ -55,10 +51,6 @@ struct ExplorerContext {
   /// Monotonic id bumped on every Upload; lets algorithms cache per-graph
   /// state (e.g. a CODICIL clustering) safely.
   std::uint64_t graph_epoch = 0;
-  /// Non-null when sharded execution is enabled (CEXPLORER_SHARDS > 1):
-  /// the partition plan for this snapshot's graph. Sharded-capable
-  /// algorithms route their peels through a shard::Coordinator over it.
-  const shard::ShardPlan* shard_plan = nullptr;
 };
 
 /// What an algorithm computes: a per-query community list (search) or a
@@ -99,9 +91,6 @@ struct AlgorithmCaps {
   bool progress = false;
   /// Consults the CL-tree / core-number index (fails or degrades without).
   bool indexed = false;
-  /// Executes as partitioned BSP supersteps when the context carries a
-  /// shard plan (results stay bit-identical to single-shard runs).
-  bool sharded = false;
 };
 
 /// The self-description of one algorithm.

@@ -8,7 +8,6 @@
 #include "algos/local.h"
 #include "common/parallel.h"
 #include "common/strings.h"
-#include "shard/coordinator.h"
 
 namespace cexplorer {
 
@@ -67,8 +66,7 @@ AcqSearchAlgorithm::AcqSearchAlgorithm(AcqAlgorithm default_variant)
       "of the query vertices (paper Problem 1)",
       {{"variant", AlgoParamType::kString, "Dec", false, 0.0, 0.0,
         "query algorithm: Dec | Inc-S | Inc-T | BruteForce"}},
-      {/*cancel=*/true, /*progress=*/false, /*indexed=*/true,
-       /*sharded=*/true});
+      {/*cancel=*/true, /*progress=*/false, /*indexed=*/true});
 }
 
 Result<AlgorithmOutput> AcqSearchAlgorithm::Run(ExecContext& ctx) {
@@ -102,11 +100,8 @@ Result<AlgorithmOutput> AcqSearchAlgorithm::Run(ExecContext& ctx) {
   }
 
   // Candidate verification fans across the shared default pool; results
-  // are identical to the sequential engine, so every caller gets it. With
-  // a shard plan in the view, the engine instead runs every verification
-  // peel as BSP supersteps over the plan's shards (still bit-identical).
+  // are identical to the sequential engine, so every caller gets it.
   AcqEngine engine(ctx.view.graph, ctx.view.index, DefaultPool());
-  engine.set_shard_plan(ctx.view.shard_plan);
   auto result = engine.SearchMulti(vertices.value(), ctx.query.k,
                                    std::move(keyword_ids), variant,
                                    ctx.control);
@@ -129,23 +124,14 @@ GlobalSearchAlgorithm::GlobalSearchAlgorithm() {
   descriptor_ = MakeDescriptor(
       "Global", AlgorithmKind::kCommunitySearch,
       "connected k-core component of the query vertex",
-      {}, {/*cancel=*/false, /*progress=*/false, /*indexed=*/true,
-           /*sharded=*/true});
+      {}, {/*cancel=*/false, /*progress=*/false, /*indexed=*/true});
 }
 
 Result<AlgorithmOutput> GlobalSearchAlgorithm::Run(ExecContext& ctx) {
   auto vertices = ResolveQueryVertices(ctx.view, ctx.query);
   if (!vertices.ok()) return vertices.status();
-  GlobalResult gr;
-  if (ctx.view.shard_plan != nullptr && ctx.view.shard_plan->num_shards > 1) {
-    shard::Coordinator coordinator(&ctx.view.graph->graph(),
-                                   ctx.view.shard_plan);
-    gr.vertices = coordinator.ConnectedKCore(ctx.view.core_numbers,
-                                             vertices->front(), ctx.query.k);
-  } else {
-    gr = GlobalSearch(ctx.view.graph->graph(), ctx.view.core_numbers,
-                      vertices->front(), ctx.query.k);
-  }
+  GlobalResult gr = GlobalSearch(ctx.view.graph->graph(), ctx.view.core_numbers,
+                                 vertices->front(), ctx.query.k);
   AlgorithmOutput out;
   if (!gr.vertices.empty()) {
     // Multi-vertex query: all query vertices must be in the component.

@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "core/kcore.h"
 #include "graph/io.h"
-#include "shard/partition.h"
 #include "snapshot/snapshot.h"
 
 namespace cexplorer {
@@ -64,10 +63,6 @@ Result<DatasetPtr> Dataset::Build(AttributedGraph graph) {
   g_index_builds.fetch_add(1, std::memory_order_relaxed);
   dataset->id_ = g_next_dataset_id.fetch_add(1, std::memory_order_relaxed);
   dataset->graph_epoch_ = dataset->id_;  // a fresh graph is a fresh epoch
-  // Partition at publish time so the first sharded query doesn't pay for
-  // the plan build.
-  const std::uint32_t shards = shard::ConfiguredShards();
-  if (shards > 1) dataset->ShardedView(shards);
   return DatasetPtr(std::move(dataset));
 }
 
@@ -87,11 +82,6 @@ DatasetPtr Dataset::WithIndex(ClTree index) const {
   dataset->index_ = std::move(index);
   dataset->id_ = g_next_dataset_id.fetch_add(1, std::memory_order_relaxed);
   dataset->graph_epoch_ = graph_epoch_;  // same graph, same epoch
-  {
-    // Same graph — the shard plans carry over instead of rebuilding.
-    std::lock_guard<std::mutex> lock(shard_mu_);
-    dataset->shard_plans_ = shard_plans_;
-  }
   return DatasetPtr(std::move(dataset));
 }
 
@@ -111,8 +101,6 @@ Result<DatasetPtr> Dataset::FromSnapshotFile(const std::string& path) {
   // fresh epoch (session caches for the previous graph must not apply).
   dataset->id_ = g_next_dataset_id.fetch_add(1, std::memory_order_relaxed);
   dataset->graph_epoch_ = dataset->id_;
-  const std::uint32_t shards = shard::ConfiguredShards();
-  if (shards > 1) dataset->ShardedView(shards);
   return DatasetPtr(std::move(dataset));
 }
 
@@ -144,36 +132,7 @@ ExplorerContext Dataset::Context() const {
   ctx.index = &index_;
   ctx.core_numbers = core_span_;
   ctx.graph_epoch = graph_epoch_;
-  // The raw pointer is safe: ShardedView caches the plan for the
-  // dataset's lifetime, and the context contract already ties all view
-  // pointers to the dataset being alive.
-  const std::uint32_t shards = shard::ConfiguredShards();
-  if (shards > 1) ctx.shard_plan = ShardedView(shards).get();
   return ctx;
-}
-
-std::shared_ptr<const shard::ShardPlan> Dataset::ShardedView(
-    std::uint32_t num_shards) const {
-  const shard::PartitionStrategy strategy = shard::ConfiguredStrategy();
-  const std::uint64_t key = (static_cast<std::uint64_t>(num_shards) << 8) |
-                            static_cast<std::uint8_t>(strategy);
-  {
-    std::lock_guard<std::mutex> lock(shard_mu_);
-    for (const auto& [cached_key, plan] : shard_plans_) {
-      if (cached_key == key) return plan;
-    }
-  }
-  // Build outside the lock so concurrent first calls for distinct shard
-  // counts don't serialize; a racing duplicate for the same key loses to
-  // the published winner below.
-  auto plan = std::make_shared<const shard::ShardPlan>(
-      shard::Partitioner::Build(graph_->graph(), num_shards, strategy));
-  std::lock_guard<std::mutex> lock(shard_mu_);
-  for (const auto& [cached_key, cached] : shard_plans_) {
-    if (cached_key == key) return cached;
-  }
-  shard_plans_.emplace_back(key, plan);
-  return plan;
 }
 
 Result<AuthorProfile> Dataset::Profile(VertexId v) const {

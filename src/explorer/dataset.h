@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -39,10 +38,6 @@ namespace cexplorer {
 namespace delta {
 struct Access;
 }  // namespace delta
-
-namespace shard {
-struct ShardPlan;
-}  // namespace shard
 
 class Dataset;
 
@@ -115,16 +110,8 @@ class Dataset {
   std::uint64_t graph_epoch() const { return graph_epoch_; }
 
   /// The read-only view handed to CR algorithms. Pointers are valid as
-  /// long as this dataset is alive. When sharded execution is enabled
-  /// (CEXPLORER_SHARDS > 1), the view carries this dataset's shard plan.
+  /// long as this dataset is alive.
   ExplorerContext Context() const;
-
-  /// The partition plan for `num_shards` shards under the configured
-  /// strategy — zero-copy over this snapshot's graph, built on first use
-  /// and cached for the dataset's lifetime. Thread-safe; the plan stays
-  /// valid as long as this dataset is alive.
-  std::shared_ptr<const shard::ShardPlan> ShardedView(
-      std::uint32_t num_shards) const;
 
   /// The author profile popup of Figure 2; generated deterministically per
   /// vertex on first access, cached, and shared by all sessions.
@@ -170,15 +157,6 @@ class Dataset {
   // the exclusive lock just to publish.
   mutable std::shared_mutex profiles_mu_;
   mutable std::unordered_map<VertexId, AuthorProfile> profiles_;
-
-  // Shard plans built against this snapshot, keyed by (shards, strategy).
-  // Tiny (a handful of shard counts per process), so a flat list beats a
-  // map; entries are never evicted, which is what keeps Context()'s raw
-  // shard_plan pointer valid for the dataset's lifetime.
-  mutable std::mutex shard_mu_;
-  mutable std::vector<
-      std::pair<std::uint64_t, std::shared_ptr<const shard::ShardPlan>>>
-      shard_plans_;
 };
 
 }  // namespace cexplorer

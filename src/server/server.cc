@@ -1,5 +1,6 @@
 #include "server/server.h"
 
+#include <optional>
 #include <utility>
 
 #include "common/strings.h"
@@ -35,6 +36,23 @@ api::ApiResult<api::PageParams> PageParamsOf(const HttpRequest& request) {
   page.limit = static_cast<std::uint64_t>(limit);
   page.cursor = request.Param("cursor");
   return page;
+}
+
+/// Binds an explicit `vertex` or `k` parameter through the checked
+/// conversion (api::CheckedUint32): a value outside [0, 2^32 - 1] is a 400.
+/// Absent reads as nullopt, and so does a non-integer, which only a lenient
+/// legacy alias lets through (the /v1 schema has already refused it).
+api::ApiResult<std::optional<std::uint32_t>> Uint32Param(
+    const HttpRequest& request, const std::string& key) {
+  const std::string& text = request.Param(key);
+  std::int64_t value = 0;
+  if (!ParseInt64(text, &value)) return std::optional<std::uint32_t>();
+  if (auto checked = api::CheckedUint32(static_cast<double>(value))) {
+    return checked;
+  }
+  return api::ApiError::InvalidArgument(
+      "parameter '" + key + "' must be an integer in [0, 4294967295], got '" +
+      text + "'");
 }
 
 }  // namespace
@@ -219,12 +237,15 @@ HttpResponse CExplorerServer::BindSearch(const HttpRequest& request) {
   api::SearchRequest typed;
   typed.session = request.Param("session");
   typed.name = request.Param("name");
-  typed.k = static_cast<std::uint32_t>(request.IntParam("k", 4));
+  auto k = Uint32Param(request, "k");
+  if (!k.ok()) return ToResponse(k.error());
+  typed.k = k->value_or(typed.k);
   typed.keywords = SplitNonEmpty(request.Param("keywords"), ',');
   if (!request.Param("vertex").empty()) {
-    const std::int64_t v = request.IntParam("vertex", -1);
-    if (v < 0) return HttpResponse::Error(400, "bad 'vertex'");
-    typed.vertices.push_back(static_cast<VertexId>(v));
+    auto vertex = Uint32Param(request, "vertex");
+    if (!vertex.ok()) return ToResponse(vertex.error());
+    if (!vertex->has_value()) return HttpResponse::Error(400, "bad 'vertex'");
+    typed.vertices.push_back(**vertex);
   }
   if (!request.Param("algo").empty()) typed.algo = request.Param("algo");
   return ToResponse(service_.Search(typed));
@@ -244,17 +265,22 @@ HttpResponse CExplorerServer::BindProfile(const HttpRequest& request) {
   api::ProfileRequest typed;
   typed.session = request.Param("session");
   typed.name = request.Param("name");
-  typed.vertex = request.IntParam("vertex", -1);
+  auto vertex = Uint32Param(request, "vertex");
+  if (!vertex.ok()) return ToResponse(vertex.error());
+  if (vertex->has_value()) typed.vertex = **vertex;
   return ToResponse(service_.Profile(typed));
 }
 
 HttpResponse CExplorerServer::BindExplore(const HttpRequest& request) {
-  const std::int64_t vertex = request.IntParam("vertex", -1);
-  if (vertex < 0) return HttpResponse::Error(400, "bad 'vertex'");
+  auto vertex = Uint32Param(request, "vertex");
+  if (!vertex.ok()) return ToResponse(vertex.error());
+  if (!vertex->has_value()) return HttpResponse::Error(400, "bad 'vertex'");
+  auto k = Uint32Param(request, "k");
+  if (!k.ok()) return ToResponse(k.error());
   api::ExploreRequest typed;
   typed.session = request.Param("session");
-  typed.vertex = static_cast<VertexId>(vertex);
-  typed.k = request.IntParam("k", -1);
+  typed.vertex = **vertex;
+  if (k->has_value()) typed.k = **k;  // absent: the last query's k
   if (!request.Param("algo").empty()) typed.algo = request.Param("algo");
   return ToResponse(service_.Explore(typed));
 }
@@ -263,7 +289,9 @@ HttpResponse CExplorerServer::BindCompare(const HttpRequest& request) {
   api::CompareRequest typed;
   typed.session = request.Param("session");
   typed.name = request.Param("name");
-  typed.k = static_cast<std::uint32_t>(request.IntParam("k", 4));
+  auto k = Uint32Param(request, "k");
+  if (!k.ok()) return ToResponse(k.error());
+  typed.k = k->value_or(typed.k);
   typed.keywords = SplitNonEmpty(request.Param("keywords"), ',');
   typed.algos = SplitNonEmpty(request.Param("algos"), ',');
   return ToResponse(service_.Compare(typed));

@@ -113,8 +113,6 @@ TEST_F(ApiFixture, SelfDescriptionMatchesAlgorithmRegistry) {
               want.caps.progress);
     EXPECT_EQ(got.Get("capabilities").Get("indexed").AsBool(),
               want.caps.indexed);
-    EXPECT_EQ(got.Get("capabilities").Get("sharded").AsBool(),
-              want.caps.sharded);
     const auto& params = got.Get("params").Items();
     ASSERT_EQ(params.size(), want.params.size()) << want.name;
     for (std::size_t p = 0; p < want.params.size(); ++p) {
@@ -211,29 +209,6 @@ TEST_F(ApiFixture, StatsReportMutationsBlock) {
   EXPECT_EQ(folded.Get("compactions").AsInt(), 1);
 }
 
-TEST_F(ApiFixture, StatsReportShardsBlock) {
-  // The shards block is always present — disabled with zeroed partition
-  // counters when CEXPLORER_SHARDS <= 1 — so clients can rely on the
-  // shape, mirroring the mutations block.
-  const JsonValue block = GetJson("GET /v1/stats").Get("shards");
-  ASSERT_TRUE(block.is_object());
-  for (const char* field :
-       {"enabled", "count", "strategy", "boundary_vertices", "cut_edges",
-        "queries", "peels", "messages_sent", "messages_received",
-        "supersteps", "last_query_supersteps"}) {
-    EXPECT_TRUE(block.Has(field)) << field;
-  }
-  EXPECT_GE(block.Get("count").AsInt(), 1);
-  const std::string strategy = block.Get("strategy").AsString();
-  EXPECT_TRUE(strategy == "range" || strategy == "hash") << strategy;
-  EXPECT_LE(block.Get("messages_received").AsInt(),
-            block.Get("messages_sent").AsInt());
-  if (!block.Get("enabled").AsBool()) {
-    EXPECT_EQ(block.Get("boundary_vertices").AsInt(), 0);
-    EXPECT_EQ(block.Get("cut_edges").AsInt(), 0);
-  }
-}
-
 TEST_F(ApiFixture, VersionReportsApiAndBuild) {
   JsonValue v = GetJson("GET /v1/version");
   EXPECT_EQ(v.Get("server").AsString(), "C-Explorer");
@@ -321,6 +296,59 @@ TEST_F(ApiFixture, TypedWrongParams) {
   // The legacy alias keeps its lenient fallback behavior for the same
   // request (k falls back to its default).
   EXPECT_EQ(Get("GET /search?name=a&k=abc&keywords=x,y").code, 200);
+}
+
+TEST_F(ApiFixture, OutOfRangeIdsRejectedNotWrapped) {
+  // Every explicit vertex and k must be an integer in [0, 2^32 - 1].
+  // Narrowed unchecked, 2^32 would wrap to vertex 0, 2^32 + 1 to k = 1 and
+  // -1 to k = 2^32 - 1; a JSON 4.9 would truncate to 4, and 1e30 has no
+  // integer value at all.
+  const std::vector<std::string> rejected = {
+      "GET /v1/search?vertex=4294967296&k=4",
+      "GET /v1/search?vertex=0&k=4294967297",
+      "GET /v1/search?vertex=0&k=-1",
+      "GET /search?vertex=4294967296",
+      "GET /v1/explore?vertex=4294967296",
+      "GET /v1/explore?vertex=2&k=4294967297",
+      "GET /v1/explore?vertex=2&k=-1",
+      "GET /v1/compare?name=a&k=4294967297",
+      "GET /v1/compare?name=a&k=-1",
+      "GET /v1/profile?vertex=4294967296",
+      "POST /v1/jobs\n\n{\"algo\": \"ACQ\", \"vertex\": 4294967296}",
+      "POST /v1/jobs\n\n{\"algo\": \"ACQ\", \"vertex\": 0, \"k\": 1e30}",
+      "POST /v1/jobs\n\n{\"algo\": \"ACQ\", \"vertex\": 0, \"k\": 4.9}",
+      "POST /v1/jobs\n\n{\"algo\": \"ACQ\", \"vertex\": 0, \"k\": -1}",
+      "POST /v1/edges\n\n{\"edges\": [[4294967296, 1]]}",
+      "POST /v1/edges\n\n{\"edges\": [[0.5, 1]]}",
+  };
+  for (const std::string& request : rejected) {
+    EXPECT_EQ(ErrorCode(request, 400), "INVALID_ARGUMENT") << request;
+  }
+
+  // Inside /v1/batch each bad entry fails on its own slot.
+  const std::vector<std::string> bad_entries = {
+      "{\"vertex\": 4294967296}",       "{\"vertex\": -1}",
+      "{\"vertex\": 0, \"k\": 1e30}",   "{\"vertex\": 0, \"k\": 4.9}",
+      "{\"vertex\": 0, \"k\": -1}",     "{\"vertex\": 0, \"k\": 4294967297}",
+      "{\"vertex\": 0, \"k\": \"2\"}",
+  };
+  std::string body = "[{\"vertex\": 0, \"k\": 2}";
+  for (const std::string& entry : bad_entries) body += ", " + entry;
+  const JsonValue batch = GetJson("POST /v1/batch\n\n" + body + "]");
+  const auto& results = batch.Get("results").Items();
+  ASSERT_EQ(results.size(), bad_entries.size() + 1);
+  EXPECT_EQ(results[0].Get("num_communities").AsInt(), 1);
+  for (std::size_t i = 0; i < bad_entries.size(); ++i) {
+    EXPECT_EQ(results[i + 1].Get("error").Get("code").AsString(),
+              "INVALID_ARGUMENT")
+        << bad_entries[i];
+  }
+
+  // An absent k on /v1/explore still reuses the last query's k.
+  Get("GET /v1/search?vertex=2&k=2");
+  const HttpResponse reused = Get("GET /v1/explore?vertex=2");
+  EXPECT_EQ(reused.body, Get("GET /v1/explore?vertex=2&k=2").body);
+  EXPECT_NE(reused.body, Get("GET /v1/explore?vertex=2&k=4").body);
 }
 
 TEST_F(ApiFixture, UnknownParamsRejectedOnV1Only) {

@@ -21,7 +21,6 @@
 #include "explorer/dataset.h"
 #include "server/http.h"
 #include "server/server.h"
-#include "shard/coordinator.h"
 
 namespace cexplorer {
 namespace {
@@ -595,168 +594,82 @@ TEST(ConcurrencyTest, SnapshotLoadsRacingSearches) {
   EXPECT_EQ(held->core_numbers().size(), g.num_vertices());
 }
 
-// The sharded execution tier under contention: sharded searches (each
-// spinning up a per-query BSP coordinator over the snapshot's partition
-// plan) race dataset swaps. The plan is cached on the dataset, so a query
-// holding an old snapshot keeps peeling over the old plan while the
-// swapper publishes a new graph; nothing may crash, tear, or serve a
-// malformed body.
-TEST(ConcurrencyTest, ShardedSearchesRacingDatasetSwaps) {
-  constexpr int kSessions = 6;
-  constexpr int kIterations = 20;
-  constexpr int kSwaps = 3;
-
-  const std::uint32_t saved_shards = shard::ConfiguredShards();
-  shard::SetConfiguredShards(4);
-
-  {
-    CExplorerServer server;
-    ASSERT_TRUE(server.UploadGraph(GenerateDblp(SmallDblp(7)).graph).ok());
-    const std::size_t n = server.dataset()->graph().num_vertices();
-
-    std::vector<std::string> ids;
-    for (int i = 0; i < kSessions; ++i) ids.push_back(NewSession(&server));
-
-    std::atomic<int> bad_codes{0};
-    std::atomic<int> bad_bodies{0};
-    auto worker = [&](int which) {
-      const std::string& id = ids[static_cast<std::size_t>(which)];
-      for (int it = 0; it < kIterations; ++it) {
-        const std::string vertex =
-            std::to_string((which * 97 + it * 13) % n);
-        const char* algo = it % 2 == 0 ? "Global" : "ACQ";
-        HttpResponse response =
-            server.Handle("GET /v1/search?vertex=" + vertex + "&k=3&algo=" +
-                          algo + "&session=" + id);
-        if (response.code != 200 && response.code != 404 &&
-            response.code != 409) {
-          ++bad_codes;
-        }
-        if (response.code == 200 && !JsonValue::Parse(response.body).ok()) {
-          ++bad_bodies;
-        }
-      }
-    };
-
-    const std::uint64_t queries_before = shard::ShardStatsNow().queries;
-    std::thread swapper([&] {
-      for (int i = 0; i < kSwaps; ++i) {
-        ASSERT_TRUE(server
-                        .UploadGraph(GenerateDblp(SmallDblp(
-                                         static_cast<std::uint64_t>(300 + i)))
-                                         .graph)
-                        .ok());
-      }
-    });
-    std::vector<std::thread> workers;
-    for (int i = 0; i < kSessions; ++i) workers.emplace_back(worker, i);
-    for (auto& t : workers) t.join();
-    swapper.join();
-
-    EXPECT_EQ(bad_codes.load(), 0);
-    EXPECT_EQ(bad_bodies.load(), 0);
-    // Coordinators actually ran (the result cache absorbs repeats, so only
-    // a lower bound is meaningful).
-    EXPECT_GT(shard::ShardStatsNow().queries, queries_before);
-
-    // The tier's counters render consistently mid-flight too.
-    auto stats = JsonValue::Parse(server.Handle("GET /v1/stats").body);
-    ASSERT_TRUE(stats.ok());
-    const JsonValue& block = stats->Get("shards");
-    EXPECT_TRUE(block.Get("enabled").AsBool());
-    EXPECT_EQ(block.Get("count").AsInt(), 4);
-    EXPECT_GT(block.Get("boundary_vertices").AsInt(), 0);
-    EXPECT_LE(block.Get("messages_received").AsInt(),
-              block.Get("messages_sent").AsInt());
-  }
-
-  shard::SetConfiguredShards(saved_shards);
-}
-
-// Incremental CL-tree repairs racing sharded searches: a mutator thread
+// Incremental CL-tree repairs racing searches: a mutator thread
 // streams edge flips and vertex appends (each publish patching or
-// rebuilding the served tree) while sharded query threads pin snapshots
+// rebuilding the served tree) while query threads pin snapshots
 // mid-publish. A repaired tree views its owner's arenas, so this is the
 // TSan gate for the zero-copy repair chain: no crash, no torn body, and
 // the repair path must actually have run.
-TEST(ConcurrencyTest, TreeRepairsRacingShardedSearches) {
+TEST(ConcurrencyTest, TreeRepairsRacingSearches) {
   constexpr int kSessions = 4;
   constexpr int kIterations = 16;
   constexpr int kMutations = 24;
 
-  const std::uint32_t saved_shards = shard::ConfiguredShards();
-  shard::SetConfiguredShards(4);
+  CExplorerServer server;
+  ASSERT_TRUE(server.UploadGraph(GenerateDblp(SmallDblp(9)).graph).ok());
+  const std::size_t n = server.dataset()->graph().num_vertices();
 
-  {
-    CExplorerServer server;
-    ASSERT_TRUE(server.UploadGraph(GenerateDblp(SmallDblp(9)).graph).ok());
-    const std::size_t n = server.dataset()->graph().num_vertices();
+  std::vector<std::string> ids;
+  for (int i = 0; i < kSessions; ++i) ids.push_back(NewSession(&server));
 
-    std::vector<std::string> ids;
-    for (int i = 0; i < kSessions; ++i) ids.push_back(NewSession(&server));
-
-    std::atomic<int> bad_codes{0};
-    std::atomic<int> bad_bodies{0};
-    auto worker = [&](int which) {
-      const std::string& id = ids[static_cast<std::size_t>(which)];
-      for (int it = 0; it < kIterations; ++it) {
-        const std::string vertex =
-            std::to_string((which * 89 + it * 17) % n);
-        const char* algo = it % 2 == 0 ? "Global" : "ACQ";
-        HttpResponse response =
-            server.Handle("GET /v1/search?vertex=" + vertex + "&k=3&algo=" +
-                          algo + "&session=" + id);
-        if (response.code != 200 && response.code != 404 &&
-            response.code != 409) {
-          ++bad_codes;
-        }
-        if (response.code == 200 && !JsonValue::Parse(response.body).ok()) {
-          ++bad_bodies;
-        }
+  std::atomic<int> bad_codes{0};
+  std::atomic<int> bad_bodies{0};
+  auto worker = [&](int which) {
+    const std::string& id = ids[static_cast<std::size_t>(which)];
+    for (int it = 0; it < kIterations; ++it) {
+      const std::string vertex = std::to_string((which * 89 + it * 17) % n);
+      const char* algo = it % 2 == 0 ? "Global" : "ACQ";
+      HttpResponse response =
+          server.Handle("GET /v1/search?vertex=" + vertex + "&k=3&algo=" +
+                        algo + "&session=" + id);
+      if (response.code != 200 && response.code != 404 &&
+          response.code != 409) {
+        ++bad_codes;
       }
-    };
-
-    std::thread mutator([&] {
-      for (int i = 0; i < kMutations; ++i) {
-        HttpResponse response;
-        if (i % 6 == 5) {
-          // A vertex append: always published through the repair path.
-          response = server.Handle(
-              "POST /v1/vertices\n\n{\"vertices\": [{\"name\": \"raced "
-              "author " +
-              std::to_string(i) + "\", \"keywords\": [\"db\"]}]}");
-        } else {
-          const std::size_t u = (static_cast<std::size_t>(i) * 7 + 1) % n;
-          const std::size_t v = (static_cast<std::size_t>(i) * 13 + 3) % n;
-          if (u == v) continue;
-          const std::string body = "\n\n{\"edges\": [[" + std::to_string(u) +
-                                   ", " + std::to_string(v) + "]]}";
-          response = server.Handle(
-              (i % 2 == 0 ? "POST /v1/edges" : "DELETE /v1/edges") + body);
-        }
-        if (response.code != 200) ++bad_codes;
+      if (response.code == 200 && !JsonValue::Parse(response.body).ok()) {
+        ++bad_bodies;
       }
-    });
+    }
+  };
 
-    std::vector<std::thread> workers;
-    for (int i = 0; i < kSessions; ++i) workers.emplace_back(worker, i);
-    for (auto& t : workers) t.join();
-    mutator.join();
+  std::thread mutator([&] {
+    for (int i = 0; i < kMutations; ++i) {
+      HttpResponse response;
+      if (i % 6 == 5) {
+        // A vertex append: always published through the repair path.
+        response = server.Handle(
+            "POST /v1/vertices\n\n{\"vertices\": [{\"name\": \"raced "
+            "author " +
+            std::to_string(i) + "\", \"keywords\": [\"db\"]}]}");
+      } else {
+        const std::size_t u = (static_cast<std::size_t>(i) * 7 + 1) % n;
+        const std::size_t v = (static_cast<std::size_t>(i) * 13 + 3) % n;
+        if (u == v) continue;
+        const std::string body = "\n\n{\"edges\": [[" + std::to_string(u) +
+                                 ", " + std::to_string(v) + "]]}";
+        response = server.Handle(
+            (i % 2 == 0 ? "POST /v1/edges" : "DELETE /v1/edges") + body);
+      }
+      if (response.code != 200) ++bad_codes;
+    }
+  });
 
-    EXPECT_EQ(bad_codes.load(), 0);
-    EXPECT_EQ(bad_bodies.load(), 0);
+  std::vector<std::thread> workers;
+  for (int i = 0; i < kSessions; ++i) workers.emplace_back(worker, i);
+  for (auto& t : workers) t.join();
+  mutator.join();
 
-    auto stats = JsonValue::Parse(server.Handle("GET /v1/stats").body);
-    ASSERT_TRUE(stats.ok());
-    const JsonValue& block = stats->Get("mutations");
-    EXPECT_GE(block.Get("cltree_repairs").AsInt(), 1);
-    // Every accepted batch was served by exactly one of the two paths.
-    EXPECT_EQ(block.Get("batches").AsInt(),
-              block.Get("cltree_repairs").AsInt() +
-                  block.Get("cltree_rebuild_fallbacks").AsInt());
-  }
+  EXPECT_EQ(bad_codes.load(), 0);
+  EXPECT_EQ(bad_bodies.load(), 0);
 
-  shard::SetConfiguredShards(saved_shards);
+  auto stats = JsonValue::Parse(server.Handle("GET /v1/stats").body);
+  ASSERT_TRUE(stats.ok());
+  const JsonValue& block = stats->Get("mutations");
+  EXPECT_GE(block.Get("cltree_repairs").AsInt(), 1);
+  // Every accepted batch was served by exactly one of the two paths.
+  EXPECT_EQ(block.Get("batches").AsInt(),
+            block.Get("cltree_repairs").AsInt() +
+                block.Get("cltree_rebuild_fallbacks").AsInt());
 }
 
 }  // namespace

@@ -100,6 +100,10 @@ TEST(JsonCornerTest, TypeMismatchFallbacks) {
   EXPECT_EQ(v->Get("s").AsBool(true), true);
   EXPECT_TRUE(v->Get("s").Items().empty());
   EXPECT_EQ(v->AsString(), "");  // object, not string
+  // A number with no int64 value reads as the fallback; others truncate.
+  EXPECT_EQ(JsonValue::Parse("1e30")->AsInt(42), 42);
+  EXPECT_EQ(JsonValue::Parse("-1e300")->AsInt(42), 42);
+  EXPECT_EQ(JsonValue::Parse("-4.9")->AsInt(42), -4);
 }
 
 // --------------------------------------------------------------------------
