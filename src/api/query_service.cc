@@ -1725,17 +1725,13 @@ ApiResult<std::string> QueryService::Stats() {
   w.Key("postings_patched");
   w.UInt(mutations.postings_patched);
   w.EndObject();
-  // Which kernel implementations this process resolved at startup, and the
-  // posting storage of the live index — so a deploy can verify it actually
-  // runs the vectorized paths it was built for.
+  // Which kernel implementation this process resolved at startup — so a
+  // deploy can verify it actually runs the vectorized paths it was built
+  // for.
   w.Key("kernels");
   w.BeginObject();
   w.Key("isa");
   w.String(simd::IsaName(simd::ActiveIsa()));
-  if (snapshot != nullptr) {
-    w.Key("posting_format");
-    w.String(PostingFormatName(snapshot->index().posting_format()));
-  }
   w.EndObject();
   // How the served dataset's arrays are backed: "owned" (built in-process),
   // "mmap" (zero-copy views over a page-cache-shared snapshot file) or

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <numeric>
 
 #include "common/bitset.h"
@@ -273,27 +274,16 @@ std::span<const VertexId> ClTreeNode::Postings(KeywordId kw) const {
   return inv_postings[static_cast<std::size_t>(it - inv_keywords.begin())];
 }
 
-const char* PostingFormatName(PostingFormat format) {
-  switch (format) {
-    case PostingFormat::kRaw:
-      return "raw";
-    case PostingFormat::kVarint:
-      return "varint";
-  }
-  return "?";
-}
-
 ClTree ClTree::Build(const AttributedGraph& g, ClTreeBuildMethod method,
-                     ThreadPool* pool, PostingFormat format) {
+                     ThreadPool* pool, PostingFormat) {
   if (g.num_vertices() == 0) return ClTree();
   const std::vector<std::uint32_t> core = CoreDecomposition(g.graph(), pool);
-  return Build(g, core, method, pool, format);
+  return Build(g, core, method, pool);
 }
 
 ClTree ClTree::Build(const AttributedGraph& g,
                      std::span<const std::uint32_t> core_numbers,
-                     ClTreeBuildMethod method, ThreadPool* pool,
-                     PostingFormat format) {
+                     ClTreeBuildMethod method, ThreadPool* pool) {
   ClTree tree;
   if (g.num_vertices() == 0) return tree;
   const std::vector<std::uint32_t> core(core_numbers.begin(),
@@ -301,15 +291,14 @@ ClTree ClTree::Build(const AttributedGraph& g,
   RawTree raw = method == ClTreeBuildMethod::kBasic
                     ? BuildBasicTree(g.graph(), core)
                     : BuildAdvancedTree(g.graph(), core);
-  tree.Finalize(g, std::move(raw.nodes), raw.root, pool, format);
+  tree.Finalize(g, std::move(raw.nodes), raw.root, pool);
   return tree;
 }
 
 void ClTree::Finalize(const AttributedGraph& g,
                       std::vector<ClTreeRawNode> raw_nodes, ClNodeId raw_root,
-                      ThreadPool* pool, PostingFormat format) {
+                      ThreadPool* pool) {
   const std::size_t num_raw = raw_nodes.size();
-  posting_format_ = format;
 
   // Pass 1 (post-order): minimum vertex in each subtree, for canonical
   // child ordering; and subtree vertex counts.
@@ -470,19 +459,12 @@ void ClTree::Finalize(const AttributedGraph& g,
   // Exact-size allocation from the counted totals, filled in place. The
   // arenas are built in local vectors and moved into the ArrayRef members
   // once complete (the move keeps the heap buffers, so the node spans set
-  // afterwards stay valid). Offsets are logical value positions in both
-  // formats; the raw posting arena is only materialized in kRaw.
-  const bool raw_postings = format == PostingFormat::kRaw;
+  // afterwards stay valid).
   std::vector<KeywordId> kw_arena(total_kws);
   std::vector<std::uint32_t> offset_arena(total_kws + 1);
-  std::vector<VertexId> post_arena(raw_postings ? total_posts : 0);
+  std::vector<VertexId> post_arena(total_posts);
   offset_arena[total_kws] = static_cast<std::uint32_t>(total_posts);
   std::vector<std::uint64_t> blooms(num_raw, 0);
-
-  // Per-node encoded postings of the varint format, concatenated into the
-  // byte arena after the parallel fill (the byte offsets depend on every
-  // earlier node, so the concatenation is a cheap sequential pass).
-  std::vector<std::vector<std::uint8_t>> encoded(raw_postings ? 0 : num_raw);
 
   // Fill pass: every node writes its own disjoint arena slices.
   ParallelFor(
@@ -492,34 +474,14 @@ void ClTree::Finalize(const AttributedGraph& g,
         std::size_t kw_cursor = kw_begin[i];
         std::size_t post_cursor = post_begin[i];
         std::uint64_t bloom = 0;
-        std::size_t run_start = 0;  // start of the current keyword's run
         for (std::size_t j = 0; j < p.size(); ++j) {
           if (j == 0 || p[j].first != p[j - 1].first) {
-            if (!raw_postings && j != 0) {
-              // Close the previous keyword's run: encode its vertex list.
-              thread_local std::vector<VertexId> run;
-              run.clear();
-              for (std::size_t t = run_start; t < j; ++t) {
-                run.push_back(p[t].second);
-              }
-              simd::GroupVarintEncode(run, &encoded[i]);
-            }
-            run_start = j;
             kw_arena[kw_cursor] = p[j].first;
             offset_arena[kw_cursor] = static_cast<std::uint32_t>(post_cursor);
             ++kw_cursor;
             bloom |= simd::BloomMask(p[j].first);
           }
-          if (raw_postings) post_arena[post_cursor] = p[j].second;
-          ++post_cursor;
-        }
-        if (!raw_postings && !p.empty()) {
-          thread_local std::vector<VertexId> run;
-          run.clear();
-          for (std::size_t t = run_start; t < p.size(); ++t) {
-            run.push_back(p[t].second);
-          }
-          simd::GroupVarintEncode(run, &encoded[i]);
+          post_arena[post_cursor++] = p[j].second;
         }
         blooms[i] = bloom;
         p = {};  // release the temporary pairs eagerly
@@ -537,46 +499,8 @@ void ClTree::Finalize(const AttributedGraph& g,
   for (std::size_t i = 0; i < num_raw; ++i) {
     nodes_[i].inv_keywords = {inv_keyword_arena_.data() + kw_begin[i],
                               kw_counts[i]};
-    nodes_[i].inv_postings = {
-        inv_offset_arena_.data() + kw_begin[i],
-        raw_postings ? inv_posting_arena_.data() : nullptr, kw_counts[i]};
-  }
-
-  if (!raw_postings) {
-    // Concatenate the per-node byte streams and derive per-keyword byte
-    // offsets by re-walking each stream group by group (one control-byte
-    // scan per keyword run; cheap against the encode itself).
-    std::size_t total_bytes = 0;
-    for (const auto& e : encoded) total_bytes += e.size();
-    std::vector<std::uint8_t> comp;
-    comp.reserve(total_bytes + simd::kGroupVarintPad);
-    std::vector<std::uint32_t> comp_offsets(total_kws + 1, 0);
-    for (std::size_t i = 0; i < num_raw; ++i) {
-      const std::size_t node_base = comp.size();
-      comp.insert(comp.end(), encoded[i].begin(), encoded[i].end());
-      encoded[i] = {};
-      std::size_t byte_cursor = node_base;
-      for (std::size_t ki = 0; ki < kw_counts[i]; ++ki) {
-        const std::size_t slot = kw_begin[i] + ki;
-        comp_offsets[slot] = static_cast<std::uint32_t>(byte_cursor);
-        std::size_t remaining =
-            inv_offset_arena_[slot + 1] - inv_offset_arena_[slot];
-        while (remaining > 0) {
-          const std::uint8_t ctrl = comp[byte_cursor++];
-          const std::size_t group = std::min<std::size_t>(4, remaining);
-          for (std::size_t t = 0; t < group; ++t) {
-            byte_cursor += ((ctrl >> (2 * t)) & 3) + 1;
-          }
-          remaining -= group;
-        }
-      }
-    }
-    comp_offsets[total_kws] = static_cast<std::uint32_t>(comp.size());
-    // SIMD decoder slack: the last group's 16-byte load may read past the
-    // stream end.
-    comp.resize(comp.size() + simd::kGroupVarintPad, 0);
-    comp_arena_ = std::move(comp);
-    comp_offset_arena_ = std::move(comp_offsets);
+    nodes_[i].inv_postings = {inv_offset_arena_.data() + kw_begin[i],
+                              inv_posting_arena_.data(), kw_counts[i]};
   }
 }
 
@@ -605,14 +529,12 @@ namespace {
 
 /// Reusable per-thread buffers of the posting query path: two result
 /// buffers the progressive intersection ping-pongs between (the kernels
-/// forbid output aliasing an input), a decode target for the varint
-/// format, and the keyword-slot list. Grown once per thread; steady-state
-/// node visits allocate nothing.
+/// forbid output aliasing an input) and the per-keyword posting lists.
+/// Grown once per thread; steady-state node visits allocate nothing.
 struct PostingScratch {
   std::vector<VertexId> ping;
   std::vector<VertexId> pong;
-  std::vector<VertexId> decode;
-  std::vector<std::size_t> slots;
+  std::vector<std::span<const VertexId>> lists;
 };
 
 PostingScratch& ThreadPostingScratch() {
@@ -622,58 +544,6 @@ PostingScratch& ThreadPostingScratch() {
 
 }  // namespace
 
-std::span<const VertexId> ClTree::PostingsAtSlot(
-    std::size_t slot, std::vector<VertexId>* buf) const {
-  const std::size_t count = inv_offset_arena_[slot + 1] -
-                            inv_offset_arena_[slot];
-  if (posting_format_ == PostingFormat::kRaw) {
-    return {inv_posting_arena_.data() + inv_offset_arena_[slot], count};
-  }
-  if (buf->size() < count) buf->resize(count);
-  simd::GroupVarintDecode(comp_arena_.data() + comp_offset_arena_[slot],
-                          count, buf->data());
-  return {buf->data(), count};
-}
-
-void ClTree::AppendPatchedNodeMatches(const NodePatch& p,
-                                      std::span<const KeywordId> kws,
-                                      VertexList* out) const {
-  // Patched twin of the slot-arithmetic body below: the node's lists live
-  // in its patch overlay (always raw, LOCAL offsets), not the tree-wide
-  // arenas. Same rarest-first progressive intersection.
-  PostingScratch& s = ThreadPostingScratch();
-  s.slots.clear();
-  for (KeywordId kw : kws) {
-    auto it = std::lower_bound(p.kws.begin(), p.kws.end(), kw);
-    if (it == p.kws.end() || *it != kw) return;
-    s.slots.push_back(static_cast<std::size_t>(it - p.kws.begin()));
-  }
-  std::sort(s.slots.begin(), s.slots.end(),
-            [&p](std::size_t a, std::size_t b) {
-              return p.offs[a + 1] - p.offs[a] < p.offs[b + 1] - p.offs[b];
-            });
-  auto list = [&p](std::size_t slot) {
-    return std::span<const VertexId>(p.posts.data() + p.offs[slot],
-                                     p.offs[slot + 1] - p.offs[slot]);
-  };
-  std::span<const VertexId> cur = list(s.slots[0]);
-  if (s.slots.size() == 1) {
-    out->insert(out->end(), cur.begin(), cur.end());
-    return;
-  }
-  const std::size_t cap = cur.size() + simd::kIntersectPad;
-  if (s.pong.size() < cap) s.pong.resize(cap);
-  if (s.ping.size() < cap) s.ping.resize(cap);
-  std::vector<VertexId>* dst = &s.ping;
-  for (std::size_t i = 1; i < s.slots.size() && !cur.empty(); ++i) {
-    const std::size_t cnt =
-        simd::IntersectSorted(cur, list(s.slots[i]), dst->data());
-    cur = {dst->data(), cnt};
-    dst = dst == &s.ping ? &s.pong : &s.ping;
-  }
-  out->insert(out->end(), cur.begin(), cur.end());
-}
-
 void ClTree::AppendNodeMatches(ClNodeId id, std::span<const KeywordId> kws,
                                std::uint64_t query_fp, VertexList* out) const {
   const ClTreeNode& node = nodes_[id];
@@ -682,53 +552,39 @@ void ClTree::AppendNodeMatches(ClNodeId id, std::span<const KeywordId> kws,
     return;
   }
   if (!simd::BloomMayContainAll(node_kw_bloom_[id], query_fp)) return;
-  if (!node_patches_.empty() && patched_bitmap_[id]) {
-    AppendPatchedNodeMatches(node_patches_.find(id)->second, kws, out);
-    return;
-  }
 
+  // Every keyword's posting list, read through the node's views (a patched
+  // node's views point into its overlay); bail out if any is absent.
   PostingScratch& s = ThreadPostingScratch();
-  const std::size_t kw_base = static_cast<std::size_t>(
-      node.inv_keywords.data() - inv_keyword_arena_.data());
-  // Locate every keyword; bail out if any is absent from this node.
-  s.slots.clear();
+  s.lists.clear();
   for (KeywordId kw : kws) {
-    auto it = std::lower_bound(node.inv_keywords.begin(),
-                               node.inv_keywords.end(), kw);
-    if (it == node.inv_keywords.end() || *it != kw) return;
-    s.slots.push_back(
-        kw_base + static_cast<std::size_t>(it - node.inv_keywords.begin()));
+    const std::span<const VertexId> list = node.Postings(kw);
+    if (list.empty()) return;
+    s.lists.push_back(list);
   }
   // Rarest-first order: starting from the shortest list keeps every
   // intermediate intersection no larger than it.
-  std::sort(s.slots.begin(), s.slots.end(),
-            [this](std::size_t a, std::size_t b) {
-              return inv_offset_arena_[a + 1] - inv_offset_arena_[a] <
-                     inv_offset_arena_[b + 1] - inv_offset_arena_[b];
+  std::sort(s.lists.begin(), s.lists.end(),
+            [](std::span<const VertexId> a, std::span<const VertexId> b) {
+              return a.size() < b.size();
             });
 
   // Progressive intersection, ping-ponging the running result between the
   // two scratch buffers (the kernels forbid output aliasing an input). The
   // result can only shrink, so the first list's size plus the kernels'
-  // write slack bounds every buffer. Both are sized BEFORE the first
-  // decode: in the varint format `cur` points into ping, and a later
-  // resize would reallocate under it.
-  const std::size_t cap = inv_offset_arena_[s.slots[0] + 1] -
-                          inv_offset_arena_[s.slots[0]] + simd::kIntersectPad;
-  if (s.pong.size() < cap) s.pong.resize(cap);
-  if (s.ping.size() < cap) s.ping.resize(cap);
-  std::span<const VertexId> cur = PostingsAtSlot(s.slots[0], &s.ping);
-  if (s.slots.size() == 1) {
-    out->insert(out->end(), cur.begin(), cur.end());
-    return;
-  }
-  std::vector<VertexId>* dst =
-      cur.data() == s.ping.data() ? &s.pong : &s.ping;
-  for (std::size_t i = 1; i < s.slots.size() && !cur.empty(); ++i) {
-    std::span<const VertexId> other = PostingsAtSlot(s.slots[i], &s.decode);
-    const std::size_t cnt = simd::IntersectSorted(cur, other, dst->data());
-    cur = {dst->data(), cnt};
-    dst = dst == &s.ping ? &s.pong : &s.ping;
+  // write slack bounds every buffer.
+  std::span<const VertexId> cur = s.lists[0];
+  if (s.lists.size() > 1) {
+    const std::size_t cap = cur.size() + simd::kIntersectPad;
+    if (s.pong.size() < cap) s.pong.resize(cap);
+    if (s.ping.size() < cap) s.ping.resize(cap);
+    std::vector<VertexId>* dst = &s.ping;
+    for (std::size_t i = 1; i < s.lists.size() && !cur.empty(); ++i) {
+      const std::size_t cnt =
+          simd::IntersectSorted(cur, s.lists[i], dst->data());
+      cur = {dst->data(), cnt};
+      dst = dst == &s.ping ? &s.pong : &s.ping;
+    }
   }
   out->insert(out->end(), cur.begin(), cur.end());
 }
@@ -750,25 +606,13 @@ std::size_t ClTree::CountKeyword(ClNodeId id, KeywordId kw) const {
   std::size_t count = 0;
   for (ClNodeId i = id; i < nodes_[id].subtree_end; ++i) {
     if ((node_kw_bloom_[i] & mask) != mask) continue;
-    const auto& node_kws = nodes_[i].inv_keywords;
-    auto it = std::lower_bound(node_kws.begin(), node_kws.end(), kw);
-    if (it == node_kws.end() || *it != kw) continue;
-    const std::size_t local = static_cast<std::size_t>(it - node_kws.begin());
-    if (!node_patches_.empty() && patched_bitmap_[i]) {
-      const NodePatch& p = node_patches_.find(i)->second;
-      count += p.offs[local + 1] - p.offs[local];
-      continue;
-    }
-    const std::size_t slot =
-        static_cast<std::size_t>(node_kws.data() - inv_keyword_arena_.data()) +
-        local;
-    count += inv_offset_arena_[slot + 1] - inv_offset_arena_[slot];
+    count += nodes_[i].Postings(kw).size();
   }
   return count;
 }
 
 std::size_t ClTree::MemoryBytes() const {
-  std::size_t patch_bytes = patched_bitmap_.size();
+  std::size_t patch_bytes = 0;
   for (const auto& [id, p] : node_patches_) {
     patch_bytes += sizeof(NodePatch) + p.vertices.size() * sizeof(VertexId) +
                    p.kws.size() * sizeof(KeywordId) +
@@ -783,8 +627,6 @@ std::size_t ClTree::MemoryBytes() const {
          inv_keyword_arena_.size() * sizeof(KeywordId) +
          inv_offset_arena_.size() * sizeof(std::uint32_t) +
          inv_posting_arena_.size() * sizeof(VertexId) +
-         comp_arena_.size() * sizeof(std::uint8_t) +
-         comp_offset_arena_.size() * sizeof(std::uint32_t) +
          node_kw_bloom_.size() * sizeof(std::uint64_t) + patch_bytes;
 }
 
@@ -799,7 +641,6 @@ void ClTree::FixPatchedNodeSpans(ClNodeId id, NodePatch& p) {
 
 ClTree ClTree::RepairedFrom(const ClTree& parent) {
   ClTree t;
-  t.posting_format_ = parent.posting_format_;
   t.repair_depth_ = parent.repair_depth_ + 1;
   t.appended_root_vertices_ = parent.appended_root_vertices_;
 
@@ -825,14 +666,10 @@ ClTree ClTree::RepairedFrom(const ClTree& parent) {
       ArrayRef<std::uint32_t>::View(parent.inv_offset_arena_.span());
   t.inv_posting_arena_ =
       ArrayRef<VertexId>::View(parent.inv_posting_arena_.span());
-  t.comp_arena_ = ArrayRef<std::uint8_t>::View(parent.comp_arena_.span());
-  t.comp_offset_arena_ =
-      ArrayRef<std::uint32_t>::View(parent.comp_offset_arena_.span());
 
   // Patch overlays are copied (they are small) and the patched nodes'
   // directory spans re-pointed at OUR copies, so the parent tree itself
   // can be destroyed.
-  t.patched_bitmap_ = parent.patched_bitmap_;
   t.node_patches_ = parent.node_patches_;
   for (auto& [id, patch] : t.node_patches_) t.FixPatchedNodeSpans(id, patch);
   return t;
@@ -841,28 +678,21 @@ ClTree ClTree::RepairedFrom(const ClTree& parent) {
 void ClTree::AppendRootVertices(const AttributedGraph& g, VertexId first,
                                 std::size_t count, ClTreeRepairStats* stats) {
   if (count == 0 || nodes_.empty()) return;
-  if (patched_bitmap_.size() < nodes_.size()) {
-    patched_bitmap_.resize(nodes_.size(), 0);
-  }
-  NodePatch& patch = node_patches_[root()];
-  if (!patched_bitmap_[root()]) {
-    // First patch of the root: materialize its current lists into the
-    // overlay (decoding varint postings once), so later merges and the
-    // query kernels see plain raw arrays.
+  auto [it, first_patch] = node_patches_.try_emplace(root());
+  NodePatch& patch = it->second;
+  if (first_patch) {
+    // First patch of the root: copy its current lists into the overlay,
+    // which later merges then rewrite in place.
     const ClTreeNode& rn = nodes_[root()];
     patch.vertices.assign(rn.vertices.begin(), rn.vertices.end());
     patch.kws.assign(rn.inv_keywords.begin(), rn.inv_keywords.end());
     patch.offs.resize(patch.kws.size() + 1);
     patch.offs[0] = 0;
-    const std::size_t kw_base = static_cast<std::size_t>(
-        rn.inv_keywords.data() - inv_keyword_arena_.data());
-    std::vector<VertexId> buf;
     for (std::size_t i = 0; i < patch.kws.size(); ++i) {
-      const auto list = PostingsAtSlot(kw_base + i, &buf);
+      const auto list = rn.inv_postings[i];
       patch.posts.insert(patch.posts.end(), list.begin(), list.end());
       patch.offs[i + 1] = static_cast<std::uint32_t>(patch.posts.size());
     }
-    patched_bitmap_[root()] = 1;
   }
 
   // Appended ids exceed every existing id, so the anchored-vertex list and
@@ -1059,7 +889,6 @@ Result<ClTree> ClTree::FromParts(const ClTreeParts& parts,
     return bad("per-node array size mismatch");
   }
   ClTree tree;
-  tree.posting_format_ = parts.format;
   if (num_nodes == 0) {
     if (num_graph_vertices != 0) return bad("empty tree over non-empty graph");
     return tree;
@@ -1070,10 +899,6 @@ Result<ClTree> ClTree::FromParts(const ClTreeParts& parts,
   const std::size_t total_kws = parts.inv_keyword_arena.size();
   if (parts.inv_offset_arena.size() != total_kws + 1) {
     return bad("inverted offset arena size mismatch");
-  }
-  const bool raw_postings = parts.format == PostingFormat::kRaw;
-  if (!raw_postings && parts.comp_offset_arena.size() != total_kws + 1) {
-    return bad("compressed offset arena size mismatch");
   }
 
   // Every record's arena slices must be in bounds and the preorder
@@ -1112,31 +937,29 @@ Result<ClTree> ClTree::FromParts(const ClTreeParts& parts,
   for (VertexId v : parts.anchor_arena) {
     if (v >= num_graph_vertices) return bad("anchored vertex out of range");
   }
-  // Offsets are logical value positions shared by both formats; they must
-  // ascend, and in the raw format the final sentinel must cover exactly
-  // the posting arena (the varint byte offsets must likewise ascend into
-  // the padded byte arena).
+  // Offsets must run from 0 up to exactly the posting arena's size, and
+  // every posting slot must be a strictly ascending list of in-range
+  // vertices: the intersection kernels' output bound assumes strictly
+  // increasing inputs (simd.h), so a repeated or out-of-order id would let
+  // them write past their buffers.
+  const std::span<const VertexId> postings = parts.inv_posting_arena;
+  if (parts.inv_offset_arena[0] != 0 ||
+      parts.inv_offset_arena[total_kws] != postings.size()) {
+    return bad("posting arena size mismatch");
+  }
   for (std::size_t slot = 0; slot < total_kws; ++slot) {
-    if (parts.inv_offset_arena[slot] > parts.inv_offset_arena[slot + 1]) {
+    const std::uint32_t begin = parts.inv_offset_arena[slot];
+    const std::uint32_t end = parts.inv_offset_arena[slot + 1];
+    if (begin > end || end > postings.size()) {
       return bad("posting offsets not ascending");
     }
-  }
-  if (raw_postings) {
-    if (parts.inv_offset_arena[total_kws] != parts.inv_posting_arena.size()) {
-      return bad("posting arena size mismatch");
+    const auto list = postings.subspan(begin, end - begin);
+    if (std::adjacent_find(list.begin(), list.end(),
+                           std::greater_equal<>()) != list.end()) {
+      return bad("posting slot not strictly ascending");
     }
-    for (VertexId v : parts.inv_posting_arena) {
-      if (v >= num_graph_vertices) return bad("posting vertex out of range");
-    }
-  } else {
-    for (std::size_t slot = 0; slot < total_kws; ++slot) {
-      if (parts.comp_offset_arena[slot] > parts.comp_offset_arena[slot + 1]) {
-        return bad("compressed offsets not ascending");
-      }
-    }
-    if (parts.comp_offset_arena[total_kws] + simd::kGroupVarintPad >
-        parts.comp_arena.size()) {
-      return bad("compressed arena missing decoder slack");
+    if (!list.empty() && list.back() >= num_graph_vertices) {
+      return bad("posting vertex out of range");
     }
   }
 
@@ -1148,9 +971,6 @@ Result<ClTree> ClTree::FromParts(const ClTreeParts& parts,
   tree.inv_offset_arena_ =
       ArrayRef<std::uint32_t>::View(parts.inv_offset_arena);
   tree.inv_posting_arena_ = ArrayRef<VertexId>::View(parts.inv_posting_arena);
-  tree.comp_arena_ = ArrayRef<std::uint8_t>::View(parts.comp_arena);
-  tree.comp_offset_arena_ =
-      ArrayRef<std::uint32_t>::View(parts.comp_offset_arena);
   tree.node_kw_bloom_ = ArrayRef<std::uint64_t>::View(parts.node_kw_bloom);
 
   // Materialize the node directory: the ONE load-path allocation that
@@ -1169,10 +989,9 @@ Result<ClTree> ClTree::FromParts(const ClTreeParts& parts,
                     r.anchor_count};
     dst.inv_keywords = {tree.inv_keyword_arena_.data() + r.inv_slot_begin,
                         r.inv_count};
-    dst.inv_postings = {
-        tree.inv_offset_arena_.data() + r.inv_slot_begin,
-        raw_postings ? tree.inv_posting_arena_.data() : nullptr,
-        static_cast<std::size_t>(r.inv_count)};
+    dst.inv_postings = {tree.inv_offset_arena_.data() + r.inv_slot_begin,
+                        tree.inv_posting_arena_.data(),
+                        static_cast<std::size_t>(r.inv_count)};
   }
   return tree;
 }

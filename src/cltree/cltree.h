@@ -92,8 +92,6 @@ struct ClTreeNode {
   ClTreePostingsView inv_postings;
 
   /// Posting list for `kw` among anchored vertices (empty if absent).
-  /// Raw posting format only — under PostingFormat::kVarint the raw arena
-  /// does not exist; go through ClTree::AppendNodeMatches instead.
   std::span<const VertexId> Postings(KeywordId kw) const;
 };
 
@@ -103,15 +101,10 @@ enum class ClTreeBuildMethod {
   kAdvanced,  ///< bottom-up union-find, near-linear (the paper's choice)
 };
 
-/// Storage format of the inverted-list postings.
-enum class PostingFormat {
-  kRaw,     ///< plain u32 arrays, zero decode cost (the default)
-  kVarint,  ///< delta + group-varint compressed, decoded into scratch on
-            ///< access — ~2-4x smaller arenas at a small decode cost
-};
-
-/// Name for stats/logging: "raw", "varint".
-const char* PostingFormatName(PostingFormat format);
+/// Postings are always plain u32 CSR arrays. This one-value enum only
+/// keeps the benchmark harness's ClTree::Build(g, method, pool, format)
+/// call compiling; nothing branches on it.
+enum class PostingFormat { kRaw };
 
 /// Counters of one incremental tree repair (ClTree::RepairedFrom +
 /// AppendRootVertices); the dynamic tier accumulates them into
@@ -154,7 +147,6 @@ static_assert(sizeof(ClTreeNodeRecord) == 56, "snapshot wire layout");
 /// outlive the tree; ClTree::FromParts validates every cross-reference
 /// before building node views over them.
 struct ClTreeParts {
-  PostingFormat format = PostingFormat::kRaw;
   std::span<const ClTreeNodeRecord> records;
   std::span<const ClNodeId> vertex_node;
   std::span<const std::uint64_t> subtree_sizes;
@@ -163,8 +155,6 @@ struct ClTreeParts {
   std::span<const KeywordId> inv_keyword_arena;
   std::span<const std::uint32_t> inv_offset_arena;
   std::span<const VertexId> inv_posting_arena;
-  std::span<const std::uint8_t> comp_arena;
-  std::span<const std::uint32_t> comp_offset_arena;
   std::span<const std::uint64_t> node_kw_bloom;
 };
 
@@ -192,11 +182,12 @@ class ClTree {
   /// vertex map concurrently (nodes are independent). The result is
   /// byte-identical to the sequential build for every pool size — node
   /// ids are canonical preorder positions and each node's lists depend
-  /// only on its own anchored vertices.
+  /// only on its own anchored vertices. The trailing PostingFormat is
+  /// ignored; it stays only for the benchmark harness's call.
   static ClTree Build(const AttributedGraph& g,
                       ClTreeBuildMethod method = ClTreeBuildMethod::kAdvanced,
                       ThreadPool* pool = nullptr,
-                      PostingFormat format = PostingFormat::kRaw);
+                      PostingFormat = PostingFormat::kRaw);
 
   /// Build variant taking precomputed core numbers (size num_vertices) —
   /// the dynamic-graph path, where incremental maintenance already knows
@@ -207,8 +198,7 @@ class ClTree {
   static ClTree Build(const AttributedGraph& g,
                       std::span<const std::uint32_t> core_numbers,
                       ClTreeBuildMethod method = ClTreeBuildMethod::kAdvanced,
-                      ThreadPool* pool = nullptr,
-                      PostingFormat format = PostingFormat::kRaw);
+                      ThreadPool* pool = nullptr);
 
   /// Incremental repair: a structurally identical twin of `parent` that
   /// shares every big arena (postings, anchors, children, vertex map) as a
@@ -248,9 +238,6 @@ class ClTree {
                : static_cast<double>(node_patches_.size()) /
                      static_cast<double>(nodes_.size());
   }
-
-  /// The posting storage format this tree was built with.
-  PostingFormat posting_format() const { return posting_format_; }
 
   /// Number of nodes.
   std::size_t num_nodes() const { return nodes_.size(); }
@@ -297,10 +284,9 @@ class ClTree {
   /// Appends the anchored vertices of the single node `id` containing every
   /// keyword in the sorted list `kws` to `*out` (ascending within this
   /// node's contribution). `query_fp` must be simd::BloomFingerprint(kws).
-  /// Decode-aware: works for both posting formats, using the calling
-  /// thread's reusable decode scratch — steady-state calls allocate nothing
-  /// beyond `out` growth. This is the per-node kernel behind
-  /// CollectWithKeywords and the ACQ batch gather.
+  /// Intersects in the calling thread's reusable scratch — steady-state
+  /// calls allocate nothing beyond `out` growth. This is the per-node
+  /// kernel behind CollectWithKeywords and the ACQ batch gather.
   void AppendNodeMatches(ClNodeId id, std::span<const KeywordId> kws,
                          std::uint64_t query_fp, VertexList* out) const;
 
@@ -341,21 +327,12 @@ class ClTree {
   /// subtree_end / subtree_sizes_ / vertex_node_ and the inverted lists
   /// (per-node, in parallel when `pool` is non-null).
   void Finalize(const AttributedGraph& g, std::vector<ClTreeRawNode> raw_nodes,
-                ClNodeId raw_root, ThreadPool* pool = nullptr,
-                PostingFormat format = PostingFormat::kRaw);
-
-  /// Posting list of the global keyword slot `slot` (index into
-  /// inv_keyword_arena_): a direct arena view in kRaw, decoded into `*buf`
-  /// in kVarint (buf grows once, then is reused).
-  std::span<const VertexId> PostingsAtSlot(std::size_t slot,
-                                           std::vector<VertexId>* buf) const;
+                ClNodeId raw_root, ThreadPool* pool = nullptr);
 
   /// Replacement lists of one repaired node. The node's directory spans
   /// are re-pointed here, so every span-based reader (SubtreeVertices,
-  /// node().vertices, Serialize, the ACQ gathers) works unchanged; only
-  /// the arena-slot arithmetic of the posting kernels needs the patched
-  /// branch. Postings are stored raw in BOTH tree formats — a patch is a
-  /// few lists, compression would buy nothing.
+  /// node().vertices, Serialize, the posting kernels, the ACQ gathers)
+  /// works unchanged.
   struct NodePatch {
     VertexList vertices;              // full anchored-vertex replacement
     std::vector<KeywordId> kws;       // full keyword replacement, sorted
@@ -366,11 +343,6 @@ class ClTree {
   /// Re-points node `id`'s directory spans at `p`'s buffers (call after
   /// any mutation of the patch vectors — growth may reallocate them).
   void FixPatchedNodeSpans(ClNodeId id, NodePatch& p);
-
-  /// Patched-node twin of AppendNodeMatches' slot-arithmetic body.
-  void AppendPatchedNodeMatches(const NodePatch& p,
-                                std::span<const KeywordId> kws,
-                                VertexList* out) const;
 
   // The node directory is always a materialized vector (its spans are
   // process-local pointers), but every array it points into is an ArrayRef:
@@ -389,31 +361,20 @@ class ClTree {
   // entry plus a final sentinel, and one postings entry per (anchored
   // vertex, keyword) pair. Nodes view their slices through inv_keywords /
   // inv_postings; sized exactly from the Finalize counting pass.
-  //
-  // Offsets are always logical VALUE positions (so counts come from offset
-  // deltas in either format). In kRaw they double as positions into
-  // inv_posting_arena_; in kVarint the posting arena stays empty and the
-  // encoded bytes live in comp_arena_ at comp_offset_arena_ byte positions
-  // (with kGroupVarintPad readable slack at the end for the SIMD decoder).
-  PostingFormat posting_format_ = PostingFormat::kRaw;
   ArrayRef<KeywordId> inv_keyword_arena_;
   ArrayRef<std::uint32_t> inv_offset_arena_;
   ArrayRef<VertexId> inv_posting_arena_;
-  ArrayRef<std::uint8_t> comp_arena_;
-  ArrayRef<std::uint32_t> comp_offset_arena_;
 
   // One-word keyword bloom per node (OR of simd::BloomMask over the node's
   // distinct keywords): lets subtree walks skip nodes that cannot possibly
   // anchor all query keywords with a single AND.
   ArrayRef<std::uint64_t> node_kw_bloom_;
 
-  // --- Repair state (empty on built/loaded trees; the hot paths test
-  // patched_bitmap_ only when node_patches_ is non-empty) ---------------
+  // --- Repair state (empty on built/loaded trees) -----------------------
 
   // node id -> replacement lists. unordered_map keeps element addresses
   // stable, so directory spans may point into the mapped NodePatch.
   std::unordered_map<ClNodeId, NodePatch> node_patches_;
-  std::vector<std::uint8_t> patched_bitmap_;  // 1 = node has a patch
   std::uint32_t repair_depth_ = 0;
   // Vertices appended past vertex_node_'s end, all anchored at the root
   // (core 0): keeps the vertex map a pure zero-copy view across repairs.

@@ -1,8 +1,6 @@
 // AVX2 kernel: 8-lane block-wise sorted intersection with permute
 // compaction. Compiled with -mavx2; without the flag the table is empty
-// and the dispatcher falls back to SSE4 or scalar. The varint decoder is
-// inherited from the SSE4 table (its 16-byte groups gain nothing from
-// 256-bit registers).
+// and the dispatcher falls back to SSE4 or scalar.
 
 #include "common/simd/simd.h"
 
@@ -116,7 +114,7 @@ std::size_t IntersectAvx2(const std::uint32_t* a, std::size_t na,
 }  // namespace
 
 const KernelTable& Avx2Kernels() {
-  static const KernelTable table{&IntersectAvx2, nullptr};
+  static const KernelTable table{&IntersectAvx2};
   return table;
 }
 

@@ -1,7 +1,7 @@
-// SSE4 kernels: 4-lane block-wise sorted intersection (SSSE3 shuffle
-// compaction) and the group-varint shuffle decoder. Compiled with
-// -msse4.2; on builds without the flag (non-x86 or the scalar-baseline CI
-// job) the table is empty and the dispatcher falls back to scalar.
+// SSE4 kernel: 4-lane block-wise sorted intersection (SSSE3 shuffle
+// compaction). Compiled with -msse4.2; on builds without the flag (non-x86
+// or the scalar-baseline CI job) the table is empty and the dispatcher
+// falls back to scalar.
 
 #include "common/simd/simd.h"
 
@@ -9,7 +9,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstring>
 
 namespace cexplorer {
@@ -106,78 +105,10 @@ std::size_t IntersectSse4(const std::uint32_t* a, std::size_t na,
   return cnt;
 }
 
-/// Per-control-byte shuffle masks and total lengths for the group-varint
-/// decoder: masks[c] scatters the 4..16 packed delta bytes of a group into
-/// four little-endian u32 lanes; lens[c] is the group's data byte count.
-struct VarintTable {
-  alignas(16) std::uint8_t masks[256][16];
-  std::uint8_t lens[256];
-};
-
-const VarintTable& Varint4() {
-  static const VarintTable table = [] {
-    VarintTable t;
-    for (int c = 0; c < 256; ++c) {
-      int offset = 0;
-      std::memset(t.masks[c], 0x80, 16);
-      for (int lane = 0; lane < 4; ++lane) {
-        const int len = ((c >> (2 * lane)) & 3) + 1;
-        for (int byte = 0; byte < len; ++byte) {
-          t.masks[c][lane * 4 + byte] =
-              static_cast<std::uint8_t>(offset + byte);
-        }
-        offset += len;
-      }
-      t.lens[c] = static_cast<std::uint8_t>(offset);
-    }
-    return t;
-  }();
-  return table;
-}
-
-std::size_t GroupVarintDecodeSse4(const std::uint8_t* in, std::size_t count,
-                                  std::uint32_t* out) {
-  const VarintTable& t = Varint4();
-  const std::uint8_t* p = in;
-  std::uint32_t prev = 0;
-  std::size_t i = 0;
-  // Full groups: one 16-byte load shuffled into four delta lanes, then an
-  // in-register prefix sum. Relies on kGroupVarintPad readable bytes past
-  // the encoded stream.
-  for (; i + 4 <= count; i += 4) {
-    const std::uint8_t ctrl = *p++;
-    const __m128i raw =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    const __m128i shuf = _mm_load_si128(
-        reinterpret_cast<const __m128i*>(t.masks[ctrl]));
-    __m128i deltas = _mm_shuffle_epi8(raw, shuf);
-    deltas = _mm_add_epi32(deltas, _mm_slli_si128(deltas, 4));
-    deltas = _mm_add_epi32(deltas, _mm_slli_si128(deltas, 8));
-    const __m128i vals =
-        _mm_add_epi32(deltas, _mm_set1_epi32(static_cast<int>(prev)));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), vals);
-    prev = static_cast<std::uint32_t>(_mm_extract_epi32(vals, 3));
-    p += t.lens[ctrl];
-  }
-  // Tail group (< 4 values): scalar.
-  if (i < count) {
-    const std::uint8_t ctrl = *p++;
-    for (std::size_t k = 0; i < count; ++k, ++i) {
-      const std::size_t len = ((ctrl >> (2 * k)) & 3) + 1;
-      std::uint32_t delta = 0;
-      std::memcpy(&delta, p, len);
-      p += len;
-      prev += delta;
-      out[i] = prev;
-    }
-  }
-  return static_cast<std::size_t>(p - in);
-}
-
 }  // namespace
 
 const KernelTable& Sse4Kernels() {
-  static const KernelTable table{&IntersectSse4, &GroupVarintDecodeSse4};
+  static const KernelTable table{&IntersectSse4};
   return table;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
 #include <utility>
 
@@ -33,27 +32,6 @@ std::size_t IntersectScalar(const std::uint32_t* a, std::size_t na,
     }
   }
   return cnt;
-}
-
-std::size_t GroupVarintDecodeScalar(const std::uint8_t* in, std::size_t count,
-                                    std::uint32_t* out) {
-  const std::uint8_t* p = in;
-  std::uint32_t prev = 0;
-  std::size_t i = 0;
-  while (i < count) {
-    const std::uint8_t ctrl = *p++;
-    const std::size_t group = std::min<std::size_t>(4, count - i);
-    for (std::size_t k = 0; k < group; ++k) {
-      const std::size_t len = ((ctrl >> (2 * k)) & 3) + 1;
-      std::uint32_t delta = 0;
-      std::memcpy(&delta, p, len);  // little-endian load of 1..4 bytes
-      p += len;
-      prev += delta;
-      out[i + k] = prev;
-    }
-    i += group;
-  }
-  return static_cast<std::size_t>(p - in);
 }
 
 // ---------------------------------------------------------------------------
@@ -127,33 +105,18 @@ const KernelTable& TableFor(Isa isa) {
   return ScalarKernels();
 }
 
-/// Kernel pointers resolved once for the active ISA, each entry falling
-/// back down the ISA ladder independently (e.g. AVX2 carries no varint
-/// decoder of its own and inherits the SSE4 one).
-struct ResolvedKernels {
-  decltype(KernelTable::intersect) intersect;
-  decltype(KernelTable::gv_decode) gv_decode;
-};
-
-const ResolvedKernels& Active() {
-  static const ResolvedKernels resolved = [] {
-    ResolvedKernels r{ScalarKernels().intersect, ScalarKernels().gv_decode};
-    const Isa isa = ActiveIsa();
-    for (Isa step : {Isa::kSse4, Isa::kAvx2}) {
-      if (static_cast<int>(step) > static_cast<int>(isa)) break;
-      const KernelTable& table = TableFor(step);
-      if (table.intersect != nullptr) r.intersect = table.intersect;
-      if (table.gv_decode != nullptr) r.gv_decode = table.gv_decode;
-    }
-    return r;
-  }();
-  return resolved;
+/// The block-wise intersection kernel of `isa`, or the scalar one when the
+/// build carries no translation unit for it.
+decltype(KernelTable::intersect) IntersectKernel(Isa isa) {
+  const KernelTable& table = TableFor(isa);
+  return table.intersect != nullptr ? table.intersect
+                                    : ScalarKernels().intersect;
 }
 
 }  // namespace
 
 const KernelTable& ScalarKernels() {
-  static const KernelTable table{&IntersectScalar, &GroupVarintDecodeScalar};
+  static const KernelTable table{&IntersectScalar};
   return table;
 }
 
@@ -197,16 +160,14 @@ std::size_t IntersectSorted(std::span<const std::uint32_t> a,
   if (b.size() / a.size() >= kGallopRatio) {
     return IntersectGallop(a.data(), a.size(), b.data(), b.size(), out);
   }
-  return Active().intersect(a.data(), a.size(), b.data(), b.size(), out);
+  static const auto active = IntersectKernel(ActiveIsa());
+  return active(a.data(), a.size(), b.data(), b.size(), out);
 }
 
 std::size_t IntersectSortedWithIsa(std::span<const std::uint32_t> a,
                                    std::span<const std::uint32_t> b,
                                    std::uint32_t* out, Isa isa) {
-  const KernelTable& table = TableFor(isa);
-  auto fn = table.intersect != nullptr ? table.intersect
-                                       : ScalarKernels().intersect;
-  return fn(a.data(), a.size(), b.data(), b.size(), out);
+  return IntersectKernel(isa)(a.data(), a.size(), b.data(), b.size(), out);
 }
 
 std::size_t IntersectCount(std::span<const std::uint32_t> a,
@@ -222,46 +183,6 @@ void IntersectInto(std::span<const std::uint32_t> a,
                    std::vector<std::uint32_t>* out) {
   out->resize(std::min(a.size(), b.size()) + kIntersectPad);
   out->resize(IntersectSorted(a, b, out->data()));
-}
-
-void GroupVarintEncode(std::span<const std::uint32_t> values,
-                       std::vector<std::uint8_t>* out) {
-  std::uint32_t prev = 0;
-  std::size_t i = 0;
-  const std::size_t n = values.size();
-  while (i < n) {
-    const std::size_t group = std::min<std::size_t>(4, n - i);
-    const std::size_t ctrl_pos = out->size();
-    out->push_back(0);
-    std::uint8_t ctrl = 0;
-    for (std::size_t k = 0; k < group; ++k) {
-      const std::uint32_t delta = values[i + k] - prev;
-      prev = values[i + k];
-      const std::size_t len =
-          delta < (1u << 8) ? 1 : delta < (1u << 16) ? 2
-                             : delta < (1u << 24)    ? 3
-                                                     : 4;
-      ctrl |= static_cast<std::uint8_t>((len - 1) << (2 * k));
-      const std::size_t pos = out->size();
-      out->resize(pos + len);
-      std::memcpy(out->data() + pos, &delta, len);
-    }
-    (*out)[ctrl_pos] = ctrl;
-    i += group;
-  }
-}
-
-std::size_t GroupVarintDecode(const std::uint8_t* in, std::size_t count,
-                              std::uint32_t* out) {
-  return Active().gv_decode(in, count, out);
-}
-
-std::size_t GroupVarintDecodeWithIsa(const std::uint8_t* in, std::size_t count,
-                                     std::uint32_t* out, Isa isa) {
-  const KernelTable& table = TableFor(isa);
-  auto fn = table.gv_decode != nullptr ? table.gv_decode
-                                       : ScalarKernels().gv_decode;
-  return fn(in, count, out);
 }
 
 }  // namespace simd

@@ -1,13 +1,13 @@
-// Vectorized kernels for the query hot path: sorted-set intersection,
-// group-varint (StreamVByte-style) posting decode, and tiny bloom filters.
+// Vectorized kernels for the query hot path: sorted-set intersection and
+// tiny bloom filters.
 //
 // The kernels come in up to three implementations — scalar, SSE4 (SSSE3
 // shuffles + SSE4 extracts) and AVX2 — compiled into separate translation
 // units with per-file -msse4.2 / -mavx2 flags, and selected once at startup
 // by runtime CPU detection. Callers use the dispatching entry points below
 // and never see the ISA; every implementation produces bit-identical output
-// (intersection of sorted unique lists is a unique sorted list, varint
-// decode is exact), so switching ISAs can never change a query result.
+// (intersection of sorted unique lists is a unique sorted list), so
+// switching ISAs can never change a query result.
 //
 // Dispatch can be forced down with CEXPLORER_SIMD=scalar|sse4|avx2 (clamped
 // to what the CPU and the build support) — CI uses this to prove the
@@ -23,7 +23,7 @@
 namespace cexplorer {
 namespace simd {
 
-/// Instruction set an intersection/decode kernel is implemented against.
+/// Instruction set an intersection kernel is implemented against.
 enum class Isa {
   kScalar,  ///< portable C++, always available
   kSse4,    ///< 4-lane blocks (SSSE3 shuffle compaction, SSE4 extracts)
@@ -90,40 +90,6 @@ void IntersectInto(std::span<const std::uint32_t> a,
                    std::vector<std::uint32_t>* out);
 
 // ---------------------------------------------------------------------------
-// Group varint (StreamVByte-style) over strictly increasing sequences
-// ---------------------------------------------------------------------------
-//
-// The encoder differences the sequence (d0 = v0, di = vi - v(i-1)) and
-// packs deltas in groups of four: one control byte (two bits per delta
-// giving its byte length 1..4) followed by the 4..16 data bytes. The
-// decoder reconstructs the prefix sums. The SSE4 decode path shuffles a
-// 16-byte load through a per-control-byte mask table and prefix-sums the
-// four lanes in registers; it reads up to 16 bytes past the last group, so
-// encoded buffers must keep kGroupVarintPad readable slack bytes at the
-// end (the CL-tree arena allocates them).
-
-inline constexpr std::size_t kGroupVarintPad = 16;
-
-/// Appends the encoding of `values` (strictly increasing) to `out`.
-/// Does NOT append the padding; arena owners pad once at the very end.
-void GroupVarintEncode(std::span<const std::uint32_t> values,
-                       std::vector<std::uint8_t>* out);
-
-/// Worst-case encoded size for `count` values (control + 4 bytes each).
-inline std::size_t GroupVarintMaxBytes(std::size_t count) {
-  return (count + 3) / 4 + 4 * count;
-}
-
-/// Decodes exactly `count` values into `out` (room for `count` required);
-/// returns the number of input bytes consumed.
-std::size_t GroupVarintDecode(const std::uint8_t* in, std::size_t count,
-                              std::uint32_t* out);
-
-/// ISA-forcing variant of GroupVarintDecode (test hook).
-std::size_t GroupVarintDecodeWithIsa(const std::uint8_t* in, std::size_t count,
-                                     std::uint32_t* out, Isa isa);
-
-// ---------------------------------------------------------------------------
 // 64-bit bloom fingerprints
 // ---------------------------------------------------------------------------
 //
@@ -171,8 +137,6 @@ inline bool BloomMayContainAll(std::uint64_t filter, std::uint64_t query_fp) {
 struct KernelTable {
   std::size_t (*intersect)(const std::uint32_t*, std::size_t,
                            const std::uint32_t*, std::size_t,
-                           std::uint32_t*) = nullptr;
-  std::size_t (*gv_decode)(const std::uint8_t*, std::size_t,
                            std::uint32_t*) = nullptr;
 };
 

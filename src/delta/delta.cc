@@ -604,8 +604,7 @@ Result<DatasetPtr> Mutator::PublishOverlayLocked(const RepairPlan& plan) {
     // to the tree construction, not a full re-peel; the deterministic
     // builder makes the result byte-identical to a from-scratch rebuild.
     tree = ClTree::Build(snap->graph, *snap->cores,
-                         ClTreeBuildMethod::kAdvanced, DefaultPool(),
-                         Dataset::DefaultPostingFormat());
+                         ClTreeBuildMethod::kAdvanced, DefaultPool());
     if (cltree_repair_enabled_) ++stats_.cltree_rebuild_fallbacks;
     w.tree_patch_postings = 0;
   }
@@ -712,9 +711,8 @@ Result<DatasetPtr> Mutator::CompactLocked() {
   // posting-patch overlays repairs had stacked onto the served tree.
   stats_.last_fold_patched_nodes = w.published->index().num_patched_nodes();
   stats_.last_fold_postings = w.tree_patch_postings;
-  ClTree tree =
-      ClTree::Build(*graph, cores, ClTreeBuildMethod::kAdvanced,
-                    DefaultPool(), Dataset::DefaultPostingFormat());
+  ClTree tree = ClTree::Build(*graph, cores, ClTreeBuildMethod::kAdvanced,
+                              DefaultPool());
   DatasetPtr compacted =
       Access::MakeOwnedDataset(std::move(graph), std::move(cores),
                                std::move(tree),

@@ -1,10 +1,8 @@
 #include "explorer/dataset.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <string_view>
 #include <utility>
 
 #include "common/parallel.h"
@@ -24,24 +22,9 @@ std::atomic<std::uint64_t> g_next_dataset_id{1};
 /// CL-tree constructions performed by this process.
 std::atomic<std::uint64_t> g_index_builds{0};
 
-/// Posting storage for freshly built indexes, selectable per process with
-/// CEXPLORER_POSTING_FORMAT=raw|varint (raw when unset or unrecognized).
-PostingFormat ConfiguredPostingFormat() {
-  static const PostingFormat format = [] {
-    const char* env = std::getenv("CEXPLORER_POSTING_FORMAT");
-    if (env != nullptr && std::string_view(env) == "varint") {
-      return PostingFormat::kVarint;
-    }
-    return PostingFormat::kRaw;
-  }();
-  return format;
-}
-
 }  // namespace
 
-PostingFormat Dataset::DefaultPostingFormat() {
-  return ConfiguredPostingFormat();
-}
+PostingFormat Dataset::DefaultPostingFormat() { return PostingFormat::kRaw; }
 
 std::uint64_t Dataset::NextId() {
   return g_next_dataset_id.fetch_add(1, std::memory_order_relaxed);
@@ -58,8 +41,8 @@ Result<DatasetPtr> Dataset::Build(AttributedGraph graph) {
   dataset->core_store_ = std::make_shared<const std::vector<std::uint32_t>>(
       CoreDecomposition(dataset->graph_->graph(), pool));
   dataset->core_span_ = *dataset->core_store_;
-  dataset->index_ = ClTree::Build(*dataset->graph_, ClTreeBuildMethod::kAdvanced,
-                                  pool, ConfiguredPostingFormat());
+  dataset->index_ =
+      ClTree::Build(*dataset->graph_, ClTreeBuildMethod::kAdvanced, pool);
   g_index_builds.fetch_add(1, std::memory_order_relaxed);
   dataset->id_ = g_next_dataset_id.fetch_add(1, std::memory_order_relaxed);
   dataset->graph_epoch_ = dataset->id_;  // a fresh graph is a fresh epoch

@@ -89,9 +89,8 @@ class Dataset {
   /// the patches — so SaveSnapshot demands a compaction first.
   bool is_overlay() const { return overlay_; }
 
-  /// The process-wide default posting format for freshly built indexes
-  /// (CEXPLORER_POSTING_FORMAT=raw|varint). The dynamic-graph publisher
-  /// uses it so a mutated dataset's index matches a from-scratch rebuild.
+  /// Always PostingFormat::kRaw. Kept only because the benchmark harness
+  /// passes its result to ClTree::Build; nothing branches on it.
   static PostingFormat DefaultPostingFormat();
 
   // --- Read-only views ----------------------------------------------------

@@ -72,14 +72,14 @@ enum class SectionId : std::uint32_t {
   kTreeAnchorArena = 18,  // u32[n]     flattened anchored vertices
   kTreeInvKeywords = 19,  // u32[]      inverted-list keyword arena
   kTreeInvOffsets = 20,   // u32[]      inverted-list offsets (+1 sentinel)
-  kTreeInvPostings = 21,  // u32[]      raw posting arena (empty in varint)
-  kTreeCompArena = 22,    // u8[]       varint bytes + decoder pad
-  kTreeCompOffsets = 23,  // u32[]      varint byte offsets (+1 sentinel)
+  kTreeInvPostings = 21,  // u32[]      posting arena
+  kReserved22 = 22,       // reserved, always empty
+  kReserved23 = 23,       // reserved, always empty
   kTreeNodeBlooms = 24,   // u64[num_nodes] per-node keyword blooms
 };
 
 /// Number of sections a version-1 snapshot always carries (possibly with
-/// zero-length payloads, e.g. the raw posting arena of a varint tree).
+/// zero-length payloads; the reserved sections 22-23 always are).
 inline constexpr std::uint32_t kSectionCount = 24;
 
 /// Fixed 64-byte file header.
@@ -88,7 +88,7 @@ struct SnapshotHeader {
   std::uint32_t version = kFormatVersion;
   std::uint32_t section_count = kSectionCount;
   std::uint64_t file_size = 0;
-  std::uint32_t posting_format = 0;  // PostingFormat as u32
+  std::uint32_t posting_format = 0;  // must be 0 (raw u32 postings)
   std::uint32_t flags = 0;           // reserved, zero
   std::uint64_t toc_checksum = 0;    // XXH64 of the SectionEntry table
   std::uint64_t reserved[3] = {0, 0, 0};

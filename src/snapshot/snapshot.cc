@@ -1,20 +1,24 @@
 #include "snapshot/snapshot.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <new>
+#include <random>
 #include <utility>
 #include <vector>
 
 #include "common/hash64.h"
-#include "common/simd/simd.h"
 #include "snapshot/format.h"
 
 #if defined(__unix__) || defined(__APPLE__)
-#define CEXPLORER_HAVE_MMAP 1
+#define CEXPLORER_HAVE_POSIX 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
@@ -69,12 +73,6 @@ struct Access {
   }
   static std::span<const VertexId> TreeInvPostings(const ClTree& t) {
     return t.inv_posting_arena_.span();
-  }
-  static std::span<const std::uint8_t> TreeCompArena(const ClTree& t) {
-    return t.comp_arena_.span();
-  }
-  static std::span<const std::uint32_t> TreeCompOffsets(const ClTree& t) {
-    return t.comp_offset_arena_.span();
   }
   static std::span<const std::uint64_t> TreeNodeBlooms(const ClTree& t) {
     return t.node_kw_bloom_.span();
@@ -184,6 +182,32 @@ PendingSection MakeSection(SectionId id, std::span<const T> s) {
   return {id, s.data(), s.size() * sizeof(T)};
 }
 
+/// A fresh name in `path`'s directory (so the final rename stays on one
+/// filesystem). The exclusive create that uses it fails on a collision
+/// instead of clobbering another writer's file.
+std::string TempSiblingPath(const std::string& path) {
+  static std::atomic<std::uint64_t> counter{0};
+  return path + ".tmp." + std::to_string(std::random_device{}()) + "." +
+         std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+}
+
+/// Flushes the directory entry of `path` to disk, making a rename into
+/// that directory durable. A no-op where POSIX fsync is unavailable.
+bool SyncParentDirectory(const std::string& path) {
+#if CEXPLORER_HAVE_POSIX
+  std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  if (dir.empty()) dir = ".";
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  return synced;
+#else
+  (void)path;
+  return true;
+#endif
+}
+
 }  // namespace
 
 Status WriteSnapshot(const AttributedGraph& g,
@@ -278,14 +302,13 @@ Status WriteSnapshot(const AttributedGraph& g,
       MakeSection(SectionId::kTreeInvKeywords, Access::TreeInvKeywords(tree)),
       MakeSection(SectionId::kTreeInvOffsets, Access::TreeInvOffsets(tree)),
       MakeSection(SectionId::kTreeInvPostings, Access::TreeInvPostings(tree)),
-      MakeSection(SectionId::kTreeCompArena, Access::TreeCompArena(tree)),
-      MakeSection(SectionId::kTreeCompOffsets, Access::TreeCompOffsets(tree)),
+      {SectionId::kReserved22, nullptr, 0},
+      {SectionId::kReserved23, nullptr, 0},
       MakeSection(SectionId::kTreeNodeBlooms, Access::TreeNodeBlooms(tree)),
   };
 
   // Lay out: header, TOC, 64-byte-aligned payloads, 8-byte-aligned footer.
   SnapshotHeader header;
-  header.posting_format = static_cast<std::uint32_t>(tree.posting_format());
   std::vector<SectionEntry> toc(kSectionCount);
   std::uint64_t cursor = sizeof(SnapshotHeader) +
                          kSectionCount * sizeof(SectionEntry);
@@ -303,12 +326,18 @@ Status WriteSnapshot(const AttributedGraph& g,
   header.toc_checksum =
       Hash64(toc.data(), toc.size() * sizeof(SectionEntry));
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
+  // Never write `path` in place: a dataset may be serving mapped views of
+  // it, and truncating a mapped file kills the process with SIGBUS. The
+  // bytes go to a fresh sibling that is synced and then renamed over
+  // `path`, so the old inode lives on under any mapping, and a crash or
+  // error at any step leaves the old file untouched.
+  const std::string tmp = TempSiblingPath(path);
+  std::FILE* out = std::fopen(tmp.c_str(), "wbx");
+  if (out == nullptr) return Status::IoError("cannot open " + tmp);
+  bool ok = true;
   std::uint64_t written = 0;
-  auto put = [&out, &written](const void* data, std::uint64_t len) {
-    out.write(static_cast<const char*>(data),
-              static_cast<std::streamsize>(len));
+  auto put = [&](const void* data, std::uint64_t len) {
+    if (len != 0) ok = ok && std::fwrite(data, 1, len, out) == len;
     written += len;
   };
   auto pad_to = [&](std::uint64_t offset) {
@@ -328,8 +357,19 @@ Status WriteSnapshot(const AttributedGraph& g,
   SnapshotFooter footer;
   footer.file_size = header.file_size;
   put(&footer, sizeof(footer));
-  out.flush();
-  if (!out) return Status::IoError("short write to " + path);
+  ok = std::fflush(out) == 0 && ok;
+#if CEXPLORER_HAVE_POSIX
+  ok = ok && ::fsync(::fileno(out)) == 0;
+#endif
+  ok = std::fclose(out) == 0 && ok;
+  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IoError("cannot write " + path);
+  }
+  // The new file is in place; only durability of its name is left.
+  if (!SyncParentDirectory(path)) {
+    return Status::IoError("cannot sync the directory of " + path);
+  }
   return Status::Ok();
 }
 
@@ -347,7 +387,7 @@ class Backing {
   Backing& operator=(const Backing&) = delete;
 
   ~Backing() {
-#if CEXPLORER_HAVE_MMAP
+#if CEXPLORER_HAVE_POSIX
     if (mapped_) {
       ::munmap(const_cast<std::uint8_t*>(data_), size_);
       return;
@@ -364,7 +404,7 @@ class Backing {
     const bool allow_mmap =
         env == nullptr || (std::string_view(env) != "0" &&
                            std::string_view(env) != "off");
-#if CEXPLORER_HAVE_MMAP
+#if CEXPLORER_HAVE_POSIX
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
       return Status::Unavailable("cannot open snapshot " + path);
@@ -488,7 +528,7 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
   if (header.section_count != kSectionCount) {
     return Corrupt(path, "unexpected section count");
   }
-  if (header.posting_format > 1) return Corrupt(path, "bad posting format");
+  if (header.posting_format != 0) return Corrupt(path, "bad posting format");
   const std::uint64_t toc_bytes =
       static_cast<std::uint64_t>(header.section_count) * sizeof(SectionEntry);
   if (sizeof(SnapshotHeader) + toc_bytes + sizeof(SnapshotFooter) > size) {
@@ -526,6 +566,10 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
   auto entry = [&toc](SectionId id) -> const SectionEntry& {
     return toc[static_cast<std::size_t>(id) - 1];
   };
+  if (entry(SectionId::kReserved22).length != 0 ||
+      entry(SectionId::kReserved23).length != 0) {
+    return Corrupt(path, "reserved section not empty");
+  }
 
   // Typed views + structural cross-checks. Everything below is O(n + m)
   // scanning of mapped memory with no allocation.
@@ -534,9 +578,8 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
       name_offsets, vocab_offsets, subtree_sizes, node_blooms;
   std::span<const std::uint32_t> adjacency, keyword_data, name_order,
       vocab_order, cores, vertex_node, child_arena, anchor_arena,
-      inv_keywords, inv_offsets, inv_postings, comp_offsets;
+      inv_keywords, inv_offsets, inv_postings;
   std::span<const char> name_blob, vocab_blob;
-  std::span<const std::uint8_t> comp_arena;
   std::span<const ClTreeNodeRecord> records;
   const bool typed_ok =
       TypedSpan(base, entry(SectionId::kMeta), &meta) &&
@@ -560,8 +603,6 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
       TypedSpan(base, entry(SectionId::kTreeInvKeywords), &inv_keywords) &&
       TypedSpan(base, entry(SectionId::kTreeInvOffsets), &inv_offsets) &&
       TypedSpan(base, entry(SectionId::kTreeInvPostings), &inv_postings) &&
-      TypedSpan(base, entry(SectionId::kTreeCompArena), &comp_arena) &&
-      TypedSpan(base, entry(SectionId::kTreeCompOffsets), &comp_offsets) &&
       TypedSpan(base, entry(SectionId::kTreeNodeBlooms), &node_blooms);
   if (!typed_ok) return Corrupt(path, "section length not element-aligned");
 
@@ -578,8 +619,19 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
                     adjacency.size())) {
     return Corrupt(path, "graph CSR offsets invalid");
   }
-  for (std::uint32_t v : adjacency) {
-    if (v >= n) return Corrupt(path, "adjacency target out of range");
+  // Adjacency rows feed the intersection kernels, whose output bound
+  // assumes strictly increasing inputs (simd.h): each row must ascend
+  // strictly, which also makes its last target the only one to range-check.
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto row = adjacency.subspan(graph_offsets[v],
+                                       graph_offsets[v + 1] - graph_offsets[v]);
+    if (std::adjacent_find(row.begin(), row.end(), std::greater_equal<>()) !=
+        row.end()) {
+      return Corrupt(path, "adjacency row not strictly ascending");
+    }
+    if (!row.empty() && row.back() >= n) {
+      return Corrupt(path, "adjacency target out of range");
+    }
   }
   if (!ValidOffsets(keyword_offsets, static_cast<std::size_t>(n),
                     keyword_data.size())) {
@@ -609,8 +661,6 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
   }
 
   ClTreeParts parts;
-  parts.format = header.posting_format == 0 ? PostingFormat::kRaw
-                                            : PostingFormat::kVarint;
   parts.records = records;
   parts.vertex_node = vertex_node;
   parts.subtree_sizes = subtree_sizes;
@@ -619,8 +669,6 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
   parts.inv_keyword_arena = inv_keywords;
   parts.inv_offset_arena = inv_offsets;
   parts.inv_posting_arena = inv_postings;
-  parts.comp_arena = comp_arena;
-  parts.comp_offset_arena = comp_offsets;
   parts.node_kw_bloom = node_blooms;
   auto tree = ClTree::FromParts(parts, static_cast<std::size_t>(n));
   if (!tree.ok()) return tree.status();

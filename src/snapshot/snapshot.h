@@ -48,10 +48,12 @@ struct LoadedSnapshot {
   LoadInfo info;
 };
 
-/// Writes graph + cores + tree as one snapshot file (atomic enough for the
-/// single-writer deploys this targets: written via a temp-free sequential
-/// stream, validated on every load). `cores` must be the core numbers of
-/// `g`; `tree` must index `g`.
+/// Writes graph + cores + tree as one snapshot file, replacing `path`
+/// atomically: the bytes go to a fresh temp file in the same directory,
+/// which is fsynced, renamed over `path`, and the directory fsynced. On
+/// failure the temp file is removed and `path` is left as it was; a
+/// dataset mapped from the old file keeps reading the old inode. `cores`
+/// must be the core numbers of `g`; `tree` must index `g`.
 Status WriteSnapshot(const AttributedGraph& g,
                      std::span<const std::uint32_t> cores, const ClTree& tree,
                      const std::string& path);

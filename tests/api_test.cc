@@ -158,21 +158,17 @@ TEST_F(ApiFixture, HealthzReportsSnapshotAndUptime) {
 
 TEST_F(ApiFixture, StatsReportKernelSelection) {
   // /v1/stats surfaces what the process resolved at startup: the widest
-  // usable intersection ISA and the live index's posting storage.
+  // usable intersection ISA.
   JsonValue v = GetJson("GET /v1/stats");
   const JsonValue kernels = v.Get("kernels");
   EXPECT_EQ(kernels.Get("isa").AsString(),
             simd::IsaName(simd::ActiveIsa()));
-  const std::string format = kernels.Get("posting_format").AsString();
-  EXPECT_TRUE(format == "raw" || format == "varint") << format;
 
-  // Before any upload there is no index, hence no posting format — but the
-  // ISA is a process property and is always reported.
+  // The ISA is a process property, reported even before any upload.
   CExplorerServer empty;
   auto parsed = JsonValue::Parse(empty.Handle("GET /v1/stats").body);
   ASSERT_TRUE(parsed.ok());
   EXPECT_FALSE(parsed->Get("kernels").Get("isa").AsString().empty());
-  EXPECT_FALSE(parsed->Get("kernels").Has("posting_format"));
 }
 
 TEST_F(ApiFixture, StatsReportMutationsBlock) {

@@ -242,40 +242,6 @@ TEST_P(ClTreeRandomTest, CountKeywordMatchesScan) {
   }
 }
 
-TEST_P(ClTreeRandomTest, VarintPostingsMatchRaw) {
-  // The posting format is pure storage: every query-facing read — subtree
-  // collection with any keyword set, per-keyword counts, node gathers —
-  // must return byte-identical answers for raw and varint trees.
-  ClTree raw = ClTree::Build(graph_, ClTreeBuildMethod::kAdvanced,
-                             /*pool=*/nullptr, PostingFormat::kRaw);
-  ClTree varint = ClTree::Build(graph_, ClTreeBuildMethod::kAdvanced,
-                                /*pool=*/nullptr, PostingFormat::kVarint);
-  EXPECT_EQ(raw.posting_format(), PostingFormat::kRaw);
-  EXPECT_EQ(varint.posting_format(), PostingFormat::kVarint);
-  ASSERT_EQ(raw.num_nodes(), varint.num_nodes());
-
-  for (KeywordId kw = 0; kw < graph_.vocabulary().size(); ++kw) {
-    EXPECT_EQ(raw.CountKeyword(raw.root(), kw),
-              varint.CountKeyword(varint.root(), kw));
-  }
-
-  Rng rng(GetParam() * 101 + 7);
-  for (int trial = 0; trial < 20; ++trial) {
-    ClNodeId node = static_cast<ClNodeId>(
-        rng.UniformU32(static_cast<std::uint32_t>(raw.num_nodes())));
-    KeywordList kws;
-    const std::size_t count = rng.UniformU32(4);  // 0 = whole subtree
-    for (std::size_t i = 0; i < count; ++i) {
-      kws.push_back(rng.UniformU32(
-          static_cast<std::uint32_t>(graph_.vocabulary().size())));
-    }
-    std::sort(kws.begin(), kws.end());
-    kws.erase(std::unique(kws.begin(), kws.end()), kws.end());
-    EXPECT_EQ(raw.CollectWithKeywords(node, kws),
-              varint.CollectWithKeywords(node, kws));
-  }
-}
-
 TEST_P(ClTreeRandomTest, SerializationRoundTrip) {
   ClTree tree = ClTree::Build(graph_);
   auto restored = ClTree::Deserialize(graph_, tree.Serialize());

@@ -581,14 +581,12 @@ TEST(DeltaOverlayTest, MutationStatsReflectTheOverlay) {
 /// Asserts the served (possibly repaired) CL-tree is structurally
 /// indistinguishable from ClTree::Build over the same graph and cores:
 /// node directory, vertex map, subtree sizes, blooms, and — through the
-/// decode-aware posting kernels, so patched nodes and both posting formats
-/// are exercised — every per-node, per-keyword posting list.
+/// posting kernels, so patched nodes are exercised — every per-node,
+/// per-keyword posting list.
 void ExpectTreeMatchesRebuild(const Dataset& dataset) {
   const ClTree& live = dataset.index();
-  const ClTree fresh =
-      ClTree::Build(dataset.graph(), dataset.core_numbers(),
-                    ClTreeBuildMethod::kAdvanced, nullptr,
-                    live.posting_format());
+  const ClTree fresh = ClTree::Build(dataset.graph(), dataset.core_numbers(),
+                                     ClTreeBuildMethod::kAdvanced, nullptr);
   ASSERT_EQ(live.num_nodes(), fresh.num_nodes());
   for (ClNodeId id = 0; id < fresh.num_nodes(); ++id) {
     const ClTreeNode& a = live.node(id);
@@ -632,8 +630,7 @@ void ExpectTreeMatchesRebuild(const Dataset& dataset) {
 // appends) through the service; after EVERY publish the served tree —
 // repaired whenever the batch certifies tree-neutral — must be structurally
 // identical to a from-scratch build AND answer byte-identical /v1/search
-// bodies. CMake registers this test twice, once per posting format
-// (delta_test_varint sets CEXPLORER_POSTING_FORMAT=varint).
+// bodies.
 TEST(DeltaTreeRepairTest, RepairFuzzMatchesRebuild) {
   Mirror mirror = RandomMirror(70, 160, 99);
   api::QueryService service;

@@ -1,7 +1,7 @@
 // Tests for the vectorized kernel layer (common/simd): sorted-set
 // intersection against a scalar oracle across widths and ISAs, the
-// galloping cutover, group-varint round trips, bloom filter guarantees and
-// false-positive bounds, and bitset-vs-stamp peel frontier equivalence.
+// galloping cutover, bloom filter guarantees and false-positive bounds, and
+// bitset-vs-stamp peel frontier equivalence.
 
 #include <gtest/gtest.h>
 
@@ -147,89 +147,6 @@ TEST(IntersectTest, IntersectIntoVector) {
   U32List out{99, 98};  // stale contents must be replaced
   simd::IntersectInto({{1, 3, 5, 7}}, {{2, 3, 4, 7, 9}}, &out);
   EXPECT_EQ(out, (U32List{3, 7}));
-}
-
-// ---------------------------------------------------------------------------
-// Group varint
-// ---------------------------------------------------------------------------
-
-TEST(GroupVarintTest, RoundTripWidthsAndTails) {
-  // Counts around the group size (4) so full groups, partial tail groups
-  // and the empty stream all round-trip.
-  Rng rng(3);
-  for (std::size_t count :
-       {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 100u, 1023u}) {
-    const U32List values = RandomSortedList(&rng, count, 1u << 30);
-    std::vector<std::uint8_t> encoded;
-    simd::GroupVarintEncode(values, &encoded);
-    const std::size_t payload = encoded.size();
-    encoded.resize(payload + simd::kGroupVarintPad, 0);
-    for (simd::Isa isa : AvailableIsas()) {
-      U32List decoded(count + 1, 0xdeadbeefu);
-      const std::size_t consumed = simd::GroupVarintDecodeWithIsa(
-          encoded.data(), count, decoded.data(), isa);
-      EXPECT_EQ(consumed, payload) << simd::IsaName(isa);
-      EXPECT_TRUE(std::equal(values.begin(), values.end(), decoded.begin()))
-          << simd::IsaName(isa) << " count=" << count;
-      EXPECT_EQ(decoded[count], 0xdeadbeefu);
-    }
-  }
-}
-
-TEST(GroupVarintTest, AllDeltaByteLengths) {
-  // One value per delta byte length 1..4, in every rotation, so every
-  // control-byte layout family appears.
-  const U32List deltas{1, 200, 70000, 20000000, 3000000000u};
-  for (std::size_t rot = 0; rot < deltas.size(); ++rot) {
-    U32List values;
-    std::uint32_t acc = 0;
-    for (std::size_t i = 0; i < deltas.size(); ++i) {
-      acc += deltas[(rot + i) % deltas.size()];
-      values.push_back(acc);
-    }
-    std::vector<std::uint8_t> encoded;
-    simd::GroupVarintEncode(values, &encoded);
-    encoded.resize(encoded.size() + simd::kGroupVarintPad, 0);
-    for (simd::Isa isa : AvailableIsas()) {
-      U32List decoded(values.size());
-      simd::GroupVarintDecodeWithIsa(encoded.data(), values.size(),
-                                     decoded.data(), isa);
-      EXPECT_EQ(decoded, values) << simd::IsaName(isa);
-    }
-  }
-}
-
-TEST(GroupVarintTest, RandomRoundTripFuzz) {
-  Rng rng(11);
-  for (int round = 0; round < 100; ++round) {
-    // Mix dense runs (1-byte deltas) and huge jumps (4-byte deltas).
-    U32List values;
-    std::uint32_t v = 0;
-    const std::size_t count = 1 + rng.UniformU32(200);
-    for (std::size_t i = 0; i < count; ++i) {
-      const int kind = static_cast<int>(rng.UniformU32(4));
-      const std::uint32_t step =
-          kind == 0 ? 1 + rng.UniformU32(100)
-                    : (kind == 1 ? 1 + rng.UniformU32(1 << 14)
-                                 : (kind == 2 ? 1 + rng.UniformU32(1 << 22)
-                                              : 1 + rng.UniformU32(1 << 26)));
-      // Stop before u32 overflow would break strict monotonicity.
-      if (v > 0xF0000000u) break;
-      v += step;
-      values.push_back(v);
-    }
-    std::vector<std::uint8_t> encoded;
-    simd::GroupVarintEncode(values, &encoded);
-    const std::size_t payload = encoded.size();
-    encoded.resize(payload + simd::kGroupVarintPad, 0);
-    for (simd::Isa isa : AvailableIsas()) {
-      U32List decoded(values.size());
-      const std::size_t consumed = simd::GroupVarintDecodeWithIsa(
-          encoded.data(), values.size(), decoded.data(), isa);
-      EXPECT_EQ(consumed, payload) << simd::IsaName(isa);
-      EXPECT_EQ(decoded, values) << simd::IsaName(isa);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
-// Tests for the zero-copy persistence tier: snapshot round trips in both
-// posting formats, byte-identical query results served from a mapped file,
-// the heap fallback, and the corruption matrix (every tampering mode must
-// fail closed with a structured UNAVAILABLE — never UB, never a partial
-// dataset).
+// Tests for the zero-copy persistence tier: snapshot round trips,
+// byte-identical query results served from a mapped file, the heap
+// fallback, atomic replacement of a file that is being served, and the
+// corruption matrix (every tampering mode must fail closed with a
+// structured UNAVAILABLE — never UB, never a partial dataset).
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -54,21 +56,15 @@ AttributedGraph RandomAttributed(std::size_t n, std::size_t m,
   return b.Build();
 }
 
-DatasetPtr BuildDataset(AttributedGraph graph,
-                        PostingFormat format = PostingFormat::kRaw) {
+DatasetPtr BuildDataset(AttributedGraph graph) {
   auto built = Dataset::Build(std::move(graph));
   EXPECT_TRUE(built.ok());
-  DatasetPtr dataset = built.value();
-  if (format != dataset->index().posting_format()) {
-    dataset = dataset->WithIndex(ClTree::Build(
-        dataset->graph(), ClTreeBuildMethod::kAdvanced, nullptr, format));
-  }
-  return dataset;
+  return built.value();
 }
 
 /// Full structural comparison of two datasets through the public read API:
 /// graph topology, attributes, names (including lookup), core numbers, and
-/// the CL-tree (structure + decoded postings in either format).
+/// the CL-tree (structure + postings).
 void ExpectDatasetsEquivalent(const Dataset& a, const Dataset& b) {
   const AttributedGraph& ga = a.graph();
   const AttributedGraph& gb = b.graph();
@@ -117,7 +113,7 @@ void ExpectDatasetsEquivalent(const Dataset& a, const Dataset& b) {
                            y.vertices.begin(), y.vertices.end()));
     ASSERT_TRUE(std::equal(x.inv_keywords.begin(), x.inv_keywords.end(),
                            y.inv_keywords.begin(), y.inv_keywords.end()));
-    // Decoded postings agree keyword by keyword (works in both formats).
+    // Postings agree keyword by keyword.
     for (KeywordId kw : x.inv_keywords) {
       const KeywordId kws[] = {kw};
       VertexList va, vb;
@@ -140,20 +136,13 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-class PostingFormatRoundTrip : public ::testing::TestWithParam<PostingFormat> {
-};
-
-TEST_P(PostingFormatRoundTrip, LoadedSnapshotIsEquivalent) {
-  DatasetPtr original =
-      BuildDataset(RandomAttributed(400, 1600, 40, 17), GetParam());
-  const std::string path =
-      TempPath(std::string("roundtrip_") +
-               PostingFormatName(GetParam()) + ".snap");
+TEST(SnapshotTest, LoadedSnapshotIsEquivalent) {
+  DatasetPtr original = BuildDataset(RandomAttributed(400, 1600, 40, 17));
+  const std::string path = TempPath("roundtrip.snap");
   ASSERT_TRUE(original->SaveSnapshot(path).ok());
 
   auto loaded = Dataset::FromSnapshotFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value()->index().posting_format(), GetParam());
   EXPECT_EQ(loaded.value()->storage().mode, "mmap");
   EXPECT_GT(loaded.value()->storage().file_bytes, 0u);
   ExpectDatasetsEquivalent(*original, *loaded.value());
@@ -166,13 +155,6 @@ TEST_P(PostingFormatRoundTrip, LoadedSnapshotIsEquivalent) {
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   ExpectDatasetsEquivalent(*original, *reloaded.value());
 }
-
-INSTANTIATE_TEST_SUITE_P(Formats, PostingFormatRoundTrip,
-                         ::testing::Values(PostingFormat::kRaw,
-                                           PostingFormat::kVarint),
-                         [](const auto& info) {
-                           return std::string(PostingFormatName(info.param));
-                         });
 
 TEST(SnapshotTest, HeapFallbackModeMatchesMmap) {
   DatasetPtr original = BuildDataset(Figure5Graph());
@@ -198,7 +180,7 @@ TEST(SnapshotTest, EmptyGraphRoundTrips) {
 }
 
 // --------------------------------------------------------------------------
-// Byte-identical query bodies: owned vs mapped, raw vs varint
+// Byte-identical query bodies: owned vs mapped
 // --------------------------------------------------------------------------
 
 std::vector<std::string> QuerySuite(const AttributedGraph& g) {
@@ -219,14 +201,10 @@ std::vector<std::string> QuerySuite(const AttributedGraph& g) {
   return queries;
 }
 
-TEST(SnapshotTest, SearchBodiesByteIdenticalAcrossStorageAndFormat) {
+TEST(SnapshotTest, SearchBodiesByteIdenticalAcrossStorage) {
   AttributedGraph graph = RandomAttributed(300, 1500, 30, 23);
-  DatasetPtr ds_raw = BuildDataset(graph, PostingFormat::kRaw);
-  DatasetPtr ds_var = BuildDataset(graph, PostingFormat::kVarint);
-  const std::string p_raw = TempPath("bodies_raw.snap");
-  const std::string p_var = TempPath("bodies_varint.snap");
-  ASSERT_TRUE(ds_raw->SaveSnapshot(p_raw).ok());
-  ASSERT_TRUE(ds_var->SaveSnapshot(p_var).ok());
+  const std::string path = TempPath("bodies.snap");
+  ASSERT_TRUE(BuildDataset(graph)->SaveSnapshot(path).ok());
 
   CExplorerServer owned;
   ASSERT_TRUE(owned.UploadGraph(graph).ok());
@@ -238,16 +216,13 @@ TEST(SnapshotTest, SearchBodiesByteIdenticalAcrossStorageAndFormat) {
     expected.push_back(r.body);
   }
 
-  for (const std::string& path : {p_raw, p_var}) {
-    CExplorerServer server;
-    HttpResponse loaded =
-        server.Handle("POST /v1/snapshot/load?path=" + path);
-    ASSERT_EQ(loaded.code, 200) << loaded.body;
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      HttpResponse r = server.Handle(queries[i]);
-      EXPECT_EQ(r.code, 200) << queries[i];
-      EXPECT_EQ(r.body, expected[i]) << path << " " << queries[i];
-    }
+  CExplorerServer server;
+  HttpResponse loaded = server.Handle("POST /v1/snapshot/load?path=" + path);
+  ASSERT_EQ(loaded.code, 200) << loaded.body;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    HttpResponse r = server.Handle(queries[i]);
+    EXPECT_EQ(r.code, 200) << queries[i];
+    EXPECT_EQ(r.body, expected[i]) << queries[i];
   }
 }
 
@@ -312,6 +287,57 @@ TEST(SnapshotTest, SaveUnderMutationOverlayCompactsFirst) {
   const Graph& g = loader.dataset()->graph().graph();
   EXPECT_TRUE(g.HasEdge(8, 9));
   EXPECT_TRUE(g.HasEdge(7, 9));
+}
+
+/// Names in `path`'s directory that start with `path`'s file name plus
+/// ".tmp" — leftovers of the writer's temp-then-rename protocol.
+std::vector<std::string> TempSiblings(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp";
+  std::vector<std::string> found;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) found.push_back(name);
+  }
+  return found;
+}
+
+TEST(SnapshotTest, SaveOverTheServedMappedFileKeepsServing) {
+  // Regression: the served dataset maps its snapshot file MAP_SHARED, and
+  // a save that truncated that same file in place killed the process with
+  // SIGBUS. The save must replace the file and leave the mapped inode be.
+  CExplorerServer server;
+  ASSERT_TRUE(server.UploadGraph(RandomAttributed(2000, 8000, 50, 29)).ok());
+  const std::string path = TempPath("self_save.snap");
+  const std::string save = "POST /v1/snapshot/save?path=" + path;
+  HttpResponse first = server.Handle(save);
+  ASSERT_EQ(first.code, 200) << first.body;
+  HttpResponse loaded = server.Handle("POST /v1/snapshot/load?path=" + path);
+  ASSERT_EQ(loaded.code, 200) << loaded.body;
+  ASSERT_NE(loaded.body.find("\"storage\":\"mmap\""), std::string::npos)
+      << loaded.body;
+  HttpResponse second = server.Handle(save);
+  EXPECT_EQ(second.code, 200) << second.body;
+
+  EXPECT_EQ(server.Handle("GET /v1/search?vertex=3&k=2&algo=Global").code,
+            200);
+  auto reloaded = Dataset::FromSnapshotFile(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ExpectDatasetsEquivalent(*server.dataset(), *reloaded.value());
+  EXPECT_TRUE(TempSiblings(path).empty());
+}
+
+TEST(SnapshotTest, FailedSaveRemovesItsTempFile) {
+  // Renaming a file over a directory fails after the temp file is fully
+  // written: the save must report it, remove the temp file and leave the
+  // target as it was.
+  const std::string path = TempPath("save_target_is_a_directory");
+  std::filesystem::create_directories(path);
+  Status st = BuildDataset(Figure5Graph())->SaveSnapshot(path);
+  EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+  EXPECT_TRUE(std::filesystem::is_directory(path));
+  EXPECT_TRUE(TempSiblings(path).empty());
 }
 
 TEST(SnapshotTest, SaveIndexRoutesArePostOnV1GetOnLegacy) {
@@ -394,6 +420,28 @@ class CorruptionTest : public ::testing::Test {
     return entry;
   }
 
+  /// Stores `entry` as TOC entry `index` of `bytes` and recomputes the TOC
+  /// checksum, so only the loader's structural checks can object.
+  static void WriteTocEntry(std::vector<std::uint8_t>* bytes,
+                            std::size_t index, const SectionEntry& entry) {
+    std::memcpy(bytes->data() + sizeof(SnapshotHeader) +
+                    index * sizeof(SectionEntry),
+                &entry, sizeof(entry));
+    const std::uint64_t toc_checksum =
+        Hash64(bytes->data() + sizeof(SnapshotHeader),
+               snapshot::kSectionCount * sizeof(SectionEntry));
+    std::memcpy(bytes->data() + offsetof(SnapshotHeader, toc_checksum),
+                &toc_checksum, sizeof(toc_checksum));
+  }
+
+  /// Section `id` of `bytes` viewed as an array of T.
+  template <typename T>
+  std::span<T> Section(std::vector<std::uint8_t>& bytes, SectionId id) const {
+    const SectionEntry entry = TocEntry(static_cast<std::size_t>(id) - 1);
+    return {reinterpret_cast<T*>(bytes.data() + entry.offset),
+            static_cast<std::size_t>(entry.length / sizeof(T))};
+  }
+
   std::string good_path_;
   std::vector<std::uint8_t> good_;
 };
@@ -458,28 +506,82 @@ TEST_F(CorruptionTest, FlippedByteInEverySection) {
   }
 }
 
+/// Swaps the first two entries of the first CSR row holding at least two,
+/// so that row is no longer strictly ascending.
+template <typename Offset>
+void SwapInFirstLongRow(std::span<const Offset> offsets,
+                        std::span<std::uint32_t> data) {
+  for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
+    if (offsets[i + 1] - offsets[i] >= 2) {
+      std::swap(data[offsets[i]], data[offsets[i] + 1]);
+      return;
+    }
+  }
+  ADD_FAILURE() << "no row with two entries";
+}
+
 TEST_F(CorruptionTest, StructuralTamperingWithFixedChecksums) {
   // An attacker (or bug) that keeps every checksum consistent still cannot
-  // smuggle structurally-invalid arrays past the loader: re-point a
-  // vertex->node entry out of range and recompute both checksums.
+  // smuggle structurally-invalid arrays past the loader. Each row tampers
+  // with one section's payload, then recomputes that section's checksum
+  // and the TOC checksum.
+  using Bytes = std::vector<std::uint8_t>;
+  const struct {
+    const char* what;
+    SectionId section;
+    std::function<void(Bytes&)> tamper;
+  } rows[] = {
+      {"out-of-range vertex_node", SectionId::kTreeVertexNode,
+       [this](Bytes& b) {
+         Section<std::uint32_t>(b, SectionId::kTreeVertexNode)[0] =
+             0x7FFFFFFF;
+       }},
+      {"adjacency row out of order", SectionId::kGraphAdjacency,
+       [this](Bytes& b) {
+         SwapInFirstLongRow(
+             Section<const std::uint64_t>(b, SectionId::kGraphOffsets),
+             Section<std::uint32_t>(b, SectionId::kGraphAdjacency));
+       }},
+      {"posting slot out of order", SectionId::kTreeInvPostings,
+       [this](Bytes& b) {
+         SwapInFirstLongRow(
+             Section<const std::uint32_t>(b, SectionId::kTreeInvOffsets),
+             Section<std::uint32_t>(b, SectionId::kTreeInvPostings));
+       }},
+  };
+  for (const auto& row : rows) {
+    Bytes bytes = good_;
+    row.tamper(bytes);
+    const std::size_t index = static_cast<std::size_t>(row.section) - 1;
+    SectionEntry entry = TocEntry(index);
+    ASSERT_GT(entry.length, 0u) << row.what;
+    entry.checksum = Hash64(bytes.data() + entry.offset, entry.length);
+    WriteTocEntry(&bytes, index, entry);
+    ExpectRejected(bytes, std::string(row.what) + " with valid checksums");
+  }
+}
+
+TEST_F(CorruptionTest, NonRawPostingLayoutRejected) {
+  // Postings are raw u32 lists only: the header's posting_format must be 0
+  // and the reserved sections 22-23 must be empty, even when every
+  // checksum matches.
   auto bytes = good_;
-  const std::size_t vn_index =
-      static_cast<std::size_t>(SectionId::kTreeVertexNode) - 1;
-  SectionEntry entry = TocEntry(vn_index);
-  ASSERT_GT(entry.length, 0u);
-  const std::uint32_t bogus = 0x7FFFFFFF;
-  std::memcpy(bytes.data() + entry.offset, &bogus, sizeof(bogus));
-  entry.checksum = Hash64(bytes.data() + entry.offset, entry.length);
-  std::memcpy(bytes.data() + sizeof(SnapshotHeader) +
-                  vn_index * sizeof(SectionEntry),
-              &entry, sizeof(entry));
-  const std::size_t toc_bytes =
-      snapshot::kSectionCount * sizeof(SectionEntry);
-  const std::uint64_t toc_checksum =
-      Hash64(bytes.data() + sizeof(SnapshotHeader), toc_bytes);
-  std::memcpy(bytes.data() + offsetof(SnapshotHeader, toc_checksum),
-              &toc_checksum, sizeof(toc_checksum));
-  ExpectRejected(bytes, "out-of-range vertex_node with valid checksums");
+  const std::uint32_t format = 1;
+  std::memcpy(bytes.data() + offsetof(SnapshotHeader, posting_format),
+              &format, sizeof(format));
+  ExpectRejected(bytes, "posting_format 1");
+
+  for (SectionId id : {SectionId::kReserved22, SectionId::kReserved23}) {
+    bytes = good_;
+    const std::size_t index = static_cast<std::size_t>(id) - 1;
+    SectionEntry entry = TocEntry(index);
+    ASSERT_EQ(entry.length, 0u);
+    entry.length = 8;
+    entry.checksum = Hash64(bytes.data() + entry.offset, entry.length);
+    WriteTocEntry(&bytes, index, entry);
+    ExpectRejected(bytes, "non-empty section " +
+                              std::to_string(static_cast<int>(id)));
+  }
 }
 
 }  // namespace
