@@ -25,6 +25,12 @@ constexpr const char* kServerVersion = "0.4.0";
 /// Default page size when a cursor is presented without an explicit limit.
 constexpr std::uint64_t kDefaultPageLimit = 100;
 
+/// The most members a legacy full shape carries: search results truncate
+/// longer member lists here, and /v1/community without a page and
+/// /v1/export refuse larger communities, whose all-pairs force layout
+/// would run for minutes (about 2 s already at this size).
+constexpr std::size_t kMaxFullShapeMembers = 2000;
+
 /// Serializes the members[begin, end) window of a community as the
 /// {"id","name"} objects shared by every response shape (full, truncated,
 /// paginated) — one loop, so the shapes can never drift apart.
@@ -60,7 +66,7 @@ void WriteTheme(JsonWriter* w, const AttributedGraph& graph,
 /// truncated, flagged by the "members_truncated" field.
 void WriteCommunity(JsonWriter* w, const AttributedGraph& graph,
                     const cexplorer::Community& community,
-                    std::size_t max_members = 2000) {
+                    std::size_t max_members = kMaxFullShapeMembers) {
   w->BeginObject();
   w->Key("method");
   w->String(community.method);
@@ -303,6 +309,22 @@ void WriteStats(JsonWriter* w, const CommunityAnalysis& analysis) {
   w->Key("cpj");
   w->Double(analysis.cpj);
   w->EndObject();
+}
+
+/// True iff the session's last search left a community with this id.
+bool HasCachedCommunity(const Session& session, std::int64_t id) {
+  return session.communities != nullptr && id >= 0 &&
+         static_cast<std::size_t>(id) < session.communities->communities.size();
+}
+
+/// The answer of the routes that lay out a whole community (/v1/community
+/// without a page, /v1/export) when it has too many members to lay out.
+ApiError TooLargeToLayOut(std::size_t members) {
+  const std::string limit = std::to_string(kMaxFullShapeMembers);
+  return ApiError::InvalidArgument(
+      "community has " + std::to_string(members) + " members; the full " +
+      "/v1/community shape and /v1/export lay out at most " + limit +
+      "; page through it with /v1/community?id=N&limit=L");
 }
 
 /// Resolved pagination window. When `paginated` is false the endpoint
@@ -910,7 +932,9 @@ ApiResult<std::string> QueryService::ListSessions() {
     w.String(session->id);
     if (lock.owns_lock()) {
       w.Key("cached_communities");
-      w.UInt(session->communities.size());
+      w.UInt(session->communities == nullptr
+                 ? 0
+                 : session->communities->communities.size());
       w.Key("history_length");
       w.UInt(session->history.size());
       const DatasetPtr& snapshot = session->explorer.dataset();
@@ -983,40 +1007,39 @@ ApiResult<std::string> QueryService::RunSearch(RequestContext& ctx,
   };
 
   // Identical searches (any session) are answered from the shared result
-  // cache: no algorithm execution, no rendering — the cached communities
-  // still re-populate this session's browser cache so /community, /export
-  // and /explore behave exactly as after a real run.
+  // cache: no algorithm execution, no rendering. The session then holds
+  // the cached entry itself as its browser cache, so /community, /export
+  // and /explore behave exactly as after a real run, and a click reuses
+  // the analysis any session already computed on that entry.
   const std::shared_ptr<ResultCache> cache = result_cache();
   const bool cacheable = cache->enabled() && CacheableSearchAlgo(algo);
   std::string cache_key;
   if (cacheable) {
     cache_key = SearchCacheKey(ctx.dataset->graph_epoch(), algo, query);
     if (CachedSearchPtr hit = cache->Get(cache_key)) {
-      session.communities = hit->communities;
+      session.communities = std::move(hit);
       record_in_session(query);
-      return hit->body;
+      return session.communities->body;
     }
   }
 
   auto communities = session.explorer.Search(algo, query, control);
   if (!communities.ok()) return FromStatus(communities.status());
-  session.communities = std::move(communities.value());
-  record_in_session(query);
-
+  auto result = std::make_shared<CachedSearch>();
+  result->communities = std::move(communities).value();
   JsonWriter w = JsonWriter::Recycled();
   w.BeginObject();
-  WriteSearchFields(&w, ctx.dataset->graph(), algo, session.communities);
+  WriteSearchFields(&w, ctx.dataset->graph(), algo, result->communities);
   w.EndObject();
-  std::string body = w.TakeString();
+  result->body = w.TakeString();
+  session.communities = result;
+  record_in_session(query);
   if (cacheable) {
-    auto value = std::make_shared<CachedSearch>();
-    value->communities = session.communities;
-    value->body = body;
     const CacheTag tag =
-        SearchResultTag(*ctx.dataset, algo, query, value->communities);
-    cache->Put(cache_key, std::move(value), tag);
+        SearchResultTag(*ctx.dataset, algo, query, result->communities);
+    cache->Put(cache_key, result, tag);
   }
-  return body;
+  return result->body;
 }
 
 ApiResult<std::string> QueryService::Search(const SearchRequest& request) {
@@ -1155,8 +1178,7 @@ ApiResult<std::string> QueryService::Community(
   std::lock_guard<std::mutex> lock(ctx.session->mu);
   AttachLocked(ctx, /*adopt_newer=*/true, /*clear_history=*/false);
   Session& session = *ctx.session;
-  if (request.id < 0 ||
-      static_cast<std::size_t>(request.id) >= session.communities.size()) {
+  if (!HasCachedCommunity(session, request.id)) {
     return ApiError::NotFound("no cached community with that id");
   }
   if (ctx.dataset == nullptr ||
@@ -1164,8 +1186,9 @@ ApiResult<std::string> QueryService::Community(
     return ApiError::Conflict(
         "cached communities are stale (graph was reloaded); search again");
   }
-  const cexplorer::Community& community =
-      session.communities[static_cast<std::size_t>(request.id)];
+  const CachedSearch& search = *session.communities;
+  const std::size_t index = static_cast<std::size_t>(request.id);
+  const cexplorer::Community& community = search.communities[index];
 
   auto window = ResolvePage(request.page, ctx.dataset->graph_epoch(),
                             PageToken::Kind::kCommunity,
@@ -1175,11 +1198,11 @@ ApiResult<std::string> QueryService::Community(
 
   if (window->paginated) {
     // Paginated shape: the requested member window, plus stats on the
-    // first page only — Analyze scans the whole induced subgraph, and
-    // recomputing it for every follow-up page would make each page as
-    // expensive as the unpaginated request. The layout and ASCII
-    // rendering cover the WHOLE community and are only produced in the
-    // legacy full shape.
+    // first page only. The stats come from the search result's analysis
+    // memo: the first click on a community computes them, every later
+    // click on that result (any session, any page size) reads them. The
+    // layout and ASCII rendering cover the WHOLE community and are only
+    // produced in the legacy full shape.
     PageToken next{ctx.dataset->graph_epoch(), PageToken::Kind::kCommunity,
                    static_cast<std::uint64_t>(request.id),
                    session.communities_generation, 0};
@@ -1188,7 +1211,7 @@ ApiResult<std::string> QueryService::Community(
     WriteCommunityPage(&w, ctx.dataset->graph(), community, window->offset,
                        window->limit, next);
     if (window->offset == 0) {
-      auto analysis = session.explorer.Analyze(community);
+      auto analysis = search.Analysis(index, session.explorer);
       if (!analysis.ok()) {
         return ApiError::Internal(analysis.status().ToString());
       }
@@ -1198,7 +1221,10 @@ ApiResult<std::string> QueryService::Community(
     return w.TakeString();
   }
 
-  auto analysis = session.explorer.Analyze(community);
+  if (community.vertices.size() > kMaxFullShapeMembers) {
+    return TooLargeToLayOut(community.vertices.size());
+  }
+  auto analysis = search.Analysis(index, session.explorer);
   if (!analysis.ok()) {
     return ApiError::Internal(analysis.status().ToString());
   }
@@ -1403,8 +1429,7 @@ ApiResult<std::string> QueryService::ExportSvg(const ExportRequest& request) {
   std::lock_guard<std::mutex> lock(ctx.session->mu);
   AttachLocked(ctx, /*adopt_newer=*/true, /*clear_history=*/false);
   Session& session = *ctx.session;
-  if (request.id < 0 ||
-      static_cast<std::size_t>(request.id) >= session.communities.size()) {
+  if (!HasCachedCommunity(session, request.id)) {
     return ApiError::NotFound("no cached community with that id");
   }
   if (ctx.dataset == nullptr ||
@@ -1412,11 +1437,15 @@ ApiResult<std::string> QueryService::ExportSvg(const ExportRequest& request) {
     return ApiError::Conflict(
         "cached communities are stale (graph was reloaded); search again");
   }
+  const cexplorer::Community& community =
+      session.communities->communities[static_cast<std::size_t>(request.id)];
+  if (community.vertices.size() > kMaxFullShapeMembers) {
+    return TooLargeToLayOut(community.vertices.size());
+  }
   VertexId q = session.last_query.vertices.empty()
                    ? ctx.dataset->graph().FindByName(session.last_query.name)
                    : session.last_query.vertices.front();
-  auto svg = session.explorer.ExportSvg(
-      session.communities[static_cast<std::size_t>(request.id)], q);
+  auto svg = session.explorer.ExportSvg(community, q);
   if (!svg.ok()) return ApiError::Internal(svg.status().ToString());
   return std::move(svg).value();
 }

@@ -6,6 +6,19 @@
 namespace cexplorer {
 namespace api {
 
+Result<CommunityAnalysis> CachedSearch::Analysis(
+    std::size_t i, const Explorer& explorer) const {
+  std::lock_guard<std::mutex> lock(analysis_mu_);
+  if (analyses_.empty()) analyses_.resize(communities.size());
+  std::optional<CommunityAnalysis>& slot = analyses_[i];
+  if (!slot) {
+    auto analysis = explorer.Analyze(communities[i]);
+    if (!analysis.ok()) return analysis.status();
+    slot = std::move(analysis).value();
+  }
+  return *slot;
+}
+
 ResultCache::ResultCache(std::size_t capacity, std::size_t shards,
                          std::size_t max_bytes)
     : capacity_(capacity) {

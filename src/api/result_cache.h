@@ -10,6 +10,8 @@
 //   sorted+deduped keywords)
 //
 // so a repeated query skips algorithm execution AND response rendering.
+// The entry also memoizes each community's analysis on its first
+// /community click, so every later click on it is a lookup.
 // Carrying the graph epoch in the key is the invalidation rule: an /upload
 // bumps the epoch and every old entry simply stops matching (the service
 // additionally clears the cache on a graph swap so dead entries do not
@@ -32,11 +34,14 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/status.h"
 #include "explorer/community.h"
+#include "explorer/explorer.h"
 
 namespace cexplorer {
 namespace api {
@@ -53,13 +58,31 @@ struct CacheTag {
   std::uint32_t comp = 0;   ///< CL-tree node id of the level-core component
 };
 
-/// One cached search outcome. `communities` re-populates the hitting
-/// session's browser cache (so /community, /export and /explore behave as
-/// if the search had run); `body` is the rendered response, byte-identical
-/// to what execution would have produced.
+/// One search outcome, shared by the result cache and by every session
+/// whose last search ran or hit it: it is that session's browser cache (so
+/// /community, /export and /explore behave as if the search had run), and
+/// `body` is the rendered response, byte-identical to what execution would
+/// have produced. A search of an uncacheable algorithm gets one too; it is
+/// simply never Put.
 struct CachedSearch {
   std::vector<Community> communities;
   std::string body;
+
+  /// Explorer::Analyze of communities[i] (no query vertex), computed on the
+  /// first call for `i` and returned from this entry on every later call,
+  /// from any session. Concurrent first callers wait for the one fill. The
+  /// analysis depends only on the members, their induced edges and their
+  /// keyword rows, so it holds for the entry's whole life, across
+  /// MigrateAcrossEpoch too: a publish keeps only entries whose component
+  /// it left untouched, and never changes an existing vertex's keywords.
+  /// Precondition: i < communities.size().
+  Result<CommunityAnalysis> Analysis(std::size_t i,
+                                     const Explorer& explorer) const;
+
+ private:
+  mutable std::mutex analysis_mu_;
+  /// One slot per community, sized on the first fill.
+  mutable std::vector<std::optional<CommunityAnalysis>> analyses_;
 };
 
 using CachedSearchPtr = std::shared_ptr<const CachedSearch>;

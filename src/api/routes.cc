@@ -36,7 +36,8 @@ constexpr ParamSpec kSearchParams[] = {
 constexpr ParamSpec kCommunityParams[] = {
     {"id", ParamType::kInt, false, "0", "cached community id"},
     {"limit", ParamType::kInt, false, "",
-     "page size for the member list; omit for the full legacy shape"},
+     "page size for the member list; omit for the full legacy shape "
+     "(communities of at most 2000 members)"},
     {"cursor", ParamType::kString, false, "",
      "opaque continuation cursor from a previous page"},
 };
@@ -171,7 +172,7 @@ constexpr RouteSpec kRoutes[] = {
     {"author", "/author", kGet, kAuthorParams, 1,
      "query-form population: degree constraints and keywords of an author"},
     {"export", "/export", kGet, kExportParams, 1,
-     "cached community as an SVG document"},
+     "cached community (at most 2000 members) as an SVG document"},
     // State-changing persistence routes are POST on /v1; the legacy
     // aliases keep answering GET (with the Deprecation header) so pre-v1
     // clients continue to work.

@@ -22,7 +22,10 @@ struct CommunityStats {
   std::uint32_t diameter = 0;     ///< double-sweep BFS estimate (induced)
 };
 
-/// Computes statistics of the subgraph of `g` induced by `community`.
+/// Computes statistics of the subgraph of `g` induced by `community`,
+/// which may be unsorted and contain duplicates. Counts on `g` under a
+/// membership bitset, without materializing the subgraph; `diameter` is
+/// the double sweep from the smallest member.
 CommunityStats ComputeStats(const Graph& g, const VertexList& community);
 
 }  // namespace cexplorer

@@ -4,7 +4,8 @@
 // exploration loop of Figures 1-2: its Explorer view (plug-in registry +
 // attached dataset snapshot), the communities cached by the last /search,
 // the last /detect result, and the exploration history. Sessions are cheap:
-// they borrow the shared Dataset and copy nothing.
+// they borrow the shared Dataset and share the search result they hold
+// with the result cache, copying neither.
 //
 // Cached results are tagged with the graph epoch of the dataset snapshot
 // they were computed against (index-only snapshots share the epoch of the
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "algos/clusterers.h"
+#include "api/result_cache.h"
 #include "explorer/community.h"
 #include "explorer/explorer.h"
 
@@ -47,8 +49,10 @@ struct Session {
 
   // --- Browser cache of the Figures 1-2 loop ------------------------------
 
-  /// Communities returned by the last /search or /explore.
-  std::vector<Community> communities;
+  /// Result of the last /search or /explore (nullptr = none): the very
+  /// object the result cache holds for that query, shared with every
+  /// session that ran or hit it, and its per-community analysis memo.
+  api::CachedSearchPtr communities;
   /// Graph epoch the cache was computed against (0 = none).
   std::uint64_t communities_epoch = 0;
   /// Process-unique generation assigned every time `communities` is
@@ -73,7 +77,7 @@ struct Session {
 
   /// Drops all graph-derived caches (on graph swap).
   void InvalidateCaches() {
-    communities.clear();
+    communities.reset();
     communities_epoch = 0;
     detection = Clustering{};
     detection_algo.clear();

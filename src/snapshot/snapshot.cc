@@ -637,8 +637,18 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
                     keyword_data.size())) {
     return Corrupt(path, "keyword offsets invalid");
   }
-  for (std::uint32_t kw : keyword_data) {
-    if (kw >= num_words) return Corrupt(path, "keyword id out of range");
+  // Keyword rows are binary-searched (HasKeyword) and intersected (CPJ)
+  // under the same strictly-ascending contract as adjacency rows.
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto row = keyword_data.subspan(
+        keyword_offsets[v], keyword_offsets[v + 1] - keyword_offsets[v]);
+    if (std::adjacent_find(row.begin(), row.end(), std::greater_equal<>()) !=
+        row.end()) {
+      return Corrupt(path, "keyword row not strictly ascending");
+    }
+    if (!row.empty() && row.back() >= num_words) {
+      return Corrupt(path, "keyword id out of range");
+    }
   }
   if (keyword_fp.size() != n || cores.size() != n) {
     return Corrupt(path, "per-vertex array size mismatch");

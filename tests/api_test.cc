@@ -14,6 +14,7 @@
 #include "api/routes.h"
 #include "common/json.h"
 #include "common/simd/simd.h"
+#include "graph/attributed_graph.h"
 #include "graph/fixtures.h"
 #include "graph/io.h"
 #include "server/http.h"
@@ -640,6 +641,47 @@ TEST_F(ApiFixture, ClusterPagination) {
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(paged[i], all[i].Get("name").AsString());
   }
+}
+
+// The shapes that lay out a whole community (/v1/community without a page,
+// /v1/export) refuse one above 2,000 members: the all-pairs force layout
+// would run for seconds to minutes under the session lock. A ring of
+// 2,100 authors, each linked to its next four and all sharing one keyword,
+// is one ACQ community at k=4 (every author has degree 8).
+TEST(FullShapeLimitTest, CommunityAboveTheLimitNeedsAPage) {
+  constexpr std::uint32_t kRing = 2100;
+  AttributedGraphBuilder b;
+  for (std::uint32_t v = 0; v < kRing; ++v) {
+    b.AddVertex("author" + std::to_string(v), {"db"});
+  }
+  for (std::uint32_t v = 0; v < kRing; ++v) {
+    for (std::uint32_t step = 1; step <= 4; ++step) {
+      ASSERT_TRUE(b.AddEdge(v, (v + step) % kRing).ok());
+    }
+  }
+  CExplorerServer server;
+  ASSERT_TRUE(server.UploadGraph(std::move(b).Build()).ok());
+  ASSERT_EQ(server.Handle("GET /v1/search?vertex=0&k=4&keywords=db").code, 200);
+
+  for (const char* request :
+       {"GET /v1/community?id=0", "GET /v1/export?id=0"}) {
+    HttpResponse refused = server.Handle(request);
+    EXPECT_EQ(refused.code, 400) << request;
+    auto error = JsonValue::Parse(refused.body);
+    ASSERT_TRUE(error.ok()) << refused.body;
+    EXPECT_EQ(error->Get("error").Get("code").AsString(), "INVALID_ARGUMENT");
+    const std::string message = error->Get("error").Get("message").AsString();
+    EXPECT_NE(message.find("2100"), std::string::npos) << message;
+    EXPECT_NE(message.find("limit="), std::string::npos) << message;
+  }
+
+  HttpResponse page = server.Handle("GET /v1/community?id=0&limit=50");
+  ASSERT_EQ(page.code, 200) << page.body;
+  auto v = JsonValue::Parse(page.body);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->Get("page").Get("total").AsInt(), kRing);
+  EXPECT_EQ(v->Get("stats").Get("vertices").AsInt(), kRing);
+  EXPECT_EQ(v->Get("stats").Get("edges").AsInt(), 4 * kRing);
 }
 
 // --------------------------------------------------------------------------

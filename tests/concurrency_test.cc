@@ -505,6 +505,50 @@ TEST(ConcurrencyTest, ResultCacheHitsDuringDatasetSwaps) {
   EXPECT_GT(stats.hits, 0u);
 }
 
+// Four sessions make their first /community click on one cached search
+// result at the same moment: one fills the entry's analysis memo while the
+// others wait for it, and all four get the same body.
+TEST(ConcurrencyTest, FirstClicksOnOneCachedEntryRace) {
+  CExplorerServer server;
+  const AttributedGraph graph = GenerateDblp(SmallDblp(31)).graph;
+  VertexId hub = 0;
+  for (VertexId v = 1; v < graph.num_vertices(); ++v) {
+    if (graph.graph().Degree(v) > graph.graph().Degree(hub)) hub = v;
+  }
+  ASSERT_TRUE(server.UploadGraph(graph).ok());
+
+  constexpr int kSessions = 4;
+  const std::string search =
+      "GET /v1/search?vertex=" + std::to_string(hub) + "&k=2&algo=Global";
+  std::vector<std::string> ids;
+  for (int s = 0; s < kSessions; ++s) {
+    ids.push_back(NewSession(&server));
+    ASSERT_EQ(server.Handle(search + "&session=" + ids.back()).code, 200);
+  }
+  EXPECT_EQ(server.service().ResultCacheStats().hits, kSessions - 1u);
+
+  // A page wider than the community: the body carries no cursor, whose
+  // generation would differ per session.
+  std::vector<HttpResponse> clicks(kSessions);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kSessions; ++s) {
+    threads.emplace_back([&, s] {
+      ready.fetch_add(1);
+      while (ready.load() < kSessions) std::this_thread::yield();
+      clicks[s] = server.Handle("GET /v1/community?id=0&limit=100000&session=" +
+                                ids[s]);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  ASSERT_EQ(clicks[0].code, 200) << clicks[0].body;
+  EXPECT_NE(clicks[0].body.find("\"stats\""), std::string::npos);
+  for (int s = 1; s < kSessions; ++s) {
+    EXPECT_EQ(clicks[s].code, 200);
+    EXPECT_EQ(clicks[s].body, clicks[0].body) << "session " << s;
+  }
+}
+
 // The zero-copy persistence tier under contention: 8 sessions hammer
 // /v1/search and /v1/stats while another thread swaps mapped snapshot files
 // in via POST /v1/snapshot/load. Every response is a clean outcome and a

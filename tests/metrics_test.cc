@@ -3,9 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "algos/clusterers.h"
 #include "common/rng.h"
 #include "graph/fixtures.h"
+#include "graph/subgraph.h"
+#include "graph/traversal.h"
 #include "metrics/quality.h"
 #include "metrics/similarity.h"
 #include "metrics/stats.h"
@@ -171,6 +179,202 @@ TEST(StatsTest, SubsetCountsOnlyInducedEdges) {
   CommunityStats stats = ComputeStats(g, {0, 33});  // hubs, not adjacent
   EXPECT_EQ(stats.num_vertices, 2u);
   EXPECT_EQ(stats.num_edges, 0u);
+}
+
+// --------------------------------------------------------------------------
+// Oracles for the cold /community path. ComputeStats counts on the parent
+// graph under a membership bitset, and Cpj/CpjSampled read the members'
+// keyword rows from a compact copy. The references below are the
+// materializing implementations they replaced (an induced subgraph plus
+// DoubleSweepDiameter, and merge loops over the graph's own rows); every
+// field must agree bit for bit.
+// --------------------------------------------------------------------------
+
+CommunityStats ReferenceStats(const Graph& g, const VertexList& community) {
+  CommunityStats stats;
+  if (community.empty()) return stats;
+  Subgraph sub = InducedSubgraph(g, community);
+  stats.num_vertices = sub.num_vertices();
+  stats.num_edges = sub.graph.num_edges();
+  stats.average_degree = sub.graph.AverageDegree();
+  std::size_t min_deg = sub.graph.Degree(0);
+  std::size_t max_deg = 0;
+  for (VertexId v = 0; v < sub.num_vertices(); ++v) {
+    min_deg = std::min(min_deg, sub.graph.Degree(v));
+    max_deg = std::max(max_deg, sub.graph.Degree(v));
+  }
+  stats.min_degree = min_deg;
+  stats.max_degree = max_deg;
+  if (stats.num_vertices >= 2) {
+    const double pairs = static_cast<double>(stats.num_vertices) *
+                         static_cast<double>(stats.num_vertices - 1) / 2.0;
+    stats.density = static_cast<double>(stats.num_edges) / pairs;
+  }
+  stats.diameter = DoubleSweepDiameter(sub.graph, 0);
+  return stats;
+}
+
+double ReferenceJaccard(const AttributedGraph& g, VertexId a, VertexId b) {
+  auto ka = g.Keywords(a);
+  auto kb = g.Keywords(b);
+  if (ka.empty() && kb.empty()) return 0.0;
+  std::size_t inter = 0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < ka.size() && j < kb.size()) {
+    if (ka[i] < kb[j]) {
+      ++i;
+    } else if (ka[i] > kb[j]) {
+      ++j;
+    } else {
+      ++inter;
+      ++i;
+      ++j;
+    }
+  }
+  std::size_t uni = ka.size() + kb.size() - inter;
+  return static_cast<double>(inter) / static_cast<double>(uni);
+}
+
+double ReferenceCpj(const AttributedGraph& g, const VertexList& community) {
+  if (community.size() < 2) return 0.0;
+  double total = 0.0;
+  for (std::size_t i = 0; i < community.size(); ++i) {
+    for (std::size_t j = i + 1; j < community.size(); ++j) {
+      total += ReferenceJaccard(g, community[i], community[j]);
+    }
+  }
+  const double pairs = static_cast<double>(community.size()) *
+                       static_cast<double>(community.size() - 1) / 2.0;
+  return total / pairs;
+}
+
+double ReferenceCpjSampled(const AttributedGraph& g,
+                           const VertexList& community, std::size_t max_pairs,
+                           std::uint64_t seed) {
+  if (community.size() < 2) return 0.0;
+  const double pairs = static_cast<double>(community.size()) *
+                       static_cast<double>(community.size() - 1) / 2.0;
+  if (pairs <= static_cast<double>(max_pairs)) {
+    return ReferenceCpj(g, community);
+  }
+  Rng rng(seed);
+  double total = 0.0;
+  const std::uint32_t n = static_cast<std::uint32_t>(community.size());
+  for (std::size_t s = 0; s < max_pairs; ++s) {
+    VertexId a = community[rng.UniformU32(n)];
+    VertexId b = community[rng.UniformU32(n)];
+    while (b == a) b = community[rng.UniformU32(n)];
+    total += ReferenceJaccard(g, a, b);
+  }
+  return total / static_cast<double>(max_pairs);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// `n` vertices with 0-5 keywords each from a 20-word vocabulary (so some
+/// rows are empty) and `m` random edges, all inside one half of the
+/// vertex range or the other: no edge joins the halves.
+AttributedGraph OracleGraph(std::uint32_t n, std::size_t m,
+                            std::uint64_t seed) {
+  Rng rng(seed);
+  AttributedGraphBuilder b;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    std::vector<std::string> keywords;
+    const std::uint32_t count = rng.UniformU32(6);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      keywords.push_back("w" + std::to_string(rng.UniformU32(20)));
+    }
+    b.AddVertex("v" + std::to_string(v), keywords);
+  }
+  const std::uint32_t half = n / 2;
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::uint32_t side = rng.UniformU32(2) * half;
+    (void)b.AddEdge(side + rng.UniformU32(half), side + rng.UniformU32(half));
+  }
+  return b.Build();
+}
+
+/// Member lists of every shape a click can hand the cold path.
+std::vector<VertexList> OracleCommunities(const AttributedGraph& g,
+                                          std::uint64_t seed) {
+  Rng rng(seed);
+  const std::uint32_t n = static_cast<std::uint32_t>(g.num_vertices());
+  std::vector<VertexList> out;
+  out.push_back({});                   // no members
+  out.push_back({rng.UniformU32(n)});  // one member
+  VertexList all(n);
+  std::iota(all.begin(), all.end(), 0);
+  out.push_back(all);  // both halves: two disconnected parts
+  // A connected ball of radius 2 around a random vertex.
+  const auto dist = BfsDistances(g.graph(), rng.UniformU32(n));
+  VertexList ball;
+  for (VertexId v = 0; v < n; ++v) {
+    if (dist[v] <= 2) ball.push_back(v);
+  }
+  out.push_back(ball);
+  // The same ball unsorted, with duplicates.
+  VertexList messy = ball;
+  const std::uint32_t ball_size = static_cast<std::uint32_t>(ball.size());
+  for (std::uint32_t i = 0; i < ball_size / 3 + 1; ++i) {
+    messy.push_back(ball[rng.UniformU32(ball_size)]);
+  }
+  for (std::size_t i = messy.size(); i > 1; --i) {
+    std::swap(messy[i - 1],
+              messy[rng.UniformU32(static_cast<std::uint32_t>(i))]);
+  }
+  out.push_back(messy);
+  // A sparse random subset: mostly members without a member neighbour.
+  VertexList sparse;
+  for (VertexId v = 0; v < n; ++v) {
+    if (rng.UniformU32(8) == 0) sparse.push_back(v);
+  }
+  out.push_back(sparse);
+  return out;
+}
+
+TEST(ColdPathOracleTest, StatsMatchMaterializedSubgraph) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const AttributedGraph g = OracleGraph(300 + 100 * seed, 900 * seed, seed);
+    for (const VertexList& c : OracleCommunities(g, seed)) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                   std::to_string(c.size()) + " members");
+      const CommunityStats got = ComputeStats(g.graph(), c);
+      const CommunityStats want = ReferenceStats(g.graph(), c);
+      EXPECT_EQ(got.num_vertices, want.num_vertices);
+      EXPECT_EQ(got.num_edges, want.num_edges);
+      EXPECT_TRUE(SameBits(got.average_degree, want.average_degree));
+      EXPECT_EQ(got.min_degree, want.min_degree);
+      EXPECT_EQ(got.max_degree, want.max_degree);
+      EXPECT_TRUE(SameBits(got.density, want.density));
+      EXPECT_EQ(got.diameter, want.diameter);
+    }
+  }
+}
+
+TEST(ColdPathOracleTest, CpjMatchesMergeLoopsBitForBit) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const AttributedGraph g = OracleGraph(300 + 100 * seed, 900 * seed, seed);
+    for (const VertexList& c : OracleCommunities(g, seed)) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                   std::to_string(c.size()) + " members");
+      EXPECT_TRUE(SameBits(Cpj(g, c), ReferenceCpj(g, c)));
+      // The default cutover (the whole graph samples, the rest is exact),
+      // then both sides of this community's own cutover, then a small
+      // sample.
+      const std::size_t pairs =
+          c.size() < 2 ? 0 : c.size() * (c.size() - 1) / 2;
+      std::vector<std::size_t> budgets = {200000, 37};
+      if (pairs > 1) budgets.insert(budgets.end(), {pairs, pairs - 1});
+      for (std::size_t max_pairs : budgets) {
+        EXPECT_TRUE(SameBits(CpjSampled(g, c, max_pairs, seed),
+                             ReferenceCpjSampled(g, c, max_pairs, seed)))
+            << "max_pairs " << max_pairs;
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,6 +17,8 @@
 #include "api/result_cache.h"
 #include "api/types.h"
 #include "common/json.h"
+#include "data/dblp.h"
+#include "explorer/explorer.h"
 #include "graph/attributed_graph.h"
 #include "graph/fixtures.h"
 #include "server/http.h"
@@ -281,6 +284,143 @@ TEST(ResultCacheMigrationTest, StatsSurfaceReuseCounter) {
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(v->Get("result_cache").Has("reused_across_mutation"));
   EXPECT_EQ(v->Get("result_cache").Get("reused_across_mutation").AsInt(), 0);
+}
+
+// --------------------------------------------------------------------------
+// The /community click reads the analysis memo of the shared search result
+// --------------------------------------------------------------------------
+
+/// A click body without its continuation cursor: the cursor carries the
+/// session's result generation, which differs between sessions by design.
+std::string WithoutCursor(std::string body) {
+  const std::string key = "\"next_cursor\":\"";
+  const std::size_t at = body.find(key);
+  if (at == std::string::npos) return body;
+  const std::size_t end = body.find('"', at + key.size());
+  body.erase(at - 1, end - at + 2);  // with the comma before it
+  return body;
+}
+
+/// The highest-degree author: its 3-core component is large enough that
+/// CPJ samples (more than 200,000 member pairs).
+VertexId Hub(const AttributedGraph& g) {
+  VertexId hub = 0;
+  for (VertexId v = 1; v < g.num_vertices(); ++v) {
+    if (g.graph().Degree(v) > g.graph().Degree(hub)) hub = v;
+  }
+  return hub;
+}
+
+std::string NewSessionOn(CExplorerServer* server) {
+  auto v = JsonValue::Parse(server->Handle("GET /v1/session/new").body);
+  EXPECT_TRUE(v.ok());
+  return v->Get("session").AsString();
+}
+
+TEST(ClickBodyTest, FirstPageIdenticalColdWarmAndUncached) {
+  DblpOptions options;
+  options.num_authors = 1500;
+  options.num_areas = 6;
+  options.vocabulary_size = 300;
+  options.seed = 5;
+  const AttributedGraph graph = GenerateDblp(options).graph;
+  const std::string search =
+      "GET /v1/search?vertex=" + std::to_string(Hub(graph)) +
+      "&k=3&algo=Global";
+  const std::string click = "GET /v1/community?id=0&limit=50";
+
+  CExplorerServer cached;
+  ASSERT_TRUE(cached.UploadGraph(graph).ok());
+  const std::string a = NewSessionOn(&cached);
+  const std::string b = NewSessionOn(&cached);
+  ASSERT_EQ(cached.Handle(search + "&session=" + a).code, 200);
+  HttpResponse cold = cached.Handle(click + "&session=" + a);
+  ASSERT_EQ(cold.code, 200) << cold.body;
+  ASSERT_EQ(cached.Handle(search + "&session=" + b).code, 200);
+  EXPECT_EQ(cached.service().ResultCacheStats().hits, 1u);
+  HttpResponse warm = cached.Handle(click + "&session=" + b);
+  ASSERT_EQ(warm.code, 200) << warm.body;
+
+  CExplorerServer uncached;
+  uncached.service().ConfigureResultCache(0);
+  ASSERT_TRUE(uncached.UploadGraph(graph).ok());
+  ASSERT_EQ(uncached.Handle(search).code, 200);
+  HttpResponse off = uncached.Handle(click);
+  ASSERT_EQ(off.code, 200) << off.body;
+
+  auto v = JsonValue::Parse(cold.body);
+  ASSERT_TRUE(v.ok());
+  ASSERT_GT(v->Get("stats").Get("vertices").AsInt(), 633);  // CPJ samples
+  ASSERT_TRUE(v->Get("page").Has("next_cursor"));
+  EXPECT_EQ(WithoutCursor(warm.body), WithoutCursor(cold.body));
+  EXPECT_EQ(WithoutCursor(off.body), WithoutCursor(cold.body));
+}
+
+/// A 5-cycle (component A, authors 0-4) and a 2-core component B (authors
+/// 5-10: a 6-cycle with one chord) with mixed keywords.
+AttributedGraphBuilder TwoComponents() {
+  AttributedGraphBuilder b;
+  for (int i = 0; i < 5; ++i) {
+    b.AddVertex("author" + std::to_string(i), {"x"});
+  }
+  const std::vector<std::vector<std::string>> keywords = {
+      {"x", "y"}, {"x"}, {"y", "z"}, {"x", "z"}, {"z"}, {"x", "y", "z"}};
+  for (int i = 0; i < 6; ++i) {
+    b.AddVertex("author" + std::to_string(5 + i), keywords[i]);
+  }
+  for (int i = 0; i < 5; ++i) (void)b.AddEdge(i, (i + 1) % 5);
+  for (int i = 0; i < 6; ++i) (void)b.AddEdge(5 + i, 5 + (i + 1) % 6);
+  (void)b.AddEdge(5, 8);
+  return b;
+}
+
+TEST(ClickBodyTest, MigratedEntryClicksLikeARebuiltServer) {
+  const std::string search = "GET /v1/search?vertex=6&k=2&algo=Global";
+  const std::string click = "GET /v1/community?id=0&limit=50";
+  CExplorerServer server;
+  ASSERT_TRUE(server.UploadGraph(TwoComponents().Build()).ok());
+  ASSERT_EQ(server.Handle(search).code, 200);
+  ASSERT_EQ(server.Handle(click).code, 200);  // fills the memo
+
+  // Chord (0, 2) inside component A moves no core number: a certified
+  // tree-neutral publish, which carries component B's entry across.
+  ASSERT_EQ(server.Handle("POST /v1/edges\n\n{\"edges\": [[0, 2]]}").code, 200);
+  EXPECT_EQ(server.service().ResultCacheStats().reused_across_mutation, 1u);
+  ASSERT_EQ(server.Handle(search).code, 200);
+  EXPECT_EQ(server.service().ResultCacheStats().hits, 1u);
+  HttpResponse migrated = server.Handle(click);
+  ASSERT_EQ(migrated.code, 200) << migrated.body;
+
+  AttributedGraphBuilder mutated = TwoComponents();
+  ASSERT_TRUE(mutated.AddEdge(0, 2).ok());
+  CExplorerServer rebuilt;
+  ASSERT_TRUE(rebuilt.UploadGraph(mutated.Build()).ok());
+  ASSERT_EQ(rebuilt.Handle(search).code, 200);
+  HttpResponse fresh = rebuilt.Handle(click);
+  ASSERT_EQ(fresh.code, 200) << fresh.body;
+  EXPECT_EQ(migrated.body, fresh.body);
+}
+
+TEST(ClickBodyTest, AnalysisIsComputedOncePerEntry) {
+  // The memo answers every call after the first, whatever explorer asks:
+  // here a second explorer whose graph would analyze differently.
+  Explorer first;
+  ASSERT_TRUE(first.UploadGraph(TwoComponents().Build()).ok());
+  api::CachedSearch entry;
+  entry.communities.push_back(Community{"Global", {5, 6, 7, 8, 9, 10}, {}});
+  auto analysis = entry.Analysis(0, first);
+  ASSERT_TRUE(analysis.ok());
+  EXPECT_EQ(analysis->stats.num_edges, 7u);
+
+  AttributedGraphBuilder denser = TwoComponents();
+  ASSERT_TRUE(denser.AddEdge(6, 9).ok());
+  Explorer second;
+  ASSERT_TRUE(second.UploadGraph(denser.Build()).ok());
+  ASSERT_EQ(second.Analyze(entry.communities[0])->stats.num_edges, 8u);
+  auto memo = entry.Analysis(0, second);
+  ASSERT_TRUE(memo.ok());
+  EXPECT_EQ(memo->stats.num_edges, 7u);
+  EXPECT_EQ(std::memcmp(&memo->cpj, &analysis->cpj, sizeof(double)), 0);
 }
 
 // Regression: GetStats used to load the counters in an order that let a

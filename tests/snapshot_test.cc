@@ -542,6 +542,12 @@ TEST_F(CorruptionTest, StructuralTamperingWithFixedChecksums) {
              Section<const std::uint64_t>(b, SectionId::kGraphOffsets),
              Section<std::uint32_t>(b, SectionId::kGraphAdjacency));
        }},
+      {"keyword row out of order", SectionId::kKeywordData,
+       [this](Bytes& b) {
+         SwapInFirstLongRow(
+             Section<const std::uint64_t>(b, SectionId::kKeywordOffsets),
+             Section<std::uint32_t>(b, SectionId::kKeywordData));
+       }},
       {"posting slot out of order", SectionId::kTreeInvPostings,
        [this](Bytes& b) {
          SwapInFirstLongRow(
