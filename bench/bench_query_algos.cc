@@ -172,8 +172,8 @@ void PrintAllocTable() {
                        wq.begin() + std::min<std::size_t>(wq.size(), count));
   };
 
-  // Sequential engine: a deterministic allocation count per query.
-  AcqEngine engine(&graph, &tree, /*pool=*/nullptr);
+  // A query runs on the calling thread: a deterministic allocation count.
+  AcqEngine engine(&graph, &tree);
   std::printf("allocations per cold query (%s authors, k=4, |S|=4):\n",
               FormatWithCommas(graph.num_vertices()).c_str());
   std::printf("%-8s %16s %16s\n", "algo", "allocs/query", "total");

@@ -8,6 +8,7 @@
 //
 //   $ ./plugin_algorithm
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 

@@ -45,7 +45,6 @@ AcqScratch& ThreadAcqScratch() {
 struct QueryContext {
   const AttributedGraph* g = nullptr;
   const ClTree* index = nullptr;  // null for the brute-force oracle
-  ThreadPool* pool = nullptr;     // null -> sequential verification
   VertexList query_vertices;      // non-empty; [0] is the anchor
   const ExecControl* control = nullptr;  // checked once per lattice level
   std::uint32_t k = 0;
@@ -68,9 +67,9 @@ bool ContainsAllQueryVertices(const QueryContext& ctx,
 
 /// Peels `candidates` to the k-core component of the anchor and checks that
 /// all query vertices survived. Empty return means "not qualified". Counts
-/// into `stats` (per-thread when called from a parallel verify pass).
-/// Every gather path (component scan, CL-tree batch, subtree collect)
-/// produces sorted unique lists, so the sorted peel entry point applies.
+/// into `stats`. Every gather path (component scan, CL-tree batch, subtree
+/// collect) produces sorted unique lists, so the sorted peel entry point
+/// applies.
 VertexList PeelAndCheck(const QueryContext& ctx, VertexList candidates,
                         AcqStats* stats) {
   ++stats->candidates_verified;
@@ -82,33 +81,18 @@ VertexList PeelAndCheck(const QueryContext& ctx, VertexList candidates,
   return community;
 }
 
-/// Verifies one lattice level's candidate vertex lists, concurrently when
-/// the context carries a pool: result[i] is the qualified community for
-/// `gathered[i]` (empty when unqualified). Candidates are independent, so
-/// chunks only touch their own slots; the per-chunk counters are merged
-/// into ctx->stats in chunk order, matching the sequential totals exactly.
+/// Verifies one lattice level's candidate vertex lists: result[i] is the
+/// qualified community for `gathered[i]` (empty when unqualified).
 std::vector<VertexList> VerifyLevel(QueryContext* ctx,
                                     std::vector<VertexList> gathered) {
   std::vector<VertexList> communities(gathered.size());
-  AcqStats merged = ParallelReduce<AcqStats>(
-      0, gathered.size(), AcqStats{},
-      [&](std::size_t lo, std::size_t hi) {
-        AcqStats local;
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (gathered[i].size() < ctx->k + 1) {
-            ++local.support_pruned;
-            continue;
-          }
-          communities[i] = PeelAndCheck(*ctx, std::move(gathered[i]), &local);
-        }
-        return local;
-      },
-      [](AcqStats acc, const AcqStats& part) {
-        acc.Merge(part);
-        return acc;
-      },
-      ctx->pool, /*grain=*/1);
-  ctx->stats.Merge(merged);
+  for (std::size_t i = 0; i < gathered.size(); ++i) {
+    if (gathered[i].size() < ctx->k + 1) {
+      ++ctx->stats.support_pruned;
+      continue;
+    }
+    communities[i] = PeelAndCheck(*ctx, std::move(gathered[i]), &ctx->stats);
+  }
   return communities;
 }
 
@@ -302,13 +286,9 @@ Result<std::vector<AttributedCommunity>> RunIncremental(QueryContext* ctx,
     if (tree_batched) {
       gathered = BatchCollect(*ctx, frontier);
     } else {
-      // Per-candidate scans are independent: fan them across the pool.
-      ParallelFor(
-          0, frontier.size(), ctx->pool,
-          [&](std::size_t i) {
-            gathered[i] = GatherByScan(*ctx, ctx->component, frontier[i]);
-          },
-          /*grain=*/1);
+      for (std::size_t i = 0; i < frontier.size(); ++i) {
+        gathered[i] = GatherByScan(*ctx, ctx->component, frontier[i]);
+      }
     }
 
     std::vector<VertexList> communities = VerifyLevel(ctx, std::move(gathered));
@@ -351,16 +331,10 @@ Result<std::vector<AttributedCommunity>> RunDec(QueryContext* ctx) {
   while (!frontier.empty()) {
     CEXPLORER_RETURN_IF_ERROR(CheckControl(ctx->control));
     ctx->stats.candidates_generated += frontier.size();
-    // Gather (independent CL-tree walks) and verify concurrently; the
-    // lattice expansion below stays sequential (set arithmetic, not graph
-    // work).
     std::vector<VertexList> gathered(frontier.size());
-    ParallelFor(
-        0, frontier.size(), ctx->pool,
-        [&](std::size_t i) {
-          gathered[i] = GatherBySubtree(*ctx, frontier[i]);
-        },
-        /*grain=*/1);
+    for (std::size_t i = 0; i < frontier.size(); ++i) {
+      gathered[i] = GatherBySubtree(*ctx, frontier[i]);
+    }
     std::vector<VertexList> communities = VerifyLevel(ctx, std::move(gathered));
 
     std::vector<AttributedCommunity> qualified;
@@ -399,14 +373,12 @@ Result<std::vector<AttributedCommunity>> RunDec(QueryContext* ctx) {
 }
 
 Result<QueryContext> MakeContext(const AttributedGraph& g, const ClTree* index,
-                                 ThreadPool* pool, VertexList query_vertices,
-                                 std::uint32_t k, KeywordList keywords,
-                                 bool need_index,
+                                 VertexList query_vertices, std::uint32_t k,
+                                 KeywordList keywords, bool need_index,
                                  const ExecControl* control) {
   QueryContext ctx;
   ctx.g = &g;
   ctx.index = index;
-  ctx.pool = pool;
   ctx.control = control;
   ctx.k = k;
 
@@ -461,14 +433,14 @@ Result<QueryContext> MakeContext(const AttributedGraph& g, const ClTree* index,
 }
 
 Result<AcqResult> RunQuery(const AttributedGraph& g, const ClTree* index,
-                           ThreadPool* pool, VertexList query_vertices,
-                           std::uint32_t k, KeywordList keywords,
-                           AcqAlgorithm algo, const ExecControl* control) {
+                           VertexList query_vertices, std::uint32_t k,
+                           KeywordList keywords, AcqAlgorithm algo,
+                           const ExecControl* control) {
   const bool need_index = algo != AcqAlgorithm::kBruteForce;
   if (need_index && index == nullptr) {
     return Status::FailedPrecondition("indexed algorithm requires a CL-tree");
   }
-  auto ctx_or = MakeContext(g, index, pool, std::move(query_vertices), k,
+  auto ctx_or = MakeContext(g, index, std::move(query_vertices), k,
                             std::move(keywords), need_index, control);
   if (!ctx_or.ok()) return ctx_or.status();
   QueryContext ctx = std::move(ctx_or.value());
@@ -524,8 +496,7 @@ KeywordList SharedKeywords(const AttributedGraph& g,
 Result<AcqResult> AcqEngine::Search(VertexId q, std::uint32_t k,
                                     KeywordList keywords, AcqAlgorithm algo,
                                     const ExecControl* control) const {
-  return RunQuery(*g_, index_, pool_, {q}, k, std::move(keywords), algo,
-                  control);
+  return RunQuery(*g_, index_, {q}, k, std::move(keywords), algo, control);
 }
 
 Result<AcqResult> AcqEngine::SearchByName(
@@ -550,8 +521,8 @@ Result<AcqResult> AcqEngine::SearchMulti(const VertexList& query_vertices,
                                          std::uint32_t k, KeywordList keywords,
                                          AcqAlgorithm algo,
                                          const ExecControl* control) const {
-  return RunQuery(*g_, index_, pool_, query_vertices, k, std::move(keywords),
-                  algo, control);
+  return RunQuery(*g_, index_, query_vertices, k, std::move(keywords), algo,
+                  control);
 }
 
 }  // namespace cexplorer

@@ -27,12 +27,13 @@
 
 #include "cltree/cltree.h"
 #include "common/cancel.h"
-#include "common/parallel.h"
 #include "common/status.h"
 #include "graph/attributed_graph.h"
 #include "graph/types.h"
 
 namespace cexplorer {
+
+class ThreadPool;
 
 /// Which ACQ query algorithm to run.
 enum class AcqAlgorithm {
@@ -56,14 +57,13 @@ struct AttributedCommunity {
 };
 
 /// Work counters for benchmarking the query algorithms. Purely additive,
-/// so per-thread counters from a parallel verification pass merge into the
-/// same totals the sequential pass produces.
+/// so the counters of several queries merge into one total.
 struct AcqStats {
   std::size_t candidates_generated = 0;  ///< keyword sets considered
   std::size_t candidates_verified = 0;   ///< peel computations performed
   std::size_t support_pruned = 0;        ///< sets rejected before peeling
 
-  /// Accumulates another thread's (or chunk's) counters into this one.
+  /// Accumulates another query's counters into this one.
   void Merge(const AcqStats& other) {
     candidates_generated += other.candidates_generated;
     candidates_verified += other.candidates_verified;
@@ -88,16 +88,15 @@ KeywordList SharedKeywords(const AttributedGraph& g,
 /// ACQ query engine bound to a graph and its CL-tree index.
 /// Both must outlive the engine.
 ///
-/// With a non-null `pool`, the Inc-S/Inc-T/Dec algorithms gather and
-/// verify the independent keyword candidates of each lattice level
-/// concurrently (per-thread AcqStats merged at the end); results and
-/// stats are identical to the sequential run. The engine itself holds no
-/// mutable state, so one engine may serve concurrent callers.
+/// A query runs on the calling thread. The engine itself holds no mutable
+/// state, so one engine may serve concurrent callers.
 class AcqEngine {
  public:
+  /// The trailing pool is ignored; it stays only for the benchmark
+  /// harness's call (e2ebench/e2e.cc:596).
   AcqEngine(const AttributedGraph* graph, const ClTree* index,
-            ThreadPool* pool = nullptr)
-      : g_(graph), index_(index), pool_(pool) {}
+            ThreadPool* = nullptr)
+      : g_(graph), index_(index) {}
 
   /// Runs an ACQ query. With a `control`, the lattice walk checkpoints at
   /// every level and the query aborts with kCancelled / kDeadlineExceeded.
@@ -128,7 +127,6 @@ class AcqEngine {
  private:
   const AttributedGraph* g_;
   const ClTree* index_;
-  ThreadPool* pool_;
 };
 
 }  // namespace cexplorer

@@ -25,8 +25,7 @@ struct RawTree {
 // Basic builder: top-down recursive component splitting.
 // ---------------------------------------------------------------------------
 
-RawTree BuildBasicTree(const Graph& g,
-                       const std::vector<std::uint32_t>& core) {
+RawTree BuildBasicTree(const Graph& g, std::span<const std::uint32_t> core) {
   const std::size_t n = g.num_vertices();
   RawTree raw;
 
@@ -166,7 +165,7 @@ class UnionFind {
 };
 
 RawTree BuildAdvancedTree(const Graph& g,
-                          const std::vector<std::uint32_t>& core) {
+                          std::span<const std::uint32_t> core) {
   const std::size_t n = g.num_vertices();
   RawTree raw;
 
@@ -275,29 +274,25 @@ std::span<const VertexId> ClTreeNode::Postings(KeywordId kw) const {
 }
 
 ClTree ClTree::Build(const AttributedGraph& g, ClTreeBuildMethod method,
-                     ThreadPool* pool, PostingFormat) {
-  if (g.num_vertices() == 0) return ClTree();
-  const std::vector<std::uint32_t> core = CoreDecomposition(g.graph(), pool);
-  return Build(g, core, method, pool);
+                     ThreadPool*, PostingFormat) {
+  return Build(g, CoreDecomposition(g.graph()), method);
 }
 
 ClTree ClTree::Build(const AttributedGraph& g,
                      std::span<const std::uint32_t> core_numbers,
-                     ClTreeBuildMethod method, ThreadPool* pool) {
+                     ClTreeBuildMethod method) {
   ClTree tree;
   if (g.num_vertices() == 0) return tree;
-  const std::vector<std::uint32_t> core(core_numbers.begin(),
-                                        core_numbers.end());
   RawTree raw = method == ClTreeBuildMethod::kBasic
-                    ? BuildBasicTree(g.graph(), core)
-                    : BuildAdvancedTree(g.graph(), core);
-  tree.Finalize(g, std::move(raw.nodes), raw.root, pool);
+                    ? BuildBasicTree(g.graph(), core_numbers)
+                    : BuildAdvancedTree(g.graph(), core_numbers);
+  tree.Finalize(g, std::move(raw.nodes), raw.root);
   return tree;
 }
 
 void ClTree::Finalize(const AttributedGraph& g,
-                      std::vector<ClTreeRawNode> raw_nodes, ClNodeId raw_root,
-                      ThreadPool* pool) {
+                      std::vector<ClTreeRawNode> raw_nodes,
+                      ClNodeId raw_root) {
   const std::size_t num_raw = raw_nodes.size();
 
   // Pass 1 (post-order): minimum vertex in each subtree, for canonical
@@ -407,100 +402,99 @@ void ClTree::Finalize(const AttributedGraph& g,
     }
   }
 
-  // Vertex -> node map, then the inverted-list arenas. Nodes are
-  // independent (every vertex is anchored at exactly one node), so the
-  // passes parallelize over the node array without synchronization; the
-  // output per node depends only on that node's anchored vertices, keeping
-  // the parallel build byte-identical to the sequential one.
   std::vector<ClNodeId> vertex_node(g.num_vertices(), kInvalidClNode);
-  ParallelFor(
-      0, num_raw, pool,
-      [&](std::size_t i) {
-        for (VertexId v : nodes_[i].vertices) {
-          vertex_node[v] = static_cast<ClNodeId>(i);
-        }
-      },
-      /*grain=*/256);
-  vertex_node_ = std::move(vertex_node);
+  for (std::size_t i = 0; i < num_raw; ++i) {
+    for (VertexId v : nodes_[i].vertices) {
+      vertex_node[v] = static_cast<ClNodeId>(i);
+    }
+  }
 
-  // Counting pass: sort each node's (keyword, vertex) pairs and record its
-  // distinct-keyword and postings counts, so the arenas below are sized
-  // exactly before a single element is written.
-  std::vector<std::vector<std::pair<KeywordId, VertexId>>> pairs(num_raw);
-  std::vector<std::size_t> kw_counts(num_raw, 0);
-  ParallelFor(
-      0, num_raw, pool,
-      [&](std::size_t i) {
-        auto& p = pairs[i];
-        for (VertexId v : nodes_[i].vertices) {
-          for (KeywordId kw : g.Keywords(v)) p.emplace_back(kw, v);
-        }
-        std::sort(p.begin(), p.end());
-        std::size_t distinct = 0;
-        for (std::size_t j = 0; j < p.size(); ++j) {
-          if (j == 0 || p[j].first != p[j - 1].first) ++distinct;
-        }
-        kw_counts[i] = distinct;
-      },
-      /*grain=*/16);
+  // The inverted lists, keyword-major. A counting sort groups the graph's
+  // (vertex, keyword) pairs by keyword; scanning vertices in id order
+  // leaves every keyword's vertex list ascending. Walking the keywords in
+  // ascending order then reaches each node's keywords, and each posting
+  // list, already sorted: no per-node sort. A per-node "last keyword"
+  // marker tells a node's first posting of a keyword from the rest.
+  const std::size_t num_kws = g.vocabulary().size();
+  std::vector<std::size_t> kw_start(num_kws + 1, 0);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (KeywordId kw : g.Keywords(v)) ++kw_start[kw + 1];
+  }
+  for (std::size_t kw = 0; kw < num_kws; ++kw) {
+    kw_start[kw + 1] += kw_start[kw];
+  }
+  std::vector<VertexId> by_kw(kw_start[num_kws]);
+  {
+    std::vector<std::size_t> cursor(kw_start.begin(), kw_start.end() - 1);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      for (KeywordId kw : g.Keywords(v)) by_kw[cursor[kw]++] = v;
+    }
+  }
+  std::vector<KeywordId> last_kw(num_raw);
+  auto for_each_posting = [&](auto&& fn) {
+    std::fill(last_kw.begin(), last_kw.end(), kInvalidKeyword);
+    for (KeywordId kw = 0; kw < num_kws; ++kw) {
+      for (std::size_t p = kw_start[kw]; p < kw_start[kw + 1]; ++p) {
+        const ClNodeId node = vertex_node[by_kw[p]];
+        fn(node, kw, by_kw[p], last_kw[node] != kw);
+        last_kw[node] = kw;
+      }
+    }
+  };
 
-  // Per-node arena starts (prefix sums). Postings of a node are contiguous
-  // and nodes follow preorder, so node i's final offset sentinel is node
-  // i+1's first offset — one shared offsets array of total_kws + 1 entries.
+  // Counting walk: per-node distinct keywords and postings, prefix-summed
+  // into arena starts so the arenas below are sized exactly. Postings of a
+  // node are contiguous and nodes follow preorder, so node i's final offset
+  // sentinel is node i+1's first offset — one shared offsets array of
+  // total_kws + 1 entries.
   std::vector<std::size_t> kw_begin(num_raw + 1, 0);
   std::vector<std::size_t> post_begin(num_raw + 1, 0);
+  for_each_posting([&](ClNodeId node, KeywordId, VertexId, bool first) {
+    if (first) ++kw_begin[node + 1];
+    ++post_begin[node + 1];
+  });
   for (std::size_t i = 0; i < num_raw; ++i) {
-    kw_begin[i + 1] = kw_begin[i] + kw_counts[i];
-    post_begin[i + 1] = post_begin[i] + pairs[i].size();
+    kw_begin[i + 1] += kw_begin[i];
+    post_begin[i + 1] += post_begin[i];
   }
   const std::size_t total_kws = kw_begin[num_raw];
   const std::size_t total_posts = post_begin[num_raw];
 
-  // Exact-size allocation from the counted totals, filled in place. The
-  // arenas are built in local vectors and moved into the ArrayRef members
-  // once complete (the move keeps the heap buffers, so the node spans set
-  // afterwards stay valid).
+  // Fill walk through per-node cursors. The arenas are built in local
+  // vectors and moved into the ArrayRef members once complete (the move
+  // keeps the heap buffers, so the node spans set afterwards stay valid).
+  // Offset slots of keyword-less nodes collapse onto the next non-empty
+  // node's first slot, which that node writes with the same value; only
+  // the global sentinel has no owner.
   std::vector<KeywordId> kw_arena(total_kws);
   std::vector<std::uint32_t> offset_arena(total_kws + 1);
   std::vector<VertexId> post_arena(total_posts);
   offset_arena[total_kws] = static_cast<std::uint32_t>(total_posts);
   std::vector<std::uint64_t> blooms(num_raw, 0);
+  std::vector<std::size_t> kw_cursor(kw_begin.begin(), kw_begin.end() - 1);
+  std::vector<std::size_t> post_cursor(post_begin.begin(),
+                                       post_begin.end() - 1);
+  for_each_posting([&](ClNodeId node, KeywordId kw, VertexId v, bool first) {
+    if (first) {
+      kw_arena[kw_cursor[node]] = kw;
+      offset_arena[kw_cursor[node]++] =
+          static_cast<std::uint32_t>(post_cursor[node]);
+      blooms[node] |= simd::BloomMask(kw);
+    }
+    post_arena[post_cursor[node]++] = v;
+  });
 
-  // Fill pass: every node writes its own disjoint arena slices.
-  ParallelFor(
-      0, num_raw, pool,
-      [&](std::size_t i) {
-        auto& p = pairs[i];
-        std::size_t kw_cursor = kw_begin[i];
-        std::size_t post_cursor = post_begin[i];
-        std::uint64_t bloom = 0;
-        for (std::size_t j = 0; j < p.size(); ++j) {
-          if (j == 0 || p[j].first != p[j - 1].first) {
-            kw_arena[kw_cursor] = p[j].first;
-            offset_arena[kw_cursor] = static_cast<std::uint32_t>(post_cursor);
-            ++kw_cursor;
-            bloom |= simd::BloomMask(p[j].first);
-          }
-          post_arena[post_cursor++] = p[j].second;
-        }
-        blooms[i] = bloom;
-        p = {};  // release the temporary pairs eagerly
-      },
-      /*grain=*/16);
-  // Offset slots of keyword-less nodes collapse onto the next non-empty
-  // node's first slot, which that node wrote with the same value; only the
-  // global sentinel has no owner and was set above.
-
+  vertex_node_ = std::move(vertex_node);
   inv_keyword_arena_ = std::move(kw_arena);
   inv_offset_arena_ = std::move(offset_arena);
   inv_posting_arena_ = std::move(post_arena);
   node_kw_bloom_ = std::move(blooms);
 
   for (std::size_t i = 0; i < num_raw; ++i) {
-    nodes_[i].inv_keywords = {inv_keyword_arena_.data() + kw_begin[i],
-                              kw_counts[i]};
+    const std::size_t count = kw_begin[i + 1] - kw_begin[i];
+    nodes_[i].inv_keywords = {inv_keyword_arena_.data() + kw_begin[i], count};
     nodes_[i].inv_postings = {inv_offset_arena_.data() + kw_begin[i],
-                              inv_posting_arena_.data(), kw_counts[i]};
+                              inv_posting_arena_.data(), count};
   }
 }
 
@@ -805,7 +799,9 @@ Result<ClTree> ClTree::Deserialize(const AttributedGraph& g,
   }
 
   std::vector<ClTreeRawNode> raw;
-  raw.reserve(static_cast<std::size_t>(num_nodes));
+  // One node per line: a header count beyond the line count is a lie (and
+  // would make the reservation unbounded).
+  raw.reserve(std::min(static_cast<std::size_t>(num_nodes), lines.size()));
   for (std::size_t li = 1; li < lines.size(); ++li) {
     auto fields = SplitWhitespace(lines[li]);
     if (fields.empty()) continue;
@@ -842,21 +838,32 @@ Result<ClTree> ClTree::Deserialize(const AttributedGraph& g,
     return Status::ParseError("CL-tree node count mismatch");
   }
 
-  // Rebuild child links; find the root; sanity-check anchoring.
-  ClNodeId root = kInvalidClNode;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (raw[i].parent == kInvalidClNode) {
-      if (root != kInvalidClNode) {
-        return Status::ParseError("multiple CL-tree roots");
-      }
-      root = static_cast<ClNodeId>(i);
-    } else if (raw[i].parent >= raw.size()) {
-      return Status::ParseError("dangling parent pointer");
-    } else {
-      raw[raw[i].parent].children.push_back(static_cast<ClNodeId>(i));
-    }
+  // Serialize writes preorder: node 0 is the root and every other node
+  // follows its parent, so parent links that point backwards cannot form a
+  // cycle and reach every node from the root. Cores strictly increase
+  // downwards and anchor lists strictly ascend, as in a built tree.
+  if (raw.empty() || raw[0].parent != kInvalidClNode) {
+    return Status::ParseError("node 0 is not the CL-tree root");
   }
-  if (root == kInvalidClNode) return Status::ParseError("no CL-tree root");
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const VertexList& anchors = raw[i].vertices;
+    if (std::adjacent_find(anchors.begin(), anchors.end(),
+                           std::greater_equal<>()) != anchors.end()) {
+      return Status::ParseError("anchors of node " + std::to_string(i) +
+                                " not strictly ascending");
+    }
+    if (i == 0) continue;
+    const ClNodeId parent = raw[i].parent;
+    if (parent >= i) {
+      return Status::ParseError("parent of node " + std::to_string(i) +
+                                " does not precede it");
+    }
+    if (raw[i].core <= raw[parent].core) {
+      return Status::ParseError("core of node " + std::to_string(i) +
+                                " not above its parent's");
+    }
+    raw[parent].children.push_back(static_cast<ClNodeId>(i));
+  }
 
   std::vector<bool> anchored(g.num_vertices(), false);
   for (const auto& node : raw) {
@@ -870,7 +877,7 @@ Result<ClTree> ClTree::Deserialize(const AttributedGraph& g,
   }
 
   ClTree tree;
-  tree.Finalize(g, std::move(raw), root);
+  tree.Finalize(g, std::move(raw), /*raw_root=*/0);
   return tree;
 }
 

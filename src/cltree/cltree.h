@@ -26,12 +26,13 @@
 #include <vector>
 
 #include "common/array_ref.h"
-#include "common/parallel.h"
 #include "common/status.h"
 #include "graph/attributed_graph.h"
 #include "graph/types.h"
 
 namespace cexplorer {
+
+class ThreadPool;
 
 /// Node id within a ClTree.
 using ClNodeId = std::uint32_t;
@@ -103,7 +104,7 @@ enum class ClTreeBuildMethod {
 
 /// Postings are always plain u32 CSR arrays. This one-value enum only
 /// keeps the benchmark harness's ClTree::Build(g, method, pool, format)
-/// call compiling; nothing branches on it.
+/// call compiling (e2ebench/e2e.cc:1023); nothing branches on it.
 enum class PostingFormat { kRaw };
 
 /// Counters of one incremental tree repair (ClTree::RepairedFrom +
@@ -175,30 +176,24 @@ class ClTree {
   ClTree(const ClTree&) = delete;
   ClTree& operator=(const ClTree&) = delete;
 
-  /// Builds the index. The graph must outlive the tree (not owned).
-  ///
-  /// With a non-null `pool`, the core decomposition runs the parallel
-  /// frontier peel and Finalize builds the per-node inverted lists and
-  /// vertex map concurrently (nodes are independent). The result is
-  /// byte-identical to the sequential build for every pool size — node
-  /// ids are canonical preorder positions and each node's lists depend
-  /// only on its own anchored vertices. The trailing PostingFormat is
-  /// ignored; it stays only for the benchmark harness's call.
+  /// Builds the index on the calling thread, core decomposition included.
+  /// The graph must outlive the tree (not owned). The trailing pool and
+  /// PostingFormat are ignored; they stay only for the benchmark harness's
+  /// call (e2ebench/e2e.cc:1023).
   static ClTree Build(const AttributedGraph& g,
                       ClTreeBuildMethod method = ClTreeBuildMethod::kAdvanced,
                       ThreadPool* pool = nullptr,
                       PostingFormat = PostingFormat::kRaw);
 
-  /// Build variant taking precomputed core numbers (size num_vertices) —
-  /// the dynamic-graph path, where incremental maintenance already knows
-  /// every core and re-peeling the whole graph per mutation batch would
-  /// dwarf the repair itself. `core_numbers` must equal what
+  /// Build variant taking precomputed core numbers (size num_vertices):
+  /// Dataset::Build keeps the cores it computed, and the dynamic-graph
+  /// path already knows every core from incremental maintenance, so
+  /// neither peels the graph a second time. `core_numbers` must equal what
   /// CoreDecomposition(g.graph()) would return; the result is then
   /// byte-identical to the peel-included overload.
   static ClTree Build(const AttributedGraph& g,
                       std::span<const std::uint32_t> core_numbers,
-                      ClTreeBuildMethod method = ClTreeBuildMethod::kAdvanced,
-                      ThreadPool* pool = nullptr);
+                      ClTreeBuildMethod method = ClTreeBuildMethod::kAdvanced);
 
   /// Incremental repair: a structurally identical twin of `parent` that
   /// shares every big arena (postings, anchors, children, vertex map) as a
@@ -306,7 +301,10 @@ class ClTree {
   std::string Serialize() const;
 
   /// Restores a tree serialized by Serialize(). The same graph must be
-  /// supplied; only minimal consistency checks are performed.
+  /// supplied. The document must be in the form Serialize() writes: node 0
+  /// is the root, every other node's parent precedes it and has a smaller
+  /// core, each anchor list is strictly ascending, and every vertex is
+  /// anchored exactly once. Core numbers are not checked against the graph.
   static Result<ClTree> Deserialize(const AttributedGraph& g,
                                     const std::string& text);
 
@@ -324,10 +322,10 @@ class ClTree {
   friend struct snapshot::Access;
 
   /// Reorders an arbitrarily-built tree into canonical preorder, fills
-  /// subtree_end / subtree_sizes_ / vertex_node_ and the inverted lists
-  /// (per-node, in parallel when `pool` is non-null).
+  /// subtree_end / subtree_sizes_ / vertex_node_ and writes the inverted
+  /// lists in one keyword-major pass over the graph.
   void Finalize(const AttributedGraph& g, std::vector<ClTreeRawNode> raw_nodes,
-                ClNodeId raw_root, ThreadPool* pool = nullptr);
+                ClNodeId raw_root);
 
   /// Replacement lists of one repaired node. The node's directory spans
   /// are re-pointed here, so every span-based reader (SubtreeVertices,

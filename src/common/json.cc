@@ -325,6 +325,47 @@ class Parser {
     return Status::Ok();
   }
 
+  /// Reads the four hex digits of a \u escape into `*code`.
+  Status ParseHex4(unsigned* code) {
+    if (pos_ + 4 > text_.size()) {
+      return Status::ParseError("truncated \\u escape");
+    }
+    *code = 0;
+    for (int i = 0; i < 4; ++i) {
+      char h = text_[pos_++];
+      *code <<= 4;
+      if (h >= '0' && h <= '9') {
+        *code |= static_cast<unsigned>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        *code |= static_cast<unsigned>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        *code |= static_cast<unsigned>(h - 'A' + 10);
+      } else {
+        return Status::ParseError("bad \\u escape");
+      }
+    }
+    return Status::Ok();
+  }
+
+  /// UTF-8 encoding of one code point (at most U+10FFFF, not a surrogate).
+  static void AppendUtf8(unsigned code, std::string* out) {
+    if (code < 0x80) {
+      *out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      *out += static_cast<char>(0xC0 | (code >> 6));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      *out += static_cast<char>(0xE0 | (code >> 12));
+      *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      *out += static_cast<char>(0xF0 | (code >> 18));
+      *out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    }
+  }
+
   Status ParseString(std::string* out) {
     if (!Consume('"')) return Status::ParseError("expected '\"'");
     out->clear();
@@ -360,34 +401,26 @@ class Parser {
             *out += '\f';
             break;
           case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return Status::ParseError("truncated \\u escape");
-            }
             unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return Status::ParseError("bad \\u escape");
+            CEXPLORER_RETURN_IF_ERROR(ParseHex4(&code));
+            if (code >= 0xDC00 && code <= 0xDFFF) {
+              return Status::ParseError("lone low surrogate in \\u escape");
+            }
+            if (code >= 0xD800 && code <= 0xDBFF) {
+              // A high surrogate must be followed by a \u low surrogate;
+              // the pair names one code point above the BMP.
+              unsigned low = 0;
+              if (text_.substr(pos_, 2) != "\\u") {
+                return Status::ParseError("lone high surrogate in \\u escape");
               }
+              pos_ += 2;
+              CEXPLORER_RETURN_IF_ERROR(ParseHex4(&low));
+              if (low < 0xDC00 || low > 0xDFFF) {
+                return Status::ParseError("lone high surrogate in \\u escape");
+              }
+              code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
             }
-            // UTF-8 encode (BMP only; surrogate pairs kept as-is).
-            if (code < 0x80) {
-              *out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              *out += static_cast<char>(0xC0 | (code >> 6));
-              *out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              *out += static_cast<char>(0xE0 | (code >> 12));
-              *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              *out += static_cast<char>(0x80 | (code & 0x3F));
-            }
+            AppendUtf8(code, out);
             break;
           }
           default:

@@ -3,7 +3,8 @@
 // JsonWriter is a streaming writer used to render responses; JsonValue is a
 // small DOM with a recursive-descent parser, sufficient for request bodies
 // and for round-trip testing. Neither aims at full RFC 8259 coverage
-// (numbers are doubles; \uXXXX escapes outside the BMP are not combined).
+// (numbers are doubles). A \uXXXX surrogate pair decodes to the 4-byte
+// UTF-8 encoding of its code point; a lone surrogate is a ParseError.
 
 #ifndef CEXPLORER_COMMON_JSON_H_
 #define CEXPLORER_COMMON_JSON_H_

@@ -83,8 +83,7 @@ namespace internal {
 std::size_t PickChunkSize(std::size_t n, std::size_t grain) {
   if (grain == 0) grain = 1;
   // ~64 chunks per loop: enough slack for load balancing on any sane pool
-  // size while keeping claim overhead negligible. Intentionally NOT a
-  // function of thread count — see the determinism note in the header.
+  // size while keeping claim overhead negligible.
   const std::size_t target = n / 64 + 1;
   return std::max(grain, target);
 }

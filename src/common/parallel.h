@@ -1,13 +1,16 @@
-// The parallel execution core: a fixed-size thread pool plus the
-// ParallelFor / ParallelReduce helpers every parallel code path in the
-// library is written against.
+// The server's worker pool: a fixed-size thread pool plus the ParallelFor
+// helper the /v1/batch fan-out is written against.
+//
+// Parallelism comes only from the worker pool, never from work inside a
+// single request: /v1/batch entries, jobs and CExplorerServer::SubmitAsync
+// run on it, while a search, a core decomposition or a CL-tree build runs
+// on the thread that asked for it.
 //
 // Design notes:
 //   * The pool is deliberately work-stealing-free: tasks go through one
-//     mutex-guarded queue. Every hot loop in this library is a flat range
-//     (vertices, CL-tree nodes, keyword candidates) that ParallelFor chops
-//     into chunks claimed from a single atomic cursor, so queue contention
-//     is one enqueue per worker per loop, not per item.
+//     mutex-guarded queue. ParallelFor chops a flat range into chunks
+//     claimed from a single atomic cursor, so queue contention is one
+//     enqueue per worker per loop, not per item.
 //   * The calling thread participates: ParallelFor claims chunks on the
 //     caller too, so a loop makes progress even when every worker is busy
 //     with someone else's loop, and a pool of 0 threads degenerates to the
@@ -15,23 +18,19 @@
 //   * Nested ParallelFor calls run inline on the worker that issued them
 //     (detected via a thread-local flag). This cannot deadlock: a worker
 //     never blocks waiting for pool capacity.
-//   * Determinism: chunk boundaries depend only on (range, grain), never on
-//     thread count or timing, so ParallelReduce combines per-chunk results
-//     in ascending chunk order and yields bit-identical results for any
-//     pool size — including floating-point reductions.
 //
 // Exception propagation rules:
-//   * A body passed to ParallelFor / ParallelReduce may throw. The FIRST
-//     exception (in completion order) is captured; the loop stops claiming
-//     new chunks, drains already-running chunks, and rethrows the captured
-//     exception on the calling thread. Later exceptions are swallowed.
+//   * A body passed to ParallelFor may throw. The FIRST exception (in
+//     completion order) is captured; the loop stops claiming new chunks,
+//     drains already-running chunks, and rethrows the captured exception
+//     on the calling thread. Later exceptions are swallowed.
 //   * Work submitted directly through ThreadPool::Submit must not throw:
 //     there is nowhere to deliver the exception, so the task wrapper
 //     terminates the process (fail fast beats silent loss).
 //
-// Pool sizing: DefaultPool() is a process-wide lazily-created pool sized by
-// the CEXPLORER_THREADS environment variable when set (0 or 1 disables
-// parallelism), else std::thread::hardware_concurrency().
+// Pool sizing: DefaultThreadCount() reads the CEXPLORER_THREADS environment
+// variable when set (0 runs every batch entry and job inline on the
+// caller), else std::thread::hardware_concurrency().
 
 #ifndef CEXPLORER_COMMON_PARALLEL_H_
 #define CEXPLORER_COMMON_PARALLEL_H_
@@ -86,15 +85,15 @@ class ThreadPool {
   std::vector<std::thread> threads_;
 };
 
-/// The process-wide default pool, created on first use and never destroyed
-/// (workers are idle when unused; tearing a pool down during static
-/// destruction races with late tasks). Sized by CEXPLORER_THREADS when set,
-/// else hardware_concurrency(). Returns nullptr when that size is <= 1 —
-/// callers treat nullptr as "run sequentially".
-ThreadPool* DefaultPool();
-
-/// The thread count DefaultPool() was (or would be) sized with.
+/// The thread count worker pools are sized with: CEXPLORER_THREADS when
+/// set, else hardware_concurrency().
 std::size_t DefaultThreadCount();
+
+/// A process-wide pool of DefaultThreadCount() threads, created on first
+/// use and never destroyed; nullptr when that count is <= 1. Nothing in the
+/// library uses it: it stays only because the end-to-end benchmark harness
+/// passes it to the pinned overloads (e2ebench/e2e.cc:596, :1019, :1023).
+ThreadPool* DefaultPool();
 
 namespace internal {
 
@@ -107,9 +106,6 @@ void ParallelForChunked(std::size_t begin, std::size_t end,
 
 /// Chunk size for n items: at least `grain`, and coarse enough that the
 /// range yields a bounded number of chunks (amortizing the atomic claim).
-/// Depends only on (n, grain) — NEVER on thread count — which is what
-/// makes ParallelReduce's chunking (and thus floating-point reductions)
-/// identical across pool sizes.
 std::size_t PickChunkSize(std::size_t n, std::size_t grain);
 
 }  // namespace internal
@@ -133,37 +129,6 @@ void ParallelFor(std::size_t begin, std::size_t end, ThreadPool* pool,
                                [&body](std::size_t lo, std::size_t hi) {
                                  for (std::size_t i = lo; i < hi; ++i) body(i);
                                });
-}
-
-/// Parallel reduction over [begin, end): `map`(lo, hi) produces one partial
-/// result per chunk, combined left-to-right in chunk order by
-/// `reduce`(acc, partial) starting from `identity`. Chunking depends only
-/// on the range and `grain`, so the result is identical for every pool
-/// size (sequential included). Rethrows the first exception from `map`.
-template <typename T, typename MapFn, typename ReduceFn>
-T ParallelReduce(std::size_t begin, std::size_t end, T identity, MapFn&& map,
-                 ReduceFn&& reduce, ThreadPool* pool, std::size_t grain = 1) {
-  const std::size_t n = end > begin ? end - begin : 0;
-  if (n == 0) return identity;
-  const std::size_t threads = pool == nullptr ? 0 : pool->num_threads();
-  const std::size_t chunk = internal::PickChunkSize(n, grain);
-  const std::size_t num_chunks = (n + chunk - 1) / chunk;
-  if (threads == 0 || num_chunks <= 1 || ThreadPool::InWorker()) {
-    T acc = std::move(identity);
-    for (std::size_t lo = begin; lo < end; lo += chunk) {
-      acc = reduce(std::move(acc), map(lo, std::min(lo + chunk, end)));
-    }
-    return acc;
-  }
-  std::vector<T> partials(num_chunks, identity);
-  internal::ParallelForChunked(
-      begin, end, chunk, pool,
-      [&](std::size_t lo, std::size_t hi) {
-        partials[(lo - begin) / chunk] = map(lo, hi);
-      });
-  T acc = std::move(identity);
-  for (auto& partial : partials) acc = reduce(std::move(acc), std::move(partial));
-  return acc;
 }
 
 }  // namespace cexplorer

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
-#include <memory>
 
 #include "common/bitset.h"
 #include "graph/traversal.h"
@@ -61,116 +59,8 @@ std::vector<std::uint32_t> CoreDecomposition(const Graph& g) {
   return core;
 }
 
-std::vector<std::uint32_t> CoreDecomposition(const Graph& g,
-                                             ThreadPool* pool) {
-  const std::size_t n = g.num_vertices();
-  // Below this size the per-level scans cost more than BZ's single pass.
-  // Same when the caller is itself a pool worker: the inner loops would
-  // all run inline (nested-loop rule), leaving the scan overhead with no
-  // parallelism to pay for it — sequential BZ is strictly better there.
-  if (pool == nullptr || pool->num_threads() == 0 || n < 4096 ||
-      ThreadPool::InWorker()) {
-    return CoreDecomposition(g);
-  }
-
-  std::vector<std::uint32_t> core(n, 0);
-  // Residual degree, decremented atomically as neighbours peel away, and a
-  // "peeled" flag set exactly once — either by the level scan (which owns
-  // a disjoint vertex range per chunk) or by the unique decrement that
-  // crosses the current level.
-  std::unique_ptr<std::atomic<std::int64_t>[]> degree(
-      new std::atomic<std::int64_t>[n]);
-  std::unique_ptr<std::atomic<bool>[]> peeled(new std::atomic<bool>[n]);
-  ParallelFor(
-      0, n, pool,
-      [&](std::size_t v) {
-        degree[v].store(static_cast<std::int64_t>(g.Degree(v)),
-                        std::memory_order_relaxed);
-        peeled[v].store(false, std::memory_order_relaxed);
-      },
-      /*grain=*/2048);
-
-  auto concat = [](std::vector<VertexId> acc, std::vector<VertexId> part) {
-    acc.insert(acc.end(), part.begin(), part.end());
-    return acc;
-  };
-
-  // One level scan also reports the minimum residual degree among the
-  // survivors it skipped, so empty levels are jumped over in one step
-  // instead of paying an O(n) scan per level value (a dense core after a
-  // sparse periphery would otherwise cost hundreds of no-op scans).
-  struct Scan {
-    std::vector<VertexId> frontier;
-    std::int64_t min_survivor = std::numeric_limits<std::int64_t>::max();
-  };
-
-  std::size_t remaining = n;
-  std::int64_t level = 0;
-  while (remaining > 0) {
-    // Initial frontier of this level. No peel tasks are in flight here, so
-    // the relaxed loads observe settled values; each vertex is examined by
-    // exactly one chunk, which also claims it by setting the flag.
-    Scan scan = ParallelReduce<Scan>(
-        0, n, {},
-        [&](std::size_t lo, std::size_t hi) {
-          Scan out;
-          for (std::size_t v = lo; v < hi; ++v) {
-            if (peeled[v].load(std::memory_order_relaxed)) continue;
-            const std::int64_t d = degree[v].load(std::memory_order_relaxed);
-            if (d <= level) {
-              peeled[v].store(true, std::memory_order_relaxed);
-              out.frontier.push_back(static_cast<VertexId>(v));
-            } else {
-              out.min_survivor = std::min(out.min_survivor, d);
-            }
-          }
-          return out;
-        },
-        [&concat](Scan acc, Scan part) {
-          acc.frontier = concat(std::move(acc.frontier),
-                                std::move(part.frontier));
-          acc.min_survivor = std::min(acc.min_survivor, part.min_survivor);
-          return acc;
-        },
-        pool, /*grain=*/2048);
-    std::vector<VertexId> frontier = std::move(scan.frontier);
-    if (frontier.empty()) {
-      if (scan.min_survivor == std::numeric_limits<std::int64_t>::max()) {
-        break;  // nothing left (defensive; remaining should be 0)
-      }
-      level = scan.min_survivor;
-      continue;
-    }
-
-    // Peel in sub-rounds: removing the frontier may drop further vertices
-    // to this level; they form the next sub-frontier. A neighbour joins
-    // exactly once — fetch_sub decrements by 1, so exactly one thread
-    // observes the value crossing `level`.
-    while (!frontier.empty()) {
-      remaining -= frontier.size();
-      frontier = ParallelReduce<std::vector<VertexId>>(
-          0, frontier.size(), {},
-          [&](std::size_t lo, std::size_t hi) {
-            std::vector<VertexId> out;
-            for (std::size_t i = lo; i < hi; ++i) {
-              const VertexId v = frontier[i];
-              core[v] = static_cast<std::uint32_t>(level);
-              for (VertexId u : g.Neighbors(v)) {
-                if (peeled[u].load(std::memory_order_relaxed)) continue;
-                if (degree[u].fetch_sub(1, std::memory_order_relaxed) - 1 ==
-                    level) {
-                  peeled[u].store(true, std::memory_order_relaxed);
-                  out.push_back(u);
-                }
-              }
-            }
-            return out;
-          },
-          concat, pool, /*grain=*/64);
-    }
-    ++level;
-  }
-  return core;
+std::vector<std::uint32_t> CoreDecomposition(const Graph& g, ThreadPool*) {
+  return CoreDecomposition(g);
 }
 
 std::vector<std::uint32_t> CoreDecompositionNaive(const Graph& g) {

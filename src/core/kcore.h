@@ -12,23 +12,19 @@
 #include <span>
 #include <vector>
 
-#include "common/parallel.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 
 namespace cexplorer {
 
+class ThreadPool;
+
 /// Core number of every vertex, computed by Batagelj-Zaversnik bucket
 /// peeling in O(n + m) time and O(n) extra space.
 std::vector<std::uint32_t> CoreDecomposition(const Graph& g);
 
-/// Parallel core decomposition: level-synchronous frontier peeling (the
-/// ParK scheme) — for each level k, all vertices whose residual degree has
-/// dropped to <= k are peeled together in parallel sub-rounds with atomic
-/// degree decrements. Core numbers are a function of the graph alone, so
-/// the result is identical to CoreDecomposition(g) for every pool size;
-/// a null/empty `pool` (or a tiny graph) falls back to the sequential
-/// bucket peel.
+/// Forwards to CoreDecomposition(g) and ignores `pool`. Kept only for the
+/// benchmark harness's call (e2ebench/e2e.cc:1019).
 std::vector<std::uint32_t> CoreDecomposition(const Graph& g, ThreadPool* pool);
 
 /// Reference implementation: iterative min-degree peeling with explicit

@@ -8,7 +8,6 @@
 #include <unordered_set>
 
 #include "cltree/cltree.h"
-#include "common/parallel.h"
 #include "common/simd/simd.h"
 #include "common/strings.h"
 #include "graph/attributed_graph.h"
@@ -604,7 +603,7 @@ Result<DatasetPtr> Mutator::PublishOverlayLocked(const RepairPlan& plan) {
     // to the tree construction, not a full re-peel; the deterministic
     // builder makes the result byte-identical to a from-scratch rebuild.
     tree = ClTree::Build(snap->graph, *snap->cores,
-                         ClTreeBuildMethod::kAdvanced, DefaultPool());
+                         ClTreeBuildMethod::kAdvanced);
     if (cltree_repair_enabled_) ++stats_.cltree_rebuild_fallbacks;
     w.tree_patch_postings = 0;
   }
@@ -711,8 +710,7 @@ Result<DatasetPtr> Mutator::CompactLocked() {
   // posting-patch overlays repairs had stacked onto the served tree.
   stats_.last_fold_patched_nodes = w.published->index().num_patched_nodes();
   stats_.last_fold_postings = w.tree_patch_postings;
-  ClTree tree = ClTree::Build(*graph, cores, ClTreeBuildMethod::kAdvanced,
-                              DefaultPool());
+  ClTree tree = ClTree::Build(*graph, cores, ClTreeBuildMethod::kAdvanced);
   DatasetPtr compacted =
       Access::MakeOwnedDataset(std::move(graph), std::move(cores),
                                std::move(tree),

@@ -6,7 +6,6 @@
 #include "algos/girvan_newman.h"
 #include "algos/global.h"
 #include "algos/local.h"
-#include "common/parallel.h"
 #include "common/strings.h"
 
 namespace cexplorer {
@@ -99,9 +98,7 @@ Result<AlgorithmOutput> AcqSearchAlgorithm::Run(ExecContext& ctx) {
     }
   }
 
-  // Candidate verification fans across the shared default pool; results
-  // are identical to the sequential engine, so every caller gets it.
-  AcqEngine engine(ctx.view.graph, ctx.view.index, DefaultPool());
+  AcqEngine engine(ctx.view.graph, ctx.view.index);
   auto result = engine.SearchMulti(vertices.value(), ctx.query.k,
                                    std::move(keyword_ids), variant,
                                    ctx.control);

@@ -2,10 +2,10 @@
 
 #include <atomic>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <utility>
 
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/kcore.h"
 #include "graph/io.h"
@@ -34,15 +34,13 @@ Result<DatasetPtr> Dataset::Build(AttributedGraph graph) {
   auto dataset = std::shared_ptr<Dataset>(new Dataset());
   dataset->graph_ =
       std::make_shared<const AttributedGraph>(std::move(graph));
-  // The expensive offline step runs on the shared pool (sized by
-  // CEXPLORER_THREADS); both parallel paths are bit-identical to the
-  // sequential ones, so snapshots are reproducible across pool sizes.
-  ThreadPool* pool = DefaultPool();
+  // The expensive offline step, on the calling thread: one core
+  // decomposition, whose result the CL-tree build reuses.
   dataset->core_store_ = std::make_shared<const std::vector<std::uint32_t>>(
-      CoreDecomposition(dataset->graph_->graph(), pool));
+      CoreDecomposition(dataset->graph_->graph()));
   dataset->core_span_ = *dataset->core_store_;
-  dataset->index_ =
-      ClTree::Build(*dataset->graph_, ClTreeBuildMethod::kAdvanced, pool);
+  dataset->index_ = ClTree::Build(*dataset->graph_, dataset->core_span_,
+                                  ClTreeBuildMethod::kAdvanced);
   g_index_builds.fetch_add(1, std::memory_order_relaxed);
   dataset->id_ = g_next_dataset_id.fetch_add(1, std::memory_order_relaxed);
   dataset->graph_epoch_ = dataset->id_;  // a fresh graph is a fresh epoch

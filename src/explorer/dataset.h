@@ -49,8 +49,9 @@ using DatasetPtr = std::shared_ptr<const Dataset>;
 /// synchronized), so it is safe to share across threads without locking.
 class Dataset {
  public:
-  /// Builds a dataset from an in-memory graph: core decomposition +
-  /// CL-tree construction (the expensive offline step).
+  /// Builds a dataset from an in-memory graph on the calling thread: one
+  /// core decomposition, then the CL-tree over those cores (the expensive
+  /// offline step).
   static Result<DatasetPtr> Build(AttributedGraph graph);
 
   /// Loads an attributed graph file (graph/io.h format) and builds.
@@ -90,7 +91,8 @@ class Dataset {
   bool is_overlay() const { return overlay_; }
 
   /// Always PostingFormat::kRaw. Kept only because the benchmark harness
-  /// passes its result to ClTree::Build; nothing branches on it.
+  /// passes its result to ClTree::Build (e2ebench/e2e.cc:1024); nothing
+  /// branches on it.
   static PostingFormat DefaultPostingFormat();
 
   // --- Read-only views ----------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -498,6 +499,31 @@ TEST_F(ApiFixture, AliasEquivalenceForAdminRoutes) {
             load_v1.Get("loaded").AsString());
   EXPECT_EQ(load_v1.Get("dataset_id").AsInt(),
             load_legacy.Get("dataset_id").AsInt() + 1);
+}
+
+TEST_F(ApiFixture, LoadIndexRejectsCyclicTree) {
+  // Nodes 1 and 2 name each other as parent: every range and anchoring
+  // check passes, but neither node is reachable from the root.
+  const std::string path = ::testing::TempDir() + "/api_cyclic.cl";
+  {
+    std::ofstream out(path);
+    out << "cltree 3 10\nn 0 - 0 1 2 3\nn 2 2 4 5 6\nn 3 1 7 8 9\n";
+  }
+  EXPECT_EQ(ErrorCode("POST /v1/load_index?path=" + UrlEncode(path), 400),
+            "INVALID_ARGUMENT");
+  JsonValue search = GetJson("GET /v1/search?name=a&k=2");
+  EXPECT_FALSE(search.Get("communities").Items().empty());
+}
+
+TEST_F(ApiFixture, SurrogatePairNameRoundTrip) {
+  // The JSON body spells U+1F600 as a surrogate pair; the stored name is
+  // its 4-byte UTF-8 encoding, which a percent-encoded lookup finds.
+  JsonValue added = GetJson(
+      "POST /v1/vertices\n\n"
+      "{\"vertices\": [{\"name\": \"\\ud83d\\ude00 ada\"}]}");
+  EXPECT_EQ(added.Get("vertices_added").AsInt(), 1);
+  JsonValue author = GetJson("GET /v1/author?name=%F0%9F%98%80%20ada");
+  EXPECT_EQ(author.Get("name").AsString(), "\xF0\x9F\x98\x80 ada");
 }
 
 // --------------------------------------------------------------------------

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "cltree/cltree.h"
 #include "common/rng.h"
+#include "common/simd/simd.h"
 #include "core/kcore.h"
 #include "graph/fixtures.h"
 #include "graph/traversal.h"
@@ -58,6 +60,45 @@ void ExpectTreesEqual(const ClTree& a, const ClTree& b) {
     EXPECT_EQ(ToVec(a.node(i).vertices), ToVec(b.node(i).vertices))
         << "node " << i;
     EXPECT_EQ(a.node(i).subtree_end, b.node(i).subtree_end) << "node " << i;
+  }
+}
+
+/// Oracle for Finalize's inverted lists: every node's keywords, posting
+/// lists, offsets and bloom, recomputed from its anchored vertices, and the
+/// vertex -> node map.
+void ExpectInvertedListsMatchAnchors(const AttributedGraph& g,
+                                     const ClTree& tree) {
+  std::size_t postings_before = 0;  // postings of the preceding nodes
+  for (ClNodeId i = 0; i < tree.num_nodes(); ++i) {
+    const ClTreeNode& node = tree.node(i);
+    std::map<KeywordId, VertexList> expected;  // keywords ascending
+    for (VertexId v : node.vertices) {
+      for (KeywordId kw : g.Keywords(v)) expected[kw].push_back(v);
+    }
+    ASSERT_EQ(node.inv_keywords.size(), expected.size()) << "node " << i;
+    ASSERT_EQ(node.inv_postings.size(), expected.size()) << "node " << i;
+    EXPECT_EQ(node.inv_postings.offsets[0], postings_before) << "node " << i;
+    std::uint64_t bloom = 0;
+    std::size_t slot = 0;
+    for (auto& [kw, list] : expected) {
+      std::sort(list.begin(), list.end());
+      EXPECT_EQ(node.inv_keywords[slot], kw) << "node " << i;
+      EXPECT_EQ(ToVec(node.inv_postings[slot]), list)
+          << "node " << i << " keyword " << kw;
+      bloom |= simd::BloomMask(kw);
+      postings_before += list.size();
+      ++slot;
+    }
+    EXPECT_EQ(node.inv_postings.offsets[slot], postings_before)
+        << "node " << i;
+    EXPECT_EQ(tree.NodeKeywordBloom(i), bloom) << "node " << i;
+  }
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const ClNodeId id = tree.NodeOf(v);
+    ASSERT_LT(id, tree.num_nodes()) << "vertex " << v;
+    const auto anchors = tree.node(id).vertices;
+    EXPECT_NE(std::find(anchors.begin(), anchors.end(), v), anchors.end())
+        << "vertex " << v;
   }
 }
 
@@ -242,6 +283,14 @@ TEST_P(ClTreeRandomTest, CountKeywordMatchesScan) {
   }
 }
 
+TEST_P(ClTreeRandomTest, InvertedListsMatchAnchoredKeywords) {
+  for (ClTreeBuildMethod method :
+       {ClTreeBuildMethod::kBasic, ClTreeBuildMethod::kAdvanced}) {
+    ClTree tree = ClTree::Build(graph_, method);
+    ExpectInvertedListsMatchAnchors(graph_, tree);
+  }
+}
+
 TEST_P(ClTreeRandomTest, SerializationRoundTrip) {
   ClTree tree = ClTree::Build(graph_);
   auto restored = ClTree::Deserialize(graph_, tree.Serialize());
@@ -250,6 +299,74 @@ TEST_P(ClTreeRandomTest, SerializationRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ClTreeRandomTest, ::testing::Range(0, 10));
+
+/// A K4, a keyword-less pair and a triangle, plus an isolated keyword-less
+/// vertex that leaves the root without keywords. With `keywords` false no
+/// vertex carries a keyword and the vocabulary is empty; otherwise the
+/// vocabulary also holds words that no vertex carries, at its first and
+/// last ids.
+AttributedGraph SparseKeywordGraph(bool keywords) {
+  AttributedGraphBuilder b;
+  auto kws = [&](std::vector<std::string> words) {
+    return keywords ? words : std::vector<std::string>{};
+  };
+  if (keywords) b.mutable_vocabulary()->Intern("unused-first");
+  b.AddVertex("iso", {});
+  b.AddVertex("k0", kws({"db"}));
+  b.AddVertex("k1", kws({"db", "ml"}));
+  b.AddVertex("k2", kws({"ml"}));
+  b.AddVertex("k3", kws({"db"}));
+  b.AddVertex("p0", {});
+  b.AddVertex("p1", {});
+  b.AddVertex("t0", kws({"ir"}));
+  b.AddVertex("t1", kws({"db", "ir"}));
+  b.AddVertex("t2", {});
+  if (keywords) b.mutable_vocabulary()->Intern("unused-last");
+  for (VertexId u = 1; u <= 4; ++u) {
+    for (VertexId v = u + 1; v <= 4; ++v) (void)b.AddEdge(u, v);
+  }
+  (void)b.AddEdge(5, 6);
+  (void)b.AddEdge(7, 8);
+  (void)b.AddEdge(8, 9);
+  (void)b.AddEdge(7, 9);
+  return b.Build();
+}
+
+TEST(ClTreeInvertedListTest, KeywordLessNodesAndUnusedWords) {
+  const AttributedGraph g = SparseKeywordGraph(true);
+  ASSERT_EQ(g.vocabulary().size(), 5u);
+  for (ClTreeBuildMethod method :
+       {ClTreeBuildMethod::kBasic, ClTreeBuildMethod::kAdvanced}) {
+    ClTree tree = ClTree::Build(g, method);
+    ASSERT_EQ(tree.num_nodes(), 4u);
+    EXPECT_EQ(ToVec(tree.node(0).vertices), (VertexList{0}));
+    EXPECT_TRUE(tree.node(0).inv_keywords.empty());
+    EXPECT_EQ(tree.NodeKeywordBloom(0), 0u);
+    // Preorder puts the keyword-less pair between two nodes with keywords.
+    EXPECT_EQ(ToVec(tree.node(2).vertices), (VertexList{5, 6}));
+    EXPECT_TRUE(tree.node(2).inv_keywords.empty());
+    ExpectInvertedListsMatchAnchors(g, tree);
+    for (const char* word : {"unused-first", "unused-last"}) {
+      const KeywordId kw = g.vocabulary().Find(word);
+      EXPECT_EQ(tree.CountKeyword(tree.root(), kw), 0u) << word;
+    }
+    auto restored = ClTree::Deserialize(g, tree.Serialize());
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    ExpectInvertedListsMatchAnchors(g, restored.value());
+  }
+}
+
+TEST(ClTreeInvertedListTest, EmptyVocabulary) {
+  const AttributedGraph g = SparseKeywordGraph(false);
+  ASSERT_EQ(g.vocabulary().size(), 0u);
+  ClTree tree = ClTree::Build(g);
+  ASSERT_EQ(tree.num_nodes(), 4u);
+  ExpectInvertedListsMatchAnchors(g, tree);
+  for (ClNodeId i = 0; i < tree.num_nodes(); ++i) {
+    EXPECT_TRUE(tree.node(i).inv_keywords.empty()) << "node " << i;
+    EXPECT_EQ(tree.NodeKeywordBloom(i), 0u) << "node " << i;
+  }
+}
 
 TEST(ClTreeSerializeTest, RejectsCorruptDocuments) {
   AttributedGraph g = Figure5Graph();
@@ -261,6 +378,29 @@ TEST(ClTreeSerializeTest, RejectsCorruptDocuments) {
   EXPECT_FALSE(
       ClTree::Deserialize(g, "cltree 2 10\nn 0 - 0 1 2 3 4 5 6 7 8 9\nn 1 0 0\n")
           .ok());
+  // Documents that pass the range and anchoring checks but are not in the
+  // preorder form Serialize writes, or whose header lies about its size.
+  for (const char* doc : {
+           // Nodes 1 and 2 name each other as parent.
+           "cltree 3 10\nn 0 - 0 1 2 3\nn 2 2 4 5 6\nn 3 1 7 8 9\n",
+           // Node 1 is its own parent.
+           "cltree 2 10\nn 0 - 0 1 2 3\nn 2 1 4 5 6 7 8 9\n",
+           // Node 1's parent follows it.
+           "cltree 3 10\nn 0 - 9\nn 2 2 0 1 2 3 4\nn 1 0 5 6 7 8\n",
+           // A second root.
+           "cltree 2 10\nn 0 - 0 1 2 3 4\nn 0 - 5 6 7 8 9\n",
+           // A child whose core is not above its parent's.
+           "cltree 2 10\nn 1 - 9\nn 1 0 0 1 2 3 4 5 6 7 8\n",
+           // Anchors out of order, and repeated within one node.
+           "cltree 2 10\nn 0 - 0 1 2 3\nn 2 0 9 8 7 6 5 4\n",
+           "cltree 2 10\nn 0 - 0 1 2 3\nn 2 0 4 4 5 6 7 8 9\n",
+           // A node count no allocation could hold.
+           "cltree 4000000000000000 10\nn 0 - 0 1 2 3\n",
+       }) {
+    EXPECT_FALSE(ClTree::Deserialize(g, doc).ok()) << doc;
+  }
+  // What Serialize writes still loads.
+  EXPECT_TRUE(ClTree::Deserialize(g, tree.Serialize()).ok());
   // Wrong graph (vertex count mismatch).
   AttributedGraphBuilder b;
   b.AddVertex("solo", {});

@@ -586,7 +586,7 @@ TEST(DeltaOverlayTest, MutationStatsReflectTheOverlay) {
 void ExpectTreeMatchesRebuild(const Dataset& dataset) {
   const ClTree& live = dataset.index();
   const ClTree fresh = ClTree::Build(dataset.graph(), dataset.core_numbers(),
-                                     ClTreeBuildMethod::kAdvanced, nullptr);
+                                     ClTreeBuildMethod::kAdvanced);
   ASSERT_EQ(live.num_nodes(), fresh.num_nodes());
   for (ClNodeId id = 0; id < fresh.num_nodes(); ++id) {
     const ClTreeNode& a = live.node(id);

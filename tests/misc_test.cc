@@ -77,6 +77,30 @@ TEST(JsonCornerTest, UnicodeEscapes) {
   EXPECT_EQ(v->AsString(), "A\xC3\xA9\xE4\xB8\xAD");  // A, é, 中 in UTF-8
 }
 
+TEST(JsonCornerTest, SurrogatePairDecodesToOneCodePoint) {
+  auto v = JsonValue::Parse(R"("\ud83d\ude00")");
+  ASSERT_TRUE(v.ok()) << v.status();
+  EXPECT_EQ(v->AsString(), "\xF0\x9F\x98\x80");  // U+1F600, not CESU-8
+  auto mixed = JsonValue::Parse(R"("a\uD83D\uDE00 \udbff\udfff")");
+  ASSERT_TRUE(mixed.ok()) << mixed.status();
+  EXPECT_EQ(mixed->AsString(), "a\xF0\x9F\x98\x80 \xF4\x8F\xBF\xBF");
+}
+
+TEST(JsonCornerTest, LoneSurrogatesRejected) {
+  for (const char* doc :
+       {R"("\ud83d")", R"("\ude00")", R"("\ud83dx")", R"("\ud83dA")",
+        R"("\ud83d\u0041")", R"("\ude00\ud83d")", R"("\ud83d\n")"}) {
+    EXPECT_FALSE(JsonValue::Parse(doc).ok()) << doc;
+  }
+}
+
+TEST(JsonCornerTest, BmpEscapesUnchanged) {
+  auto v = JsonValue::Parse(R"("\u0041\u00e9\u4e2d\u007f\ud7ff\ue000\uffff")");
+  ASSERT_TRUE(v.ok()) << v.status();
+  EXPECT_EQ(v->AsString(),
+            "A\xC3\xA9\xE4\xB8\xAD\x7F\xED\x9F\xBF\xEE\x80\x80\xEF\xBF\xBF");
+}
+
 TEST(JsonCornerTest, NumbersRoundTrip) {
   for (const char* doc : {"0", "-0.5", "1e10", "2.25", "-3"}) {
     auto v = JsonValue::Parse(doc);

@@ -1,8 +1,6 @@
-// Tests for the parallel execution subsystem: ThreadPool / ParallelFor /
-// ParallelReduce semantics (coverage, exceptions, nesting), and the
-// determinism contract — the parallel core decomposition, CL-tree build,
-// and ACQ algorithms must produce results identical to their sequential
-// oracles on random graphs, for a 1-thread and an N-thread pool alike.
+// Tests for the worker-pool primitives: ThreadPool / ParallelFor semantics
+// (coverage, exceptions, nesting), the DefaultPool sizing contract, and the
+// GraphBuilder counting-sort path.
 
 #include <gtest/gtest.h>
 
@@ -10,25 +8,18 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "acq/acq.h"
-#include "cltree/cltree.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "core/kcore.h"
-#include "data/dblp.h"
-#include "data/planted.h"
-#include "graph/generators.h"
 #include "graph/graph.h"
 
 namespace cexplorer {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ThreadPool / ParallelFor / ParallelReduce semantics
+// ThreadPool / ParallelFor semantics
 // ---------------------------------------------------------------------------
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
@@ -92,25 +83,6 @@ TEST(ParallelForTest, NestedCallsRunInlineWithoutDeadlock) {
   EXPECT_EQ(total.load(), 800);
 }
 
-TEST(ParallelReduceTest, SumMatchesSequentialForAnyPoolSize) {
-  constexpr std::size_t kN = 54321;
-  auto map = [](std::size_t lo, std::size_t hi) {
-    std::uint64_t s = 0;
-    for (std::size_t i = lo; i < hi; ++i) s += i;
-    return s;
-  };
-  auto reduce = [](std::uint64_t a, std::uint64_t b) { return a + b; };
-  const std::uint64_t expected = kN * (kN - 1) / 2;
-  EXPECT_EQ(ParallelReduce<std::uint64_t>(0, kN, 0, map, reduce, nullptr),
-            expected);
-  ThreadPool one(1);
-  EXPECT_EQ(ParallelReduce<std::uint64_t>(0, kN, 0, map, reduce, &one),
-            expected);
-  ThreadPool four(4);
-  EXPECT_EQ(ParallelReduce<std::uint64_t>(0, kN, 0, map, reduce, &four),
-            expected);
-}
-
 TEST(DefaultPoolTest, RespectsEnvironmentContract) {
   // DefaultThreadCount is fixed for the process; the pool either matches
   // it (> 1) or is null (sequential).
@@ -121,134 +93,6 @@ TEST(DefaultPoolTest, RespectsEnvironmentContract) {
   } else {
     ASSERT_NE(pool, nullptr);
     EXPECT_EQ(pool->num_threads(), threads);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Determinism: parallel algorithms vs sequential oracles
-// ---------------------------------------------------------------------------
-
-TEST(ParallelCoreDecompositionTest, MatchesSequentialOnRandomGraphs) {
-  ThreadPool one(1);
-  ThreadPool four(4);
-  // The parallel path engages above its small-graph cutoff (4096 vertices).
-  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    Graph er = ErdosRenyi(6000, 24000, seed);
-    Graph ba = BarabasiAlbert(5000, 4, seed);
-    for (const Graph* g : {&er, &ba}) {
-      const auto expected = CoreDecomposition(*g);
-      EXPECT_EQ(CoreDecomposition(*g, &one), expected) << "seed " << seed;
-      EXPECT_EQ(CoreDecomposition(*g, &four), expected) << "seed " << seed;
-    }
-  }
-}
-
-TEST(ParallelCoreDecompositionTest, SmallGraphFallbackMatches) {
-  ThreadPool four(4);
-  Graph g = WattsStrogatz(500, 6, 0.1, 7);
-  EXPECT_EQ(CoreDecomposition(g, &four), CoreDecomposition(g));
-}
-
-TEST(ParallelClTreeBuildTest, SerializedTreesAreByteIdentical) {
-  ThreadPool one(1);
-  ThreadPool four(4);
-  DblpOptions options;
-  options.num_authors = 5000;
-  options.num_areas = 12;
-  options.vocabulary_size = 600;
-  options.seed = 42;
-  DblpDataset data = GenerateDblp(options);
-  for (ClTreeBuildMethod method :
-       {ClTreeBuildMethod::kBasic, ClTreeBuildMethod::kAdvanced}) {
-    const std::string expected =
-        ClTree::Build(data.graph, method, nullptr).Serialize();
-    EXPECT_EQ(ClTree::Build(data.graph, method, &one).Serialize(), expected);
-    EXPECT_EQ(ClTree::Build(data.graph, method, &four).Serialize(), expected);
-  }
-}
-
-TEST(ParallelClTreeBuildTest, InvertedListsMatchSequential) {
-  ThreadPool four(4);
-  DblpOptions options;
-  options.num_authors = 3000;
-  options.seed = 9;
-  DblpDataset data = GenerateDblp(options);
-  ClTree seq = ClTree::Build(data.graph, ClTreeBuildMethod::kAdvanced);
-  ClTree par =
-      ClTree::Build(data.graph, ClTreeBuildMethod::kAdvanced, &four);
-  ASSERT_EQ(seq.num_nodes(), par.num_nodes());
-  for (ClNodeId i = 0; i < seq.num_nodes(); ++i) {
-    // The inverted lists are span views into the tree-wide arenas; compare
-    // their contents slot by slot.
-    const auto& seq_kws = seq.node(i).inv_keywords;
-    const auto& par_kws = par.node(i).inv_keywords;
-    ASSERT_EQ(seq_kws.size(), par_kws.size()) << i;
-    for (std::size_t k = 0; k < seq_kws.size(); ++k) {
-      ASSERT_EQ(seq_kws[k], par_kws[k]) << i;
-      const auto seq_postings = seq.node(i).inv_postings[k];
-      const auto par_postings = par.node(i).inv_postings[k];
-      ASSERT_TRUE(std::equal(seq_postings.begin(), seq_postings.end(),
-                             par_postings.begin(), par_postings.end()))
-          << i;
-    }
-    const auto seq_vertices = seq.node(i).vertices;
-    const auto par_vertices = par.node(i).vertices;
-    ASSERT_TRUE(std::equal(seq_vertices.begin(), seq_vertices.end(),
-                           par_vertices.begin(), par_vertices.end()))
-        << i;
-  }
-  for (VertexId v = 0; v < data.graph.num_vertices(); ++v) {
-    ASSERT_EQ(seq.NodeOf(v), par.NodeOf(v)) << v;
-  }
-}
-
-TEST(ParallelAcqTest, AllAlgorithmsMatchSequentialOracle) {
-  ThreadPool one(1);
-  ThreadPool four(4);
-  DblpOptions options;
-  options.num_authors = 2500;
-  options.num_areas = 10;
-  options.vocabulary_size = 400;
-  options.seed = 2017;
-  DblpDataset data = GenerateDblp(options);
-  ClTree tree = ClTree::Build(data.graph);
-
-  AcqEngine sequential(&data.graph, &tree, nullptr);
-  AcqEngine with_one(&data.graph, &tree, &one);
-  AcqEngine with_four(&data.graph, &tree, &four);
-
-  // A handful of query authors with non-trivial keyword sets.
-  std::vector<VertexId> queries;
-  for (VertexId v = 0; v < data.graph.num_vertices() && queries.size() < 6;
-       v += 97) {
-    if (data.graph.Keywords(v).size() >= 4 && tree.CoreOf(v) >= 2) {
-      queries.push_back(v);
-    }
-  }
-  ASSERT_FALSE(queries.empty());
-
-  for (VertexId q : queries) {
-    auto wq = data.graph.Keywords(q);
-    KeywordList S(wq.begin(),
-                  wq.begin() + std::min<std::size_t>(wq.size(), 5));
-    for (AcqAlgorithm algo :
-         {AcqAlgorithm::kIncS, AcqAlgorithm::kIncT, AcqAlgorithm::kDec}) {
-      auto expected = sequential.Search(q, 2, S, algo);
-      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-      for (AcqEngine* engine : {&with_one, &with_four}) {
-        auto result = engine->Search(q, 2, S, algo);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        EXPECT_EQ(result->communities, expected->communities)
-            << AcqAlgorithmName(algo) << " q=" << q;
-        // Stats merge additively: parallel totals equal sequential ones.
-        EXPECT_EQ(result->stats.candidates_generated,
-                  expected->stats.candidates_generated);
-        EXPECT_EQ(result->stats.candidates_verified,
-                  expected->stats.candidates_verified);
-        EXPECT_EQ(result->stats.support_pruned,
-                  expected->stats.support_pruned);
-      }
-    }
   }
 }
 
