@@ -13,20 +13,9 @@
 //   $ ./bench_mutations
 //
 // Emits BENCH_JSON lines:
-//   mutation_single_ms       one-edge batch end to end (publish-bound; with
-//                            the incremental CL-tree repair the index cost
-//                            is proportional to the touched nodes, not n)
-//   mutation_batch64_ms      64-edge batch (repair + tree patch amortized)
-//   publish_p50_rebuild_1edge  one-edge publish p50 with the tree repair
-//                              disabled (every publish rebuilds the CL-tree
-//                              from scratch — the pre-repair floor)
-//   publish_p50_repair_1edge   the same publishes with the repair enabled
-//   publish_speedup_1edge    rebuild p50 / repair p50 (the perf gate of the
-//                            incremental-maintenance path)
-//   publish_core_repair_ms   per-publish phase breakdown of a repaired
-//   publish_index_repair_ms  publish: incremental k-core maintenance, tree
-//   publish_arena_copy_ms    repair, overlay arena copies, and the CAS
-//   publish_cas_ms           install itself
+//   mutation_single_ms       one-edge batch end to end (publish-bound: every
+//                            publish builds the CL-tree)
+//   mutation_batch64_ms      64-edge batch (one tree build amortized)
 //   mutation_ops_per_sec     sustained single-edge batches per second
 //   mutation_query_p50_static  repeated-query p50, quiescent owned dataset
 //   mutation_query_p50_live    the same queries while a mutator thread
@@ -41,7 +30,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,7 +37,6 @@
 #include "bench/bench_common.h"
 #include "common/timer.h"
 #include "data/dblp.h"
-#include "delta/delta.h"
 #include "graph/attributed_graph.h"
 #include "server/http.h"
 #include "server/server.h"
@@ -78,44 +65,6 @@ struct EdgeStream {
       state = state * 6364136223846793005ull + 1442695040888963407ull;
       const VertexId v = static_cast<VertexId>((state >> 33) % n);
       if (u != v) return {u, v};
-    }
-  }
-};
-
-/// Deterministic stream of tree-neutral edges: closes triangles through a
-/// common neighbor `w` with core(w) >= K = min(core(u), core(v)). Both
-/// endpoints then share their K-core component via w (the edges (w,u) and
-/// (w,v) lie inside the K-core subgraph), so inserting (u, v) is internal
-/// to the component and removing it again leaves the u-w-v witness path —
-/// exactly the certificates the incremental CL-tree repair requires.
-/// Triadic closure is also the realistic growth pattern of a collaboration
-/// network: new co-authorships overwhelmingly form inside communities, not
-/// between random strangers in different areas.
-struct NeutralEdgeStream {
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  const Graph& g;
-  std::span<const std::uint32_t> core;
-
-  NeutralEdgeStream(const Graph& graph, std::span<const std::uint32_t> cores)
-      : g(graph), core(cores) {}
-
-  std::uint64_t NextRand() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return state >> 33;
-  }
-
-  std::pair<VertexId, VertexId> Next() {
-    for (;;) {
-      const VertexId w =
-          static_cast<VertexId>(NextRand() % g.num_vertices());
-      const std::span<const VertexId> nbrs = g.Neighbors(w);
-      if (nbrs.size() < 2) continue;
-      const VertexId u = nbrs[NextRand() % nbrs.size()];
-      const VertexId v = nbrs[NextRand() % nbrs.size()];
-      if (u == v) continue;
-      if (core[w] < std::min(core[u], core[v])) continue;
-      if (g.HasEdge(u, v)) continue;
-      return {u, v};
     }
   }
 };
@@ -193,121 +142,6 @@ int Run() {
   std::printf("64-edge batch:   %8.3f ms  (%.3f ms/edge amortized)\n",
               batch64_ms, batch64_ms / 64.0);
   bench::EmitJsonLine("mutation_batch64_ms", n, m, 1, batch64_ms);
-
-  // --- Publish-latency breakdown + incremental-repair speedup -------------
-  // One-edge publishes measured twice in the same process: with the
-  // incremental CL-tree repair disabled (every publish rebuilds the index
-  // from scratch — the pre-repair floor) and enabled (the publish patches
-  // the live tree in place). Both arms replay the identical triangle-
-  // closing edge sequence (each arm constructs its own stream from the
-  // same seed), and every add is undone by its remove, so the arms measure
-  // the same workload against the same graph state.
-  auto publish_p50 = [&](NeutralEdgeStream* edges, int rounds) {
-    std::vector<double> latencies;
-    latencies.reserve(static_cast<std::size_t>(rounds) * 2);
-    for (int r = 0; r < rounds; ++r) {
-      std::vector<std::pair<VertexId, VertexId>> one = {edges->Next()};
-      const std::string body = EdgesBody(one);
-      for (const char* method : {"POST", "DELETE"}) {
-        Timer timer;
-        HttpResponse response =
-            server.Handle(std::string(method) + " /v1/edges\n\n" + body);
-        latencies.push_back(timer.ElapsedMillis());
-        if (response.code != 200) {
-          std::printf("publish failed (%d): %s\n", response.code,
-                      response.body.c_str());
-          std::abort();
-        }
-      }
-    }
-    return P50(&latencies);
-  };
-
-  const Graph& base_graph = dataset->graph().graph();
-  std::span<const std::uint32_t> base_cores = dataset->core_numbers();
-
-  server.service().SetClTreeRepairEnabled(false);
-  NeutralEdgeStream rebuild_edges(base_graph, base_cores);
-  (void)publish_p50(&rebuild_edges, 2);  // warmup the rebuild path
-  const double p50_rebuild = publish_p50(&rebuild_edges, 12);
-
-  // Repair arm: even triangle-closing edges occasionally move a core
-  // number (densifying an already-tight community), and such a publish
-  // must rebuild for correctness — the certificate gate is doing its job.
-  // Each publish is therefore classified by the stats delta (repaired vs
-  // rebuild fallback) and the repaired-publish p50 reported next to the
-  // hit rate, sampling until enough repaired publishes accumulate.
-  server.service().SetClTreeRepairEnabled(true);
-  NeutralEdgeStream repair_edges(base_graph, base_cores);
-  (void)publish_p50(&repair_edges, 2);  // warmup the repair path
-  constexpr std::size_t kRepairSamples = 24;
-  constexpr int kMaxRepairRounds = 96;
-  std::vector<double> repaired_lat;
-  std::vector<double> fallback_lat;
-  double core_sum = 0.0, index_sum = 0.0, arena_sum = 0.0, cas_sum = 0.0;
-  for (int r = 0;
-       r < kMaxRepairRounds && repaired_lat.size() < kRepairSamples; ++r) {
-    std::vector<std::pair<VertexId, VertexId>> one = {repair_edges.Next()};
-    const std::string body = EdgesBody(one);
-    for (const char* method : {"POST", "DELETE"}) {
-      const delta::MutationStats s0 = server.service().MutationStatsNow();
-      Timer timer;
-      HttpResponse response =
-          server.Handle(std::string(method) + " /v1/edges\n\n" + body);
-      const double ms = timer.ElapsedMillis();
-      const delta::MutationStats s1 = server.service().MutationStatsNow();
-      if (response.code != 200) {
-        std::printf("publish failed (%d): %s\n", response.code,
-                    response.body.c_str());
-        std::abort();
-      }
-      if (s1.cltree_repairs > s0.cltree_repairs) {
-        repaired_lat.push_back(ms);
-        core_sum += s1.publish_core_repair_ms - s0.publish_core_repair_ms;
-        index_sum += s1.publish_index_repair_ms - s0.publish_index_repair_ms;
-        arena_sum += s1.publish_arena_copy_ms - s0.publish_arena_copy_ms;
-        cas_sum += s1.publish_cas_ms - s0.publish_cas_ms;
-      } else {
-        fallback_lat.push_back(ms);
-      }
-    }
-  }
-  const std::size_t repaired_count = repaired_lat.size();
-  const std::size_t publish_total = repaired_count + fallback_lat.size();
-  const double hit_rate =
-      publish_total > 0
-          ? static_cast<double>(repaired_count) /
-                static_cast<double>(publish_total)
-          : 0.0;
-  const double p50_repair = P50(&repaired_lat);
-  const double speedup = p50_repair > 0.0 ? p50_rebuild / p50_repair : 0.0;
-  std::printf("\none-edge publish p50 (rebuild vs. incremental repair):\n");
-  std::printf("  full rebuild:      %8.3f ms\n", p50_rebuild);
-  std::printf("  repaired publish:  %8.3f ms  (%.1fx speedup)\n", p50_repair,
-              speedup);
-  std::printf("  certificate hit rate: %zu/%zu publishes repaired (%.0f%%); "
-              "non-neutral edges rebuilt at %.3f ms p50\n",
-              repaired_count, publish_total, 100.0 * hit_rate,
-              P50(&fallback_lat));
-  bench::EmitJsonMetricLine("publish_p50_rebuild_1edge", n, m, 1, "p50_ms",
-                            p50_rebuild);
-  bench::EmitJsonMetricLine("publish_p50_repair_1edge", n, m, 1, "p50_ms",
-                            p50_repair);
-  bench::EmitJsonMetricLine("publish_speedup_1edge", n, m, 1, "speedup",
-                            speedup);
-  bench::EmitJsonMetricLine("publish_repair_hit_rate", n, m, 1, "ratio",
-                            hit_rate);
-  if (repaired_count > 0) {
-    const double denom = static_cast<double>(repaired_count);
-    std::printf("  repaired-publish breakdown: core repair %.3f ms, index "
-                "repair %.3f ms, arena copy %.3f ms, CAS %.3f ms\n",
-                core_sum / denom, index_sum / denom, arena_sum / denom,
-                cas_sum / denom);
-    bench::EmitJsonLine("publish_core_repair_ms", n, m, 1, core_sum / denom);
-    bench::EmitJsonLine("publish_index_repair_ms", n, m, 1, index_sum / denom);
-    bench::EmitJsonLine("publish_arena_copy_ms", n, m, 1, arena_sum / denom);
-    bench::EmitJsonLine("publish_cas_ms", n, m, 1, cas_sum / denom);
-  }
 
   // --- Query p50, quiescent vs. under a live mutation stream --------------
   constexpr int kQuerySamples = 240;

@@ -26,14 +26,12 @@
 //   snapshot save <file>       write the dataset as a zero-copy snapshot
 //   snapshot load <file>       mmap a snapshot and swap it in (instant start)
 //   link <u> <v> [u v ...]     insert edges (one atomic mutation batch);
-//                              reports the publish latency and whether the
-//                              CL-tree was repaired in place or rebuilt
+//                              reports the publish latency
 //   unlink <u> <v> [u v ...]   remove edges (one atomic mutation batch);
 //                              same publish report as link
 //   addvertex <name> [kw,..]   append a vertex with a name and keywords
 //   compact                    fold the mutation overlay into an owned
-//                              dataset now; prints what the fold absorbed
-//                              (patched tree nodes / posting entries)
+//                              dataset now; reports the fold latency
 //   demo                       run a canned exploration session
 //   help / quit
 //
@@ -307,19 +305,12 @@ void RunCommand(CliState* state, const std::string& line) {
     body += "]}";
     api::MutationRequest request;
     request.body = body;
-    const delta::MutationStats before = state->service.MutationStatsNow();
     Timer timer;
     auto response = cmd == "link" ? state->service.AddEdges(request)
                                   : state->service.RemoveEdges(request);
     const double publish_ms = timer.ElapsedMillis();
     ShowResponse(response);
-    if (response.ok()) {
-      const delta::MutationStats after = state->service.MutationStatsNow();
-      const char* path = after.cltree_repairs > before.cltree_repairs
-                             ? "incremental tree repair"
-                             : "index rebuild";
-      std::printf("  published in %.3f ms (%s)\n", publish_ms, path);
-    }
+    if (response.ok()) std::printf("  published in %.3f ms\n", publish_ms);
   } else if (cmd == "addvertex" && words.size() >= 2) {
     // addvertex <name...> [kw1,kw2] — trailing comma-list = keywords.
     std::string keywords;
@@ -351,13 +342,8 @@ void RunCommand(CliState* state, const std::string& line) {
     auto response = state->service.CompactMutations("");
     ShowResponse(response);
     if (response.ok()) {
-      const delta::MutationStats stats = state->service.MutationStatsNow();
-      std::printf("  fold absorbed %llu patched tree node(s), %llu posting "
-                  "entr%s, in %.3f ms\n",
-                  static_cast<unsigned long long>(stats.last_fold_patched_nodes),
-                  static_cast<unsigned long long>(stats.last_fold_postings),
-                  stats.last_fold_postings == 1 ? "y" : "ies",
-                  stats.last_compaction_ms);
+      std::printf("  folded in %.3f ms\n",
+                  state->service.MutationStatsNow().last_compaction_ms);
     }
   } else if (cmd == "demo") {
     RunDemo(state);

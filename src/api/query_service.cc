@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "api/routes.h"
-#include "cltree/cltree.h"
 #include "common/json.h"
 #include "common/simd/simd.h"
 #include "common/strings.h"
@@ -427,49 +426,6 @@ std::string SearchCacheKey(std::uint64_t epoch, const std::string& algo,
   return key;
 }
 
-/// The epoch field of SearchCacheKey, as a prefix — what
-/// ResultCache::MigrateAcrossEpoch re-keys when a mutation publish keeps
-/// entries across the bump.
-std::string EpochKeyPrefix(std::uint64_t epoch) {
-  std::string prefix = std::to_string(epoch);
-  prefix += '\x1e';
-  return prefix;
-}
-
-/// Locates a search result in the CL-tree for cross-mutation cache reuse.
-/// Only component-determined algorithms are taggable: ACQ and Global
-/// answers are functions of the k-core component containing the anchor
-/// (its induced subgraph plus vertex keywords), and KTruss answers of the
-/// (k-1)-core component (the truss fixpoint never sees edges outside it).
-/// Local's greedy expansion scores frontier vertices by raw degree —
-/// including sub-k-core neighbors — so its output can change without any
-/// core number moving; it stays untagged and is dropped on migration.
-CacheTag SearchResultTag(const Dataset& dataset, const std::string& algo,
-                         const Query& query,
-                         const std::vector<Community>& communities) {
-  CacheTag tag;
-  std::uint32_t level = query.k;
-  if (algo == "KTruss") {
-    level = query.k > 0 ? query.k - 1 : 0;
-  } else if (algo != "ACQ" && algo != "Global") {
-    return tag;
-  }
-  VertexId anchor;
-  if (!communities.empty() && !communities.front().vertices.empty()) {
-    anchor = communities.front().vertices.front();
-  } else if (!query.vertices.empty()) {
-    anchor = query.vertices.front();
-  } else {
-    return tag;  // name-only empty result: nothing to anchor on
-  }
-  const ClNodeId node = dataset.index().LocateKCore(anchor, level);
-  if (node == kInvalidClNode) return tag;
-  tag.valid = true;
-  tag.level = level;
-  tag.comp = node;
-  return tag;
-}
-
 }  // namespace
 
 QueryService::QueryService()
@@ -524,11 +480,10 @@ DatasetPtr QueryService::dataset() const {
   return dataset_;
 }
 
-bool QueryService::InstallDataset(const DatasetPtr* expected, DatasetPtr fresh,
-                                  const delta::PublishInfo* info) {
+bool QueryService::InstallDataset(const DatasetPtr* expected,
+                                  DatasetPtr fresh) {
   bool epoch_changed = false;
-  DatasetPtr replaced;
-  std::uint64_t new_epoch = 0;
+  DatasetPtr replaced;  // released after the lock
   {
     std::unique_lock<std::shared_mutex> lock(dataset_mu_);
     if (fresh == nullptr) return false;
@@ -545,7 +500,6 @@ bool QueryService::InstallDataset(const DatasetPtr* expected, DatasetPtr fresh,
     }
     epoch_changed = dataset_ == nullptr ||
                     dataset_->graph_epoch() != fresh->graph_epoch();
-    new_epoch = fresh->graph_epoch();
     replaced = std::move(dataset_);
     dataset_ = std::move(fresh);
   }
@@ -554,36 +508,7 @@ bool QueryService::InstallDataset(const DatasetPtr* expected, DatasetPtr fresh,
   // and compactions keep the epoch and the cache stays warm. Because every
   // install funnels through here, no consumer can ever observe a graph
   // change (upload, snapshot load, or mutation) without its epoch change.
-  if (!epoch_changed) return true;
-  if (info == nullptr || !info->migratable || replaced == nullptr ||
-      replaced->index().num_nodes() == 0) {
-    result_cache()->Clear();
-    return true;
-  }
-  // A migratable mutation publish: the batch was certified tree-neutral
-  // (no core number moved, the component partition is identical at every
-  // level, no vocabulary growth), so a tagged entry's answer can only have
-  // changed if the batch touched a vertex INSIDE the entry's component —
-  // an edge internal to the component changes the subgraph the result was
-  // computed from. Everything else is carried across the epoch bump.
-  // `replaced` is the exact pre-publish snapshot (CAS mode guarantees it),
-  // so its tree resolves the tags the entries were stamped with.
-  auto keep = [&](const CacheTag& tag) {
-    const ClTree& tree = replaced->index();
-    for (VertexId t : info->touched) {
-      const ClNodeId node = tree.LocateKCore(t, tag.level);
-      if (node == tag.comp) return false;
-      // A vertex this batch appended is unknown to the old tree but joins
-      // the level-0 root component, so level-0 entries must go. (An
-      // in-range vertex whose core < level resolves to kInvalidClNode
-      // too — it cannot contribute edges to any `level`-core subgraph,
-      // so those entries are safe to keep.)
-      if (node == kInvalidClNode && tag.level == 0) return false;
-    }
-    return true;
-  };
-  result_cache()->MigrateAcrossEpoch(EpochKeyPrefix(replaced->graph_epoch()),
-                                     EpochKeyPrefix(new_epoch), keep);
+  if (epoch_changed) result_cache()->Clear();
   return true;
 }
 
@@ -760,16 +685,11 @@ delta::Mutator& QueryService::mutator() {
   std::lock_guard<std::mutex> lock(mutator_mu_);
   if (mutator_ == nullptr) {
     mutator_ = std::make_unique<delta::Mutator>(
-        [this](const DatasetPtr& expected, DatasetPtr fresh,
-               const delta::PublishInfo& info) {
-          return InstallDataset(&expected, std::move(fresh), &info);
+        [this](const DatasetPtr& expected, DatasetPtr fresh) {
+          return InstallDataset(&expected, std::move(fresh));
         });
   }
   return *mutator_;
-}
-
-void QueryService::SetClTreeRepairEnabled(bool enabled) {
-  mutator().set_cltree_repair_enabled(enabled);
 }
 
 ApiResult<std::string> QueryService::ApplyMutations(
@@ -1034,11 +954,7 @@ ApiResult<std::string> QueryService::RunSearch(RequestContext& ctx,
   result->body = w.TakeString();
   session.communities = result;
   record_in_session(query);
-  if (cacheable) {
-    const CacheTag tag =
-        SearchResultTag(*ctx.dataset, algo, query, result->communities);
-    cache->Put(cache_key, result, tag);
-  }
+  if (cacheable) cache->Put(cache_key, result);
   return result->body;
 }
 
@@ -1698,8 +1614,6 @@ ApiResult<std::string> QueryService::Stats() {
   w.UInt(cache_stats.insertions);
   w.Key("evictions");
   w.UInt(cache_stats.evictions);
-  w.Key("reused_across_mutation");
-  w.UInt(cache_stats.reused_across_mutation);
   w.EndObject();
   w.Key("sessions");
   w.UInt(sessions_.size());
@@ -1745,14 +1659,6 @@ ApiResult<std::string> QueryService::Stats() {
   w.UInt(mutations.core_repair_visited);
   w.Key("core_repair_changed");
   w.UInt(mutations.core_repair_changed);
-  w.Key("cltree_repairs");
-  w.UInt(mutations.cltree_repairs);
-  w.Key("cltree_rebuild_fallbacks");
-  w.UInt(mutations.cltree_rebuild_fallbacks);
-  w.Key("nodes_touched");
-  w.UInt(mutations.nodes_touched);
-  w.Key("postings_patched");
-  w.UInt(mutations.postings_patched);
   w.EndObject();
   // Which kernel implementation this process resolved at startup — so a
   // deploy can verify it actually runs the vectorized paths it was built
@@ -2119,9 +2025,7 @@ ApiResult<std::string> QueryService::Batch(const BatchRequest& request,
               auto value = std::make_shared<CachedSearch>();
               value->communities = std::move(communities).value();
               value->body = fragments[i];
-              const CacheTag tag = SearchResultTag(*snapshot, algo, query,
-                                                   value->communities);
-              cache->Put(cache_key, std::move(value), tag);
+              cache->Put(cache_key, std::move(value));
             }
             return;
           }

@@ -186,11 +186,6 @@ class QueryService {
   /// under "mutations").
   delta::MutationStats MutationStatsNow();
 
-  /// Toggles incremental CL-tree repair on the mutation publish path
-  /// (benchmarks compare repair against the full-rebuild baseline in one
-  /// process). Forwards to the mutation engine, creating it if needed.
-  void SetClTreeRepairEnabled(bool enabled);
-
   /// POST /v1/snapshot/save: writes the served dataset (graph + cores +
   /// CL-tree) as one zero-copy binary snapshot file. A dataset carrying an
   /// uncompacted mutation overlay is folded (synchronous compaction) first
@@ -232,12 +227,9 @@ class QueryService {
   /// every session cache) can never observe a graph change without the
   /// matching epoch change. With `expected` non-null this is a
   /// compare-and-swap (install only if `*expected` is still served);
-  /// null means unconditional-but-forward-only (by snapshot id).
-  /// `info` (when non-null) describes a mutation publish: a migratable
-  /// publish carries tagged result-cache entries across the epoch bump
-  /// instead of flushing them.
-  bool InstallDataset(const DatasetPtr* expected, DatasetPtr fresh,
-                      const delta::PublishInfo* info = nullptr);
+  /// null means unconditional-but-forward-only (by snapshot id). An
+  /// epoch change clears the result cache.
+  bool InstallDataset(const DatasetPtr* expected, DatasetPtr fresh);
 
   bool SwapDataset(DatasetPtr dataset);
 

@@ -73,8 +73,7 @@ CachedSearchPtr ResultCache::Get(const std::string& key) {
   return it->second->value;
 }
 
-void ResultCache::Put(const std::string& key, CachedSearchPtr value,
-                      const CacheTag& tag) {
+void ResultCache::Put(const std::string& key, CachedSearchPtr value) {
   if (!enabled() || value == nullptr) return;
   const std::size_t bytes = PayloadBytes(*value);
   Shard& shard = ShardOf(key);
@@ -85,12 +84,11 @@ void ResultCache::Put(const std::string& key, CachedSearchPtr value,
     shard.bytes -= it->second->bytes;
     it->second->value = std::move(value);
     it->second->bytes = bytes;
-    it->second->tag = tag;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     EvictWhileOver(&shard);
     return;
   }
-  shard.lru.push_front({key, std::move(value), bytes, tag});
+  shard.lru.push_front({key, std::move(value), bytes});
   shard.bytes += bytes;
   shard.index.emplace(key, shard.lru.begin());
   insertions_.fetch_add(1, std::memory_order_relaxed);
@@ -104,42 +102,6 @@ void ResultCache::Clear() {
     shard->index.clear();
     shard->bytes = 0;
   }
-}
-
-std::size_t ResultCache::MigrateAcrossEpoch(
-    const std::string& old_prefix, const std::string& new_prefix,
-    const std::function<bool(const CacheTag&)>& keep) {
-  if (!enabled()) return 0;
-  // Drain every shard first (one lock at a time — re-keying moves entries
-  // between shards, so in-place rewrites would need two locks at once),
-  // then re-insert the survivors. A query racing the drain sees a miss and
-  // re-executes; that is the same outcome a plain Clear() would give it.
-  std::list<Entry> drained;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    drained.splice(drained.end(), shard->lru);
-    shard->index.clear();
-    shard->bytes = 0;
-  }
-  std::size_t kept = 0;
-  for (Entry& entry : drained) {
-    if (!entry.tag.valid || !keep(entry.tag)) continue;
-    if (entry.key.compare(0, old_prefix.size(), old_prefix) != 0) continue;
-    std::string new_key =
-        new_prefix + entry.key.substr(old_prefix.size());
-    Shard& shard = ShardOf(new_key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // Iterating front (MRU) to back and appending keeps relative recency.
-    shard.lru.push_back({std::move(new_key), std::move(entry.value),
-                         entry.bytes, entry.tag});
-    auto it = std::prev(shard.lru.end());
-    shard.bytes += entry.bytes;
-    shard.index.emplace(it->key, it);
-    EvictWhileOver(&shard);
-    ++kept;
-  }
-  reused_across_mutation_.fetch_add(kept, std::memory_order_relaxed);
-  return kept;
 }
 
 ResultCache::Stats ResultCache::GetStats() const {
@@ -156,8 +118,6 @@ ResultCache::Stats ResultCache::GetStats() const {
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.lookups = stats.hits + stats.misses;
-  stats.reused_across_mutation =
-      reused_across_mutation_.load(std::memory_order_relaxed);
   stats.capacity = capacity_;
   stats.max_bytes = max_bytes_per_shard_ * shards_.size();
   stats.shards = shards_.size();

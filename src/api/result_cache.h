@@ -12,11 +12,12 @@
 // so a repeated query skips algorithm execution AND response rendering.
 // The entry also memoizes each community's analysis on its first
 // /community click, so every later click on it is a lookup.
-// Carrying the graph epoch in the key is the invalidation rule: an /upload
-// bumps the epoch and every old entry simply stops matching (the service
-// additionally clears the cache on a graph swap so dead entries do not
-// occupy capacity). Index-only swaps (/load_index) keep the epoch, and the
-// cache stays warm — exactly like the session-level caches.
+// Carrying the graph epoch in the key is the invalidation rule: an /upload,
+// a snapshot load or a mutation publish bumps the epoch and every old entry
+// simply stops matching (the service additionally clears the cache on every
+// epoch change so dead entries do not occupy capacity). Index-only swaps
+// (/load_index) and compactions keep the epoch, and the cache stays warm —
+// exactly like the session-level caches.
 //
 // Concurrency: the LRU is sharded by key hash; each shard serializes its
 // own map + recency list behind one mutex held only for the lookup/insert
@@ -30,7 +31,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -46,18 +46,6 @@
 namespace cexplorer {
 namespace api {
 
-/// Where in the CL-tree a cached search's answer lives: the community (or,
-/// for an empty result, the anchor vertex) resolved to its connected
-/// `level`-core component, identified by the tree node id. A mutation
-/// publish that provably leaves that component's subgraph untouched can
-/// keep the entry across the epoch bump (see MigrateAcrossEpoch);
-/// untaggable entries (`valid == false`) are always dropped.
-struct CacheTag {
-  bool valid = false;
-  std::uint32_t level = 0;  ///< core level the result depends on
-  std::uint32_t comp = 0;   ///< CL-tree node id of the level-core component
-};
-
 /// One search outcome, shared by the result cache and by every session
 /// whose last search ran or hit it: it is that session's browser cache (so
 /// /community, /export and /explore behave as if the search had run), and
@@ -72,9 +60,8 @@ struct CachedSearch {
   /// first call for `i` and returned from this entry on every later call,
   /// from any session. Concurrent first callers wait for the one fill. The
   /// analysis depends only on the members, their induced edges and their
-  /// keyword rows, so it holds for the entry's whole life, across
-  /// MigrateAcrossEpoch too: a publish keeps only entries whose component
-  /// it left untouched, and never changes an existing vertex's keywords.
+  /// keyword rows, all fixed by the graph epoch in the entry's key, so it
+  /// holds for the entry's whole life: an epoch change clears the cache.
   /// Precondition: i < communities.size().
   Result<CommunityAnalysis> Analysis(std::size_t i,
                                      const Explorer& explorer) const;
@@ -108,7 +95,7 @@ class ResultCache {
     std::uint64_t lookups = 0;  ///< hits + misses, from the same snapshot
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
-    /// Entries carried across a mutation publish instead of flushed.
+    /// Always 0: nothing writes it; read by e2ebench/e2e.cc:772.
     std::uint64_t reused_across_mutation = 0;
     std::size_t entries = 0;
     std::size_t bytes = 0;
@@ -134,23 +121,11 @@ class ResultCache {
   CachedSearchPtr Get(const std::string& key);
 
   /// Inserts (or refreshes) `key`, evicting the shard's least recently
-  /// used entry when the shard is at capacity. No-op when disabled. `tag`
-  /// locates the result in the CL-tree for cross-epoch migration; entries
-  /// inserted without one never survive a mutation publish.
-  void Put(const std::string& key, CachedSearchPtr value,
-           const CacheTag& tag = CacheTag{});
+  /// used entry when the shard is at capacity. No-op when disabled.
+  void Put(const std::string& key, CachedSearchPtr value);
 
   /// Drops every entry (graph swap); counters are kept.
   void Clear();
-
-  /// Carries entries across a mutation publish's epoch bump. Every entry
-  /// whose key starts with `old_prefix`, carries a valid tag, and passes
-  /// `keep(tag)` is re-keyed to `new_prefix` + suffix (and re-sharded);
-  /// everything else is dropped. Returns — and counts into
-  /// `reused_across_mutation` — the number of entries kept.
-  std::size_t MigrateAcrossEpoch(
-      const std::string& old_prefix, const std::string& new_prefix,
-      const std::function<bool(const CacheTag&)>& keep);
 
   Stats GetStats() const;
 
@@ -159,7 +134,6 @@ class ResultCache {
     std::string key;
     CachedSearchPtr value;
     std::size_t bytes = 0;
-    CacheTag tag;
   };
 
   struct Shard {
@@ -188,7 +162,6 @@ class ResultCache {
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> insertions_{0};
   std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> reused_across_mutation_{0};
 };
 
 }  // namespace api

@@ -547,8 +547,8 @@ void ClTree::AppendNodeMatches(ClNodeId id, std::span<const KeywordId> kws,
   }
   if (!simd::BloomMayContainAll(node_kw_bloom_[id], query_fp)) return;
 
-  // Every keyword's posting list, read through the node's views (a patched
-  // node's views point into its overlay); bail out if any is absent.
+  // Every keyword's posting list, read through the node's views; bail out
+  // if any is absent.
   PostingScratch& s = ThreadPostingScratch();
   s.lists.clear();
   for (KeywordId kw : kws) {
@@ -606,13 +606,6 @@ std::size_t ClTree::CountKeyword(ClNodeId id, KeywordId kw) const {
 }
 
 std::size_t ClTree::MemoryBytes() const {
-  std::size_t patch_bytes = 0;
-  for (const auto& [id, p] : node_patches_) {
-    patch_bytes += sizeof(NodePatch) + p.vertices.size() * sizeof(VertexId) +
-                   p.kws.size() * sizeof(KeywordId) +
-                   p.offs.size() * sizeof(std::uint32_t) +
-                   p.posts.size() * sizeof(VertexId);
-  }
   return nodes_.capacity() * sizeof(ClTreeNode) +
          vertex_node_.size() * sizeof(ClNodeId) +
          subtree_sizes_.size() * sizeof(std::uint64_t) +
@@ -621,145 +614,7 @@ std::size_t ClTree::MemoryBytes() const {
          inv_keyword_arena_.size() * sizeof(KeywordId) +
          inv_offset_arena_.size() * sizeof(std::uint32_t) +
          inv_posting_arena_.size() * sizeof(VertexId) +
-         node_kw_bloom_.size() * sizeof(std::uint64_t) + patch_bytes;
-}
-
-void ClTree::FixPatchedNodeSpans(ClNodeId id, NodePatch& p) {
-  ClTreeNode& n = nodes_[id];
-  n.vertices = {p.vertices.data(), p.vertices.size()};
-  n.inv_keywords = {p.kws.data(), p.kws.size()};
-  // LOCAL offsets + the patch's own raw arena: ClTreePostingsView's
-  // arena[offsets[i] .. offsets[i+1]) indexing works unchanged.
-  n.inv_postings = {p.offs.data(), p.posts.data(), p.kws.size()};
-}
-
-ClTree ClTree::RepairedFrom(const ClTree& parent) {
-  ClTree t;
-  t.repair_depth_ = parent.repair_depth_ + 1;
-  t.appended_root_vertices_ = parent.appended_root_vertices_;
-
-  // Owned small state: the node directory (its spans still point at the
-  // owner's arenas — or at patch overlays, re-fixed below), per-node
-  // blooms and subtree sizes (repairs write patched values into them).
-  t.nodes_ = parent.nodes_;
-  t.subtree_sizes_ = std::vector<std::uint64_t>(parent.subtree_sizes_.begin(),
-                                                parent.subtree_sizes_.end());
-  t.node_kw_bloom_ = std::vector<std::uint64_t>(parent.node_kw_bloom_.begin(),
-                                                parent.node_kw_bloom_.end());
-
-  // Shared views of every big arena. When `parent` is itself repaired its
-  // members are already views of the original owner, so the chain
-  // collapses: every generation points straight at the owner's buffers
-  // and pinning that single backing keeps all of them valid.
-  t.vertex_node_ = ArrayRef<ClNodeId>::View(parent.vertex_node_.span());
-  t.child_arena_ = ArrayRef<ClNodeId>::View(parent.child_arena_.span());
-  t.anchor_arena_ = ArrayRef<VertexId>::View(parent.anchor_arena_.span());
-  t.inv_keyword_arena_ =
-      ArrayRef<KeywordId>::View(parent.inv_keyword_arena_.span());
-  t.inv_offset_arena_ =
-      ArrayRef<std::uint32_t>::View(parent.inv_offset_arena_.span());
-  t.inv_posting_arena_ =
-      ArrayRef<VertexId>::View(parent.inv_posting_arena_.span());
-
-  // Patch overlays are copied (they are small) and the patched nodes'
-  // directory spans re-pointed at OUR copies, so the parent tree itself
-  // can be destroyed.
-  t.node_patches_ = parent.node_patches_;
-  for (auto& [id, patch] : t.node_patches_) t.FixPatchedNodeSpans(id, patch);
-  return t;
-}
-
-void ClTree::AppendRootVertices(const AttributedGraph& g, VertexId first,
-                                std::size_t count, ClTreeRepairStats* stats) {
-  if (count == 0 || nodes_.empty()) return;
-  auto [it, first_patch] = node_patches_.try_emplace(root());
-  NodePatch& patch = it->second;
-  if (first_patch) {
-    // First patch of the root: copy its current lists into the overlay,
-    // which later merges then rewrite in place.
-    const ClTreeNode& rn = nodes_[root()];
-    patch.vertices.assign(rn.vertices.begin(), rn.vertices.end());
-    patch.kws.assign(rn.inv_keywords.begin(), rn.inv_keywords.end());
-    patch.offs.resize(patch.kws.size() + 1);
-    patch.offs[0] = 0;
-    for (std::size_t i = 0; i < patch.kws.size(); ++i) {
-      const auto list = rn.inv_postings[i];
-      patch.posts.insert(patch.posts.end(), list.begin(), list.end());
-      patch.offs[i + 1] = static_cast<std::uint32_t>(patch.posts.size());
-    }
-  }
-
-  // Appended ids exceed every existing id, so the anchored-vertex list and
-  // every per-keyword posting list stay sorted by plain appends/merges.
-  std::uint64_t new_blooms = 0;
-  std::vector<std::pair<KeywordId, VertexId>> add;
-  for (std::size_t i = 0; i < count; ++i) {
-    const VertexId v = first + static_cast<VertexId>(i);
-    patch.vertices.push_back(v);
-    for (KeywordId kw : g.Keywords(v)) {
-      add.emplace_back(kw, v);
-      new_blooms |= simd::BloomMask(kw);
-    }
-  }
-  std::sort(add.begin(), add.end());
-
-  if (!add.empty()) {
-    // One merge pass over (old keyword runs) x (new sorted pairs) into
-    // fresh lists — linear in the root's patch size.
-    std::vector<KeywordId> kws;
-    std::vector<std::uint32_t> offs{0};
-    VertexList posts;
-    kws.reserve(patch.kws.size());
-    posts.reserve(patch.posts.size() + add.size());
-    std::size_t ai = 0;
-    auto flush_new_runs_below = [&](KeywordId bound, bool bounded) {
-      while (ai < add.size() && (!bounded || add[ai].first < bound)) {
-        const KeywordId kw = add[ai].first;
-        kws.push_back(kw);
-        while (ai < add.size() && add[ai].first == kw) {
-          posts.push_back(add[ai].second);
-          ++ai;
-        }
-        offs.push_back(static_cast<std::uint32_t>(posts.size()));
-      }
-    };
-    for (std::size_t i = 0; i < patch.kws.size(); ++i) {
-      const KeywordId kw = patch.kws[i];
-      flush_new_runs_below(kw, true);
-      kws.push_back(kw);
-      posts.insert(posts.end(), patch.posts.begin() + patch.offs[i],
-                   patch.posts.begin() + patch.offs[i + 1]);
-      while (ai < add.size() && add[ai].first == kw) {
-        posts.push_back(add[ai].second);
-        ++ai;
-      }
-      offs.push_back(static_cast<std::uint32_t>(posts.size()));
-    }
-    flush_new_runs_below(0, false);
-    patch.kws = std::move(kws);
-    patch.offs = std::move(offs);
-    patch.posts = std::move(posts);
-  }
-  FixPatchedNodeSpans(root(), patch);
-
-  // Root bloom and subtree size pick up the appended vertices; no other
-  // node's subtree contains the root. The ArrayRefs only expose const
-  // access, so the updated arrays are rebuilt (O(nodes), trivially cheap
-  // against the rebuild this replaces).
-  std::vector<std::uint64_t> blooms(node_kw_bloom_.begin(),
-                                    node_kw_bloom_.end());
-  blooms[root()] |= new_blooms;
-  node_kw_bloom_ = std::move(blooms);
-  std::vector<std::uint64_t> sizes(subtree_sizes_.begin(),
-                                   subtree_sizes_.end());
-  sizes[root()] += count;
-  subtree_sizes_ = std::move(sizes);
-  appended_root_vertices_ += count;
-
-  if (stats != nullptr) {
-    stats->nodes_touched += 1;
-    stats->postings_patched += add.size();
-  }
+         node_kw_bloom_.size() * sizeof(std::uint64_t);
 }
 
 std::string ClTree::Serialize() const {

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/array_ref.h"
@@ -107,16 +106,6 @@ enum class ClTreeBuildMethod {
 /// call compiling (e2ebench/e2e.cc:1023); nothing branches on it.
 enum class PostingFormat { kRaw };
 
-/// Counters of one incremental tree repair (ClTree::RepairedFrom +
-/// AppendRootVertices); the dynamic tier accumulates them into
-/// delta::MutationStats and /v1/stats renders them.
-struct ClTreeRepairStats {
-  /// Nodes whose lists were modified (patch overlays written).
-  std::size_t nodes_touched = 0;
-  /// (keyword, vertex) posting entries added to patch overlays.
-  std::size_t postings_patched = 0;
-};
-
 /// Mutable node used while a tree is under construction (the builders and
 /// the text deserializer); Finalize flattens these into the arena form.
 struct ClTreeRawNode {
@@ -195,45 +184,6 @@ class ClTree {
                       std::span<const std::uint32_t> core_numbers,
                       ClTreeBuildMethod method = ClTreeBuildMethod::kAdvanced);
 
-  /// Incremental repair: a structurally identical twin of `parent` that
-  /// shares every big arena (postings, anchors, children, vertex map) as a
-  /// zero-copy view and owns only the node directory, per-node blooms,
-  /// subtree sizes, and the per-node patch overlays. Repairs collapse the
-  /// ownership chain: a twin of a twin still views the ORIGINAL owner's
-  /// arenas (patch overlays are copied, they are small), so keeping one
-  /// backing dataset alive pins arbitrarily many repair generations. The
-  /// caller must keep that backing memory alive (the dynamic tier pins the
-  /// owning dataset in its overlay snapshot); `parent` itself may die.
-  static ClTree RepairedFrom(const ClTree& parent);
-
-  /// Repair for a pure vertex-append batch: anchors vertices
-  /// [first, first + count) at the root (their core is 0 — no edges yet)
-  /// and merges their keywords into the root's posting patch overlay.
-  /// Every other node stays zero-copy. Only meaningful on a repaired tree
-  /// (call RepairedFrom first); requires a non-empty tree and ascending
-  /// ids beyond the parent graph's.
-  void AppendRootVertices(const AttributedGraph& g, VertexId first,
-                          std::size_t count, ClTreeRepairStats* stats);
-
-  /// True when this tree was produced by RepairedFrom rather than Build /
-  /// FromParts. Repaired trees answer every query identically but cannot
-  /// be serialized (their arenas belong to the original owner); the
-  /// snapshot path compacts (rebuilding the tree) first.
-  bool is_repaired() const { return repair_depth_ > 0; }
-
-  /// Number of RepairedFrom generations since the last full build.
-  std::uint32_t repair_depth() const { return repair_depth_; }
-
-  /// Nodes carrying a patch overlay / their fraction of all nodes — the
-  /// input to the dynamic tier's rebuild-fallback threshold.
-  std::size_t num_patched_nodes() const { return node_patches_.size(); }
-  double PatchedFraction() const {
-    return nodes_.empty()
-               ? 0.0
-               : static_cast<double>(node_patches_.size()) /
-                     static_cast<double>(nodes_.size());
-  }
-
   /// Number of nodes.
   std::size_t num_nodes() const { return nodes_.size(); }
 
@@ -243,17 +193,12 @@ class ClTree {
   /// Root node id (0), or kInvalidClNode for an empty tree.
   ClNodeId root() const { return nodes_.empty() ? kInvalidClNode : 0; }
 
-  /// The node anchoring vertex v. Vertices appended by a repair (beyond
-  /// the owner's vertex map) are all anchored at the root; anything else
-  /// out of range maps to kInvalidClNode.
+  /// The node anchoring vertex v; kInvalidClNode when v is out of range.
   ClNodeId NodeOf(VertexId v) const {
-    if (v < vertex_node_.size()) return vertex_node_[v];
-    return v < vertex_node_.size() + appended_root_vertices_ ? root()
-                                                             : kInvalidClNode;
+    return v < vertex_node_.size() ? vertex_node_[v] : kInvalidClNode;
   }
 
-  /// Core number of vertex v (equals node(NodeOf(v)).core; 0 for vertices
-  /// appended by a repair).
+  /// Core number of vertex v (equals node(NodeOf(v)).core).
   std::uint32_t CoreOf(VertexId v) const {
     const ClNodeId id = NodeOf(v);
     return id == kInvalidClNode ? 0 : nodes_[id].core;
@@ -327,21 +272,6 @@ class ClTree {
   void Finalize(const AttributedGraph& g, std::vector<ClTreeRawNode> raw_nodes,
                 ClNodeId raw_root);
 
-  /// Replacement lists of one repaired node. The node's directory spans
-  /// are re-pointed here, so every span-based reader (SubtreeVertices,
-  /// node().vertices, Serialize, the posting kernels, the ACQ gathers)
-  /// works unchanged.
-  struct NodePatch {
-    VertexList vertices;              // full anchored-vertex replacement
-    std::vector<KeywordId> kws;       // full keyword replacement, sorted
-    std::vector<std::uint32_t> offs;  // kws.size() + 1 LOCAL value offsets
-    VertexList posts;                 // raw postings, ascending per keyword
-  };
-
-  /// Re-points node `id`'s directory spans at `p`'s buffers (call after
-  /// any mutation of the patch vectors — growth may reallocate them).
-  void FixPatchedNodeSpans(ClNodeId id, NodePatch& p);
-
   // The node directory is always a materialized vector (its spans are
   // process-local pointers), but every array it points into is an ArrayRef:
   // owned by the build path, a view over the mapped file on snapshot load.
@@ -367,16 +297,6 @@ class ClTree {
   // distinct keywords): lets subtree walks skip nodes that cannot possibly
   // anchor all query keywords with a single AND.
   ArrayRef<std::uint64_t> node_kw_bloom_;
-
-  // --- Repair state (empty on built/loaded trees) -----------------------
-
-  // node id -> replacement lists. unordered_map keeps element addresses
-  // stable, so directory spans may point into the mapped NodePatch.
-  std::unordered_map<ClNodeId, NodePatch> node_patches_;
-  std::uint32_t repair_depth_ = 0;
-  // Vertices appended past vertex_node_'s end, all anchored at the root
-  // (core 0): keeps the vertex map a pure zero-copy view across repairs.
-  std::size_t appended_root_vertices_ = 0;
 };
 
 }  // namespace cexplorer

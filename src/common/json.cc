@@ -241,9 +241,18 @@ class Parser {
     char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
+      case '[': {
+        // The depth bound keeps hostile nesting from exhausting the stack.
+        if (depth_ == JsonValue::kMaxDepth) {
+          return Status::ParseError("nesting deeper than " +
+                                    std::to_string(JsonValue::kMaxDepth) +
+                                    " at offset " + std::to_string(pos_));
+        }
+        ++depth_;
+        Status st = c == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return st;
+      }
       case '"': {
         std::string s;
         CEXPLORER_RETURN_IF_ERROR(ParseString(&s));
@@ -455,6 +464,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays/objects currently open
 };
 
 const JsonValue& NullValue() {

@@ -5,6 +5,8 @@
 // and for round-trip testing. Neither aims at full RFC 8259 coverage
 // (numbers are doubles). A \uXXXX surrogate pair decodes to the 4-byte
 // UTF-8 encoding of its code point; a lone surrogate is a ParseError.
+// Arrays and objects nest at most JsonValue::kMaxDepth (64) deep; deeper
+// input is a ParseError, so hostile nesting cannot exhaust the stack.
 
 #ifndef CEXPLORER_COMMON_JSON_H_
 #define CEXPLORER_COMMON_JSON_H_
@@ -86,6 +88,9 @@ class JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
   JsonValue() : type_(Type::kNull) {}
+
+  /// Deepest array/object nesting Parse accepts ("[[1]]" nests 2 deep).
+  static constexpr int kMaxDepth = 64;
 
   /// Parses a complete JSON document (trailing whitespace allowed).
   static Result<JsonValue> Parse(std::string_view text);

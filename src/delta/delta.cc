@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
-#include <string_view>
-#include <unordered_set>
 
 #include "cltree/cltree.h"
 #include "common/simd/simd.h"
@@ -38,13 +36,6 @@ struct OverlaySnapshot {
   std::unordered_map<std::string, VertexId> tail_name_index;
 
   std::shared_ptr<const std::vector<std::uint32_t>> cores;
-
-  /// Set when this overlay's CL-tree is an incremental repair: the dataset
-  /// whose tree OWNS the arenas the repaired tree views. Repairs collapse
-  /// the ownership chain (ClTree::RepairedFrom), so this is always the
-  /// last fully-built generation — one pin, no matter how many repairs
-  /// have stacked since.
-  DatasetPtr tree_parent;
 
   AttributedGraph graph;  // wired last; its spans point at the members above
 };
@@ -156,14 +147,6 @@ struct Mutator::Working {
   std::uint64_t pending_batches = 0;
   std::uint64_t edge_mutations = 0;  ///< adds+removes in the overlay
 
-  /// Dataset whose CL-tree owns the arenas every repaired generation
-  /// views (the last full build / compaction / rebase target); the pin
-  /// each repaired overlay carries as tree_parent.
-  DatasetPtr tree_owner;
-  /// Posting entries currently living in the served tree's patch
-  /// overlays (reset when a rebuild or compaction folds them).
-  std::uint64_t tree_patch_postings = 0;
-
   std::size_t TotalVertices() const { return base_n + tail.size(); }
 
   bool Clean() const {
@@ -224,41 +207,6 @@ void EraseSorted(std::vector<VertexId>* row, VertexId value) {
   if (it != row->end() && *it == value) row->erase(it);
 }
 
-/// Budget-bounded bidirectional BFS inside the K-core: are u and v
-/// connected through vertices of core >= K in the (post-batch) working
-/// adjacency? Expands the smaller frontier each round, so the cost is
-/// ~2*b^(d/2) instead of b^d. Returns false on disconnection OR budget
-/// exhaustion — the caller treats both as "cannot certify, rebuild".
-template <typename AdjFn>
-bool ConnectedInKCore(AdjFn&& adj, const std::vector<std::uint32_t>& cores,
-                      VertexId u, VertexId v, std::uint32_t K,
-                      std::uint64_t budget) {
-  std::unordered_set<VertexId> seen_a{u};
-  std::unordered_set<VertexId> seen_b{v};
-  std::vector<VertexId> frontier_a{u};
-  std::vector<VertexId> frontier_b{v};
-  std::uint64_t visited = 0;
-  while (!frontier_a.empty() && !frontier_b.empty()) {
-    const bool expand_a = frontier_a.size() <= frontier_b.size();
-    std::vector<VertexId>& frontier = expand_a ? frontier_a : frontier_b;
-    std::unordered_set<VertexId>& seen = expand_a ? seen_a : seen_b;
-    std::unordered_set<VertexId>& other = expand_a ? seen_b : seen_a;
-    std::vector<VertexId> next;
-    for (VertexId w : frontier) {
-      for (VertexId x : adj(w)) {
-        if (cores[x] < K) continue;
-        if (other.count(x) != 0) return true;
-        if (seen.insert(x).second) {
-          if (++visited > budget) return false;
-          next.push_back(x);
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  return false;
-}
-
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -273,22 +221,6 @@ Mutator::Mutator(PublishFn publish) : publish_(std::move(publish)) {
     char* end = nullptr;
     const unsigned long long v = std::strtoull(env, &end, 10);
     if (end != env && *end == '\0' && v > 0) compact_threshold_ = v;
-  }
-  if (const char* env = std::getenv("CEXPLORER_CLTREE_REPAIR")) {
-    const std::string_view s(env);
-    cltree_repair_enabled_ = !(s == "0" || s == "off" || s == "false");
-  }
-  if (const char* env = std::getenv("CEXPLORER_CLTREE_REPAIR_THRESHOLD")) {
-    char* end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end != env && *end == '\0' && v >= 0.0 && v <= 1.0) {
-      cltree_repair_threshold_ = v;
-    }
-  }
-  if (const char* env = std::getenv("CEXPLORER_CLTREE_REPAIR_BFS_BUDGET")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) repair_bfs_budget_ = v;
   }
 }
 
@@ -307,16 +239,6 @@ void Mutator::set_compact_threshold(std::uint64_t edges) {
     compact_threshold_ = edges == 0 ? 1 : edges;
   }
   compact_cv_.notify_all();
-}
-
-void Mutator::set_cltree_repair_enabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(mu_);
-  cltree_repair_enabled_ = enabled;
-}
-
-void Mutator::set_cltree_repair_threshold(double fraction) {
-  std::lock_guard<std::mutex> lock(mu_);
-  cltree_repair_threshold_ = std::clamp(fraction, 0.0, 1.0);
 }
 
 void Mutator::RebaseLocked(const DatasetPtr& served) {
@@ -365,11 +287,6 @@ void Mutator::RebaseLocked(const DatasetPtr& served) {
   const auto cores = served->core_numbers();
   w.cores.assign(cores.begin(), cores.end());
   w.num_edges = served->graph().graph().num_edges();
-  // Pinning `served` transitively pins whatever its tree views (a
-  // repaired overlay's snapshot carries the arena owner as tree_parent),
-  // so it is a valid owner pin even when its tree is itself a repair.
-  w.tree_owner = served;
-  w.tree_patch_postings = 0;
 }
 
 Result<ApplyResult> Mutator::Apply(const DatasetPtr& served,
@@ -406,9 +323,6 @@ Result<ApplyResult> Mutator::Apply(const DatasetPtr& served,
   }
 
   ApplyCounts counts;
-  RepairPlan plan;
-  plan.first_new_vertex = static_cast<VertexId>(w.TotalVertices());
-  const std::size_t words_before = w.extra_words.size();
   for (const NewVertex& nv : batch.add_vertices) {
     const VertexId id = static_cast<VertexId>(w.TotalVertices());
     Working::TailVertex t;
@@ -445,7 +359,6 @@ Result<ApplyResult> Mutator::Apply(const DatasetPtr& served,
     ++w.num_edges;
     ++w.edge_mutations;
     ++counts.edges_added;
-    plan.ops.push_back({true, u, v, std::min(w.cores[u], w.cores[v])});
     RepairCoresAfterInsert(adj, &w.cores, u, v, &repair);
   }
   for (const auto& [u, v] : batch.remove_edges) {
@@ -458,13 +371,9 @@ Result<ApplyResult> Mutator::Apply(const DatasetPtr& served,
     --w.num_edges;
     ++w.edge_mutations;
     ++counts.edges_removed;
-    plan.ops.push_back({false, u, v, std::min(w.cores[u], w.cores[v])});
     RepairCoresAfterRemove(adj, &w.cores, u, v, &repair);
   }
   stats_.publish_core_repair_ms += MsSince(core_start);
-  plan.vertices_added = counts.vertices_added;
-  plan.core_changed = repair.changed != 0;
-  plan.vocab_grew = w.extra_words.size() != words_before;
 
   ++w.pending_batches;
   ++stats_.batches;
@@ -474,7 +383,7 @@ Result<ApplyResult> Mutator::Apply(const DatasetPtr& served,
   stats_.core_repair_visited += repair.visited;
   stats_.core_repair_changed += repair.changed;
 
-  auto published = PublishOverlayLocked(plan);
+  auto published = PublishOverlayLocked();
   if (!published.ok()) return published.status();
 
   if (!compact_thread_started_) {
@@ -487,38 +396,7 @@ Result<ApplyResult> Mutator::Apply(const DatasetPtr& served,
   return ApplyResult{std::move(published.value()), counts};
 }
 
-bool Mutator::CertifyTreeNeutralLocked(const RepairPlan& plan) const {
-  const Working& w = *work_;
-  const ClTree& tree = w.published->index();
-  const auto adj = [&w](VertexId x) { return w.Adj(x); };
-  for (const PendingOp& op : plan.ops) {
-    // K = 0: the root adopts every level-0 component regardless of
-    // connectivity, so level-0 edges never split or merge tree nodes.
-    if (op.K == 0) continue;
-    if (op.insert) {
-      // Neutral iff the endpoints already shared the K-core component in
-      // the pre-batch tree: an internal edge merges nothing at level K,
-      // nothing at any shallower level (same component via ancestors),
-      // and deeper cores don't contain it (cores are unchanged).
-      const ClNodeId a = tree.LocateKCore(op.u, op.K);
-      if (a == kInvalidClNode || a != tree.LocateKCore(op.v, op.K)) {
-        return false;
-      }
-    } else {
-      // Neutral iff the endpoints are still connected inside the K-core
-      // after the batch: no split at level K, shallower levels contain
-      // the same witness path, deeper ones never contained the edge.
-      // Budget exhaustion counts as "cannot certify".
-      if (!ConnectedInKCore(adj, w.cores, op.u, op.v, op.K,
-                            repair_bfs_budget_)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-Result<DatasetPtr> Mutator::PublishOverlayLocked(const RepairPlan& plan) {
+Result<DatasetPtr> Mutator::PublishOverlayLocked() {
   Working& w = *work_;
   const auto arena_start = std::chrono::steady_clock::now();
   auto snap = std::make_shared<OverlaySnapshot>();
@@ -560,79 +438,18 @@ Result<DatasetPtr> Mutator::PublishOverlayLocked(const RepairPlan& plan) {
   Access::WireOverlayGraph(snap.get(), w.num_edges);
   stats_.publish_arena_copy_ms += MsSince(arena_start);
 
-  // Index phase: repair the published tree in place of rebuilding it when
-  // the batch is provably tree-neutral — no core number moved, every edge
-  // op certified internal to its K-core component, and the patched
-  // fraction stays under the rebuild-fallback threshold. A repaired tree
-  // views the last built generation's arenas zero-copy (pinned below via
-  // tree_parent), so the SIMD posting kernels run unchanged.
+  // Index phase: building from the maintained core numbers keeps this
+  // proportional to the tree construction, not a full re-peel; the
+  // deterministic builder makes the result byte-identical to a
+  // from-scratch rebuild.
   const auto index_start = std::chrono::steady_clock::now();
-  ClTree tree;
-  ClTreeRepairStats rstats;
-  bool repaired = false;
-  const bool repair_candidate =
-      cltree_repair_enabled_ && !plan.core_changed && w.published != nullptr &&
-      w.published->index().num_nodes() > 0 && w.tree_owner != nullptr;
-  if (repair_candidate && CertifyTreeNeutralLocked(plan)) {
-    const ClTree& parent = w.published->index();
-    // A vertex append patches the root; everything else patches nothing.
-    const std::size_t patched_after =
-        plan.vertices_added > 0 ? std::max<std::size_t>(
-                                      parent.num_patched_nodes(), 1)
-                                : parent.num_patched_nodes();
-    const double fraction =
-        static_cast<double>(patched_after) /
-        static_cast<double>(parent.num_nodes());
-    if (fraction <= cltree_repair_threshold_) {
-      tree = ClTree::RepairedFrom(parent);
-      if (plan.vertices_added > 0) {
-        tree.AppendRootVertices(snap->graph, plan.first_new_vertex,
-                                plan.vertices_added, &rstats);
-      }
-      repaired = true;
-    }
-  }
-  if (repaired) {
-    snap->tree_parent = w.tree_owner;
-    ++stats_.cltree_repairs;
-    stats_.nodes_touched += rstats.nodes_touched;
-    stats_.postings_patched += rstats.postings_patched;
-    w.tree_patch_postings += rstats.postings_patched;
-  } else {
-    // Building from the maintained core numbers keeps this proportional
-    // to the tree construction, not a full re-peel; the deterministic
-    // builder makes the result byte-identical to a from-scratch rebuild.
-    tree = ClTree::Build(snap->graph, *snap->cores,
-                         ClTreeBuildMethod::kAdvanced);
-    if (cltree_repair_enabled_) ++stats_.cltree_rebuild_fallbacks;
-    w.tree_patch_postings = 0;
-  }
+  ClTree tree = ClTree::Build(snap->graph, *snap->cores,
+                              ClTreeBuildMethod::kAdvanced);
   stats_.publish_index_repair_ms += MsSince(index_start);
   DatasetPtr fresh = Access::MakeOverlayDataset(snap, std::move(tree));
 
-  // A repaired publish with no vocabulary growth has a known touched set,
-  // so the service can migrate untouched result-cache entries across the
-  // epoch bump instead of flushing them.
-  PublishInfo info;
-  if (repaired && !plan.vocab_grew) {
-    info.migratable = true;
-    info.touched.reserve(plan.ops.size() * 2 + plan.vertices_added);
-    for (const PendingOp& op : plan.ops) {
-      info.touched.push_back(op.u);
-      info.touched.push_back(op.v);
-    }
-    for (std::size_t i = 0; i < plan.vertices_added; ++i) {
-      info.touched.push_back(plan.first_new_vertex +
-                             static_cast<VertexId>(i));
-    }
-    std::sort(info.touched.begin(), info.touched.end());
-    info.touched.erase(
-        std::unique(info.touched.begin(), info.touched.end()),
-        info.touched.end());
-  }
-
   const auto cas_start = std::chrono::steady_clock::now();
-  const bool won = publish_(w.published, fresh, info);
+  const bool won = publish_(w.published, fresh);
   stats_.publish_cas_ms += MsSince(cas_start);
   if (!won) {
     // A concurrent upload/snapshot-load won the CAS: the graph we mutated
@@ -642,7 +459,6 @@ Result<DatasetPtr> Mutator::PublishOverlayLocked(const RepairPlan& plan) {
         "a concurrent graph replacement won; mutation batch discarded");
   }
   w.published = fresh;
-  if (!repaired) w.tree_owner = fresh;  // a built tree owns its arenas
   return fresh;
 }
 
@@ -706,29 +522,22 @@ Result<DatasetPtr> Mutator::CompactLocked() {
   auto graph =
       std::make_shared<const AttributedGraph>(builder.Build());
   std::vector<std::uint32_t> cores = w.cores;
-  // The fold rebuilds the tree with dense arenas, folding in whatever
-  // posting-patch overlays repairs had stacked onto the served tree.
-  stats_.last_fold_patched_nodes = w.published->index().num_patched_nodes();
-  stats_.last_fold_postings = w.tree_patch_postings;
   ClTree tree = ClTree::Build(*graph, cores, ClTreeBuildMethod::kAdvanced);
   DatasetPtr compacted =
       Access::MakeOwnedDataset(std::move(graph), std::move(cores),
                                std::move(tree),
                                w.published->graph_epoch());
 
-  if (!publish_(w.published, compacted, PublishInfo{})) {
+  if (!publish_(w.published, compacted)) {
     work_.reset();
     return Status::FailedPrecondition(
         "a concurrent graph replacement won; compaction discarded");
   }
 
   // The compacted dataset is the new clean base; keep the maintained core
-  // numbers (unchanged by the fold) for the next overlay. Its freshly
-  // built tree owns dense arenas — the new owner for future repairs.
+  // numbers (unchanged by the fold) for the next overlay.
   w.base = compacted;
   w.published = compacted;
-  w.tree_owner = compacted;
-  w.tree_patch_postings = 0;
   w.base_n = n_total;
   w.patched.clear();
   w.tail.clear();

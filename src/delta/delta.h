@@ -105,33 +105,18 @@ struct MutationStats {
   std::uint64_t core_repair_visited = 0;
   std::uint64_t core_repair_changed = 0;
 
-  // Incremental CL-tree maintenance (the publish path's index repair).
-  std::uint64_t cltree_repairs = 0;  ///< publishes served by tree repair
-  std::uint64_t cltree_rebuild_fallbacks = 0;  ///< publishes that rebuilt
-  std::uint64_t nodes_touched = 0;     ///< tree nodes patched by repairs
-  std::uint64_t postings_patched = 0;  ///< posting entries added to patches
+  // Always 0: nothing writes these; they stay for the benchmark harness
+  // (e2ebench/e2e.cc).
+  std::uint64_t cltree_repairs = 0;            ///< read by e2e.cc:766
+  std::uint64_t cltree_rebuild_fallbacks = 0;  ///< read by e2e.cc:768
+  std::uint64_t nodes_touched = 0;             ///< read by e2e.cc:770
 
-  // Cumulative publish-latency breakdown (bench_mutations divides deltas
-  // of these by publish counts to report per-phase costs).
+  // Cumulative publish-latency breakdown (the benchmark harness divides
+  // deltas of these by publish counts to report per-phase costs).
   double publish_core_repair_ms = 0.0;   ///< incremental core maintenance
-  double publish_index_repair_ms = 0.0;  ///< tree repair (or rebuild)
+  double publish_index_repair_ms = 0.0;  ///< the CL-tree build (e2e.cc:761)
   double publish_arena_copy_ms = 0.0;    ///< overlay patch CSR / tail copy
   double publish_cas_ms = 0.0;           ///< the epoch-bump publish itself
-
-  // What the latest compaction folded back into dense arenas.
-  std::uint64_t last_fold_patched_nodes = 0;
-  std::uint64_t last_fold_postings = 0;
-};
-
-/// How a publish affected cached query results — handed to the publish
-/// callback so the service's result cache can migrate entries across the
-/// epoch bump instead of flushing. `migratable` is only set for an
-/// incremental tree repair with no vocabulary growth; `touched` then
-/// lists every vertex whose adjacency or attributes changed (edge
-/// endpoints and appended vertices).
-struct PublishInfo {
-  bool migratable = false;
-  std::vector<VertexId> touched;
 };
 
 /// Accepts mutation batches against the currently served dataset and
@@ -147,9 +132,9 @@ class Mutator {
  public:
   /// `publish` installs `fresh` iff the currently served dataset is
   /// `expected`, returning whether it won (QueryService::InstallDataset in
-  /// CAS mode). `info` describes the change for cache migration.
-  using PublishFn = std::function<bool(
-      const DatasetPtr& expected, DatasetPtr fresh, const PublishInfo& info)>;
+  /// CAS mode).
+  using PublishFn =
+      std::function<bool(const DatasetPtr& expected, DatasetPtr fresh)>;
 
   explicit Mutator(PublishFn publish);
 
@@ -185,53 +170,17 @@ class Mutator {
   /// thread folds it (default 4096, or CEXPLORER_COMPACT_THRESHOLD).
   void set_compact_threshold(std::uint64_t edges);
 
-  /// Toggles incremental CL-tree repair on the publish path (default on,
-  /// or CEXPLORER_CLTREE_REPAIR=0/off to disable). Benchmarks and tests
-  /// use this to compare repair against the full-rebuild baseline within
-  /// one process.
-  void set_cltree_repair_enabled(bool enabled);
-
-  /// Rebuild-fallback threshold: when the fraction of tree nodes carrying
-  /// a patch overlay would exceed this after a repair, the publish
-  /// rebuilds instead (default 0.25, or CEXPLORER_CLTREE_REPAIR_THRESHOLD
-  /// as a fraction in [0, 1]).
-  void set_cltree_repair_threshold(double fraction);
-
  private:
   struct Working;  // the mutable shadow state (delta.cc)
-
-  /// One edge mutation accepted by the current batch, in apply order,
-  /// with K = min(core(u), core(v)) at apply time — the level at which
-  /// the tree-neutrality certificate is checked.
-  struct PendingOp {
-    bool insert = false;
-    VertexId u = 0;
-    VertexId v = 0;
-    std::uint32_t K = 0;
-  };
-
-  /// Everything PublishOverlayLocked needs to decide repair vs rebuild
-  /// for the batch Apply just folded into the working state.
-  struct RepairPlan {
-    std::vector<PendingOp> ops;     ///< accepted edge mutations
-    VertexId first_new_vertex = 0;  ///< id of the first appended vertex
-    std::size_t vertices_added = 0;
-    bool core_changed = false;  ///< any core number moved (incl. back)
-    bool vocab_grew = false;    ///< batch interned new keywords
-  };
 
   /// Re-points the working state at `served` with an empty overlay.
   void RebaseLocked(const DatasetPtr& served);
 
   /// Builds + publishes the overlay dataset for the current working
-  /// state: an incremental CL-tree repair when `plan` certifies the batch
-  /// tree-neutral, a full rebuild otherwise. On CAS failure the working
-  /// state is wiped (a concurrent publish made it stale).
-  Result<DatasetPtr> PublishOverlayLocked(const RepairPlan& plan);
-
-  /// True when every edge op in `plan` provably leaves the CL-tree
-  /// structure unchanged (see delta.cc for the certificates).
-  bool CertifyTreeNeutralLocked(const RepairPlan& plan) const;
+  /// state, its CL-tree built from the maintained core numbers. On CAS
+  /// failure the working state is wiped (a concurrent publish made it
+  /// stale).
+  Result<DatasetPtr> PublishOverlayLocked();
 
   /// Folds the overlay into an owned dataset and publishes it.
   Result<DatasetPtr> CompactLocked();
@@ -245,9 +194,6 @@ class Mutator {
   MutationStats stats_;            // lifetime counters (guarded by mu_)
 
   std::uint64_t compact_threshold_;
-  bool cltree_repair_enabled_ = true;
-  double cltree_repair_threshold_ = 0.25;
-  std::uint64_t repair_bfs_budget_ = 4096;
   std::condition_variable compact_cv_;
   std::thread compact_thread_;
   bool compact_thread_started_ = false;

@@ -638,13 +638,11 @@ TEST(ConcurrencyTest, SnapshotLoadsRacingSearches) {
   EXPECT_EQ(held->core_numbers().size(), g.num_vertices());
 }
 
-// Incremental CL-tree repairs racing searches: a mutator thread
-// streams edge flips and vertex appends (each publish patching or
-// rebuilding the served tree) while query threads pin snapshots
-// mid-publish. A repaired tree views its owner's arenas, so this is the
-// TSan gate for the zero-copy repair chain: no crash, no torn body, and
-// the repair path must actually have run.
-TEST(ConcurrencyTest, TreeRepairsRacingSearches) {
+// Mutation publishes racing searches: a mutator thread streams edge flips
+// and vertex appends (each publish building a fresh overlay and CL-tree)
+// while query threads pin snapshots mid-publish. No crash, no torn body,
+// and every accepted batch is counted once.
+TEST(ConcurrencyTest, PublishesRacingSearches) {
   constexpr int kSessions = 4;
   constexpr int kIterations = 16;
   constexpr int kMutations = 24;
@@ -658,6 +656,7 @@ TEST(ConcurrencyTest, TreeRepairsRacingSearches) {
 
   std::atomic<int> bad_codes{0};
   std::atomic<int> bad_bodies{0};
+  int accepted = 0;  // 200 answers to the mutator (its thread only)
   auto worker = [&](int which) {
     const std::string& id = ids[static_cast<std::size_t>(which)];
     for (int it = 0; it < kIterations; ++it) {
@@ -680,7 +679,6 @@ TEST(ConcurrencyTest, TreeRepairsRacingSearches) {
     for (int i = 0; i < kMutations; ++i) {
       HttpResponse response;
       if (i % 6 == 5) {
-        // A vertex append: always published through the repair path.
         response = server.Handle(
             "POST /v1/vertices\n\n{\"vertices\": [{\"name\": \"raced "
             "author " +
@@ -694,7 +692,11 @@ TEST(ConcurrencyTest, TreeRepairsRacingSearches) {
         response = server.Handle(
             (i % 2 == 0 ? "POST /v1/edges" : "DELETE /v1/edges") + body);
       }
-      if (response.code != 200) ++bad_codes;
+      if (response.code == 200) {
+        ++accepted;
+      } else {
+        ++bad_codes;
+      }
     }
   });
 
@@ -708,12 +710,7 @@ TEST(ConcurrencyTest, TreeRepairsRacingSearches) {
 
   auto stats = JsonValue::Parse(server.Handle("GET /v1/stats").body);
   ASSERT_TRUE(stats.ok());
-  const JsonValue& block = stats->Get("mutations");
-  EXPECT_GE(block.Get("cltree_repairs").AsInt(), 1);
-  // Every accepted batch was served by exactly one of the two paths.
-  EXPECT_EQ(block.Get("batches").AsInt(),
-            block.Get("cltree_repairs").AsInt() +
-                block.Get("cltree_rebuild_fallbacks").AsInt());
+  EXPECT_EQ(stats->Get("mutations").Get("batches").AsInt(), accepted);
 }
 
 }  // namespace

@@ -238,61 +238,126 @@ void ExpectMatchesMirror(const Dataset& dataset, const Mirror& mirror) {
 // Overlay equivalence: mutate through the service, compare to rebuilds
 // --------------------------------------------------------------------------
 
+/// Asserts the served CL-tree is structurally identical to `fresh`, the
+/// tree of a from-scratch upload of the same graph: node directory, vertex
+/// map, subtree sizes, blooms, and every per-node, per-keyword posting list.
+/// `fresh` comes from its own core decomposition, so a core-maintenance
+/// error that the served tree inherited shows up here too.
+void ExpectSameTree(const Dataset& dataset, const ClTree& fresh) {
+  const ClTree& live = dataset.index();
+  ASSERT_EQ(live.num_nodes(), fresh.num_nodes());
+  for (ClNodeId id = 0; id < fresh.num_nodes(); ++id) {
+    const ClTreeNode& a = live.node(id);
+    const ClTreeNode& b = fresh.node(id);
+    ASSERT_EQ(a.core, b.core) << "node " << id;
+    ASSERT_EQ(a.parent, b.parent) << "node " << id;
+    ASSERT_EQ(a.subtree_end, b.subtree_end) << "node " << id;
+    ASSERT_TRUE(std::equal(a.children.begin(), a.children.end(),
+                           b.children.begin(), b.children.end()))
+        << "children of node " << id;
+    ASSERT_TRUE(std::equal(a.vertices.begin(), a.vertices.end(),
+                           b.vertices.begin(), b.vertices.end()))
+        << "anchored vertices of node " << id;
+    ASSERT_EQ(live.SubtreeSize(id), fresh.SubtreeSize(id)) << "node " << id;
+    ASSERT_EQ(live.NodeKeywordBloom(id), fresh.NodeKeywordBloom(id))
+        << "bloom of node " << id;
+    ASSERT_TRUE(std::equal(a.inv_keywords.begin(), a.inv_keywords.end(),
+                           b.inv_keywords.begin(), b.inv_keywords.end()))
+        << "inverted keywords of node " << id;
+    for (KeywordId kw : b.inv_keywords) {
+      const KeywordId one[] = {kw};
+      const std::span<const KeywordId> kws(one);
+      const std::uint64_t fp = simd::BloomFingerprint(kws);
+      VertexList live_list;
+      VertexList fresh_list;
+      live.AppendNodeMatches(id, kws, fp, &live_list);
+      fresh.AppendNodeMatches(id, kws, fp, &fresh_list);
+      ASSERT_EQ(live_list, fresh_list)
+          << "postings of keyword " << kw << " at node " << id;
+      ASSERT_EQ(live.CountKeyword(id, kw), fresh.CountKeyword(id, kw))
+          << "subtree count of keyword " << kw << " at node " << id;
+    }
+  }
+  for (VertexId v = 0; v < dataset.graph().num_vertices(); ++v) {
+    ASSERT_EQ(live.NodeOf(v), fresh.NodeOf(v)) << "vertex " << v;
+    ASSERT_EQ(live.CoreOf(v), fresh.CoreOf(v)) << "vertex " << v;
+  }
+}
+
+/// A /v1/vertices body appending one vertex with the given attributes.
+api::MutationRequest AddVertexRequest(const std::string& name,
+                                      const std::vector<std::string>& kws) {
+  api::MutationRequest request;
+  request.body = "{\"vertices\": [{\"name\": \"" + name + "\", \"keywords\": [";
+  for (std::size_t i = 0; i < kws.size(); ++i) {
+    if (i) request.body += ", ";
+    request.body += "\"" + kws[i] + "\"";
+  }
+  request.body += "]}]}";
+  return request;
+}
+
+// Mixed batches (edge flips, vertex appends with and without edges)
+// through the service. After every round the served dataset must match a
+// from-scratch rebuild of the mirror, its CL-tree must be structurally
+// identical to the tree of a fresh upload, and /v1/search answers must be
+// byte-identical to that upload's.
 TEST(DeltaOverlayTest, MutateThenQueryFuzzMatchesRebuild) {
   Mirror mirror = RandomMirror(80, 200, 42);
   api::QueryService service;
   ASSERT_TRUE(service.UploadGraph(mirror.Rebuild()).ok());
 
-  // A shadow service that is re-uploaded from scratch after every batch;
-  // /v1/search answers must be byte-identical to the mutated service.
+  // A shadow service that is re-uploaded from scratch after every round.
   api::QueryService shadow;
 
   Rng rng(43);
   const char* const kAlgos[] = {"ACQ", "Global", "Local"};
-  for (int batch = 0; batch < 12; ++batch) {
-    std::vector<std::pair<VertexId, VertexId>> add;
-    std::vector<std::pair<VertexId, VertexId>> remove;
-    const std::uint32_t n =
-        static_cast<std::uint32_t>(mirror.names.size());
-    for (int i = 0; i < 8; ++i) {
-      VertexId u = rng.UniformU32(n);
-      VertexId v = rng.UniformU32(n);
-      if (u == v) continue;
-      if (mirror.Has(u, v)) {
-        mirror.Remove(u, v);
-        remove.push_back({u, v});
-      } else {
-        mirror.Add(u, v);
-        add.push_back({u, v});
-      }
-    }
-    // Every third batch also appends a vertex (keywords from the base pool
-    // so the rebuilt vocabulary interns identical ids).
-    if (batch % 3 == 2) {
-      mirror.names.push_back("late author " + std::to_string(batch));
+  for (int batch = 0; batch < 14; ++batch) {
+    if (batch % 4 == 1) {
+      // A pure vertex append (keywords from the base pool, so the rebuilt
+      // vocabulary interns identical ids).
+      mirror.names.push_back("appended author " + std::to_string(batch));
       mirror.keywords.push_back(PoolKeywords(&rng));
-      api::MutationRequest request;
-      request.body = "{\"vertices\": [{\"name\": \"" + mirror.names.back() +
-                     "\", \"keywords\": [";
-      for (std::size_t i = 0; i < mirror.keywords.back().size(); ++i) {
-        if (i) request.body += ", ";
-        request.body += "\"" + mirror.keywords.back()[i] + "\"";
+      auto applied = service.AddVertices(
+          AddVertexRequest(mirror.names.back(), mirror.keywords.back()));
+      ASSERT_TRUE(applied.ok()) << applied.error().ToJson();
+    } else {
+      std::vector<std::pair<VertexId, VertexId>> add;
+      std::vector<std::pair<VertexId, VertexId>> remove;
+      const std::uint32_t n =
+          static_cast<std::uint32_t>(mirror.names.size());
+      for (int i = 0; i < 8; ++i) {
+        VertexId u = rng.UniformU32(n);
+        VertexId v = rng.UniformU32(n);
+        if (u == v) continue;
+        if (mirror.Has(u, v)) {
+          mirror.Remove(u, v);
+          remove.push_back({u, v});
+        } else {
+          mirror.Add(u, v);
+          add.push_back({u, v});
+        }
       }
-      request.body += "]}]}";
-      auto applied = service.AddVertices(request);
-      ASSERT_TRUE(applied.ok()) << applied.error().ToJson();
-      VertexId fresh = static_cast<VertexId>(mirror.names.size() - 1);
-      VertexId peer = rng.UniformU32(n);
-      mirror.Add(fresh, peer);
-      add.push_back({fresh, peer});
-    }
-    if (!add.empty()) {
-      auto applied = Mutate(&service, EdgesBody(add), /*remove=*/false);
-      ASSERT_TRUE(applied.ok()) << applied.error().ToJson();
-    }
-    if (!remove.empty()) {
-      auto applied = Mutate(&service, EdgesBody(remove), /*remove=*/true);
-      ASSERT_TRUE(applied.ok()) << applied.error().ToJson();
+      // Every third round also appends a vertex and links it to a peer.
+      if (batch % 3 == 2) {
+        mirror.names.push_back("late author " + std::to_string(batch));
+        mirror.keywords.push_back(PoolKeywords(&rng));
+        auto applied = service.AddVertices(
+            AddVertexRequest(mirror.names.back(), mirror.keywords.back()));
+        ASSERT_TRUE(applied.ok()) << applied.error().ToJson();
+        VertexId fresh = static_cast<VertexId>(mirror.names.size() - 1);
+        VertexId peer = rng.UniformU32(n);
+        mirror.Add(fresh, peer);
+        add.push_back({fresh, peer});
+      }
+      if (!add.empty()) {
+        auto applied = Mutate(&service, EdgesBody(add), /*remove=*/false);
+        ASSERT_TRUE(applied.ok()) << applied.error().ToJson();
+      }
+      if (!remove.empty()) {
+        auto applied = Mutate(&service, EdgesBody(remove), /*remove=*/true);
+        ASSERT_TRUE(applied.ok()) << applied.error().ToJson();
+      }
     }
 
     DatasetPtr dataset = service.dataset();
@@ -300,13 +365,15 @@ TEST(DeltaOverlayTest, MutateThenQueryFuzzMatchesRebuild) {
     EXPECT_TRUE(dataset->is_overlay());
     ExpectMatchesMirror(*dataset, mirror);
 
-    // Byte-identical search bodies against the from-scratch shadow.
     ASSERT_TRUE(shadow.UploadGraph(mirror.Rebuild()).ok());
+    ExpectSameTree(*dataset, shadow.dataset()->index());
+
+    // Byte-identical search bodies against the from-scratch shadow.
     for (int probe = 0; probe < 3; ++probe) {
       api::SearchRequest search;
       search.vertices = {rng.UniformU32(
           static_cast<std::uint32_t>(mirror.names.size()))};
-      search.k = 2 + rng.UniformU32(3);
+      search.k = 1 + rng.UniformU32(4);
       search.algo = kAlgos[rng.UniformU32(3)];
       auto live = service.Search(search);
       auto expected = shadow.Search(search);
@@ -462,8 +529,7 @@ TEST(DeltaCompactionTest, BackgroundCompactionPastThreshold) {
   std::mutex mu;
   DatasetPtr served = std::move(built).value();
   delta::Mutator mutator(
-      [&mu, &served](const DatasetPtr& expected, DatasetPtr fresh,
-                     const delta::PublishInfo&) {
+      [&mu, &served](const DatasetPtr& expected, DatasetPtr fresh) {
         std::lock_guard<std::mutex> lock(mu);
         if (served != expected) return false;
         served = std::move(fresh);
@@ -509,9 +575,7 @@ TEST(DeltaCompactionTest, LosingThePublishRaceDiscardsTheBatch) {
 
   std::atomic<bool> accept{false};
   delta::Mutator mutator(
-      [&accept](const DatasetPtr&, DatasetPtr, const delta::PublishInfo&) {
-        return accept.load();
-      });
+      [&accept](const DatasetPtr&, DatasetPtr) { return accept.load(); });
 
   delta::MutationBatch batch;
   batch.add_edges = {{0, 19}};
@@ -572,225 +636,6 @@ TEST(DeltaOverlayTest, MutationStatsReflectTheOverlay) {
   EXPECT_FALSE(after.active);
   EXPECT_EQ(after.pending_batches, 0u);
   EXPECT_EQ(after.compactions, 1u);
-}
-
-// --------------------------------------------------------------------------
-// Incremental CL-tree repair vs. the from-scratch build oracle
-// --------------------------------------------------------------------------
-
-/// Asserts the served (possibly repaired) CL-tree is structurally
-/// indistinguishable from ClTree::Build over the same graph and cores:
-/// node directory, vertex map, subtree sizes, blooms, and — through the
-/// posting kernels, so patched nodes are exercised — every per-node,
-/// per-keyword posting list.
-void ExpectTreeMatchesRebuild(const Dataset& dataset) {
-  const ClTree& live = dataset.index();
-  const ClTree fresh = ClTree::Build(dataset.graph(), dataset.core_numbers(),
-                                     ClTreeBuildMethod::kAdvanced);
-  ASSERT_EQ(live.num_nodes(), fresh.num_nodes());
-  for (ClNodeId id = 0; id < fresh.num_nodes(); ++id) {
-    const ClTreeNode& a = live.node(id);
-    const ClTreeNode& b = fresh.node(id);
-    ASSERT_EQ(a.core, b.core) << "node " << id;
-    ASSERT_EQ(a.parent, b.parent) << "node " << id;
-    ASSERT_EQ(a.subtree_end, b.subtree_end) << "node " << id;
-    ASSERT_TRUE(std::equal(a.children.begin(), a.children.end(),
-                           b.children.begin(), b.children.end()))
-        << "children of node " << id;
-    ASSERT_TRUE(std::equal(a.vertices.begin(), a.vertices.end(),
-                           b.vertices.begin(), b.vertices.end()))
-        << "anchored vertices of node " << id;
-    ASSERT_EQ(live.SubtreeSize(id), fresh.SubtreeSize(id)) << "node " << id;
-    ASSERT_EQ(live.NodeKeywordBloom(id), fresh.NodeKeywordBloom(id))
-        << "bloom of node " << id;
-    ASSERT_TRUE(std::equal(a.inv_keywords.begin(), a.inv_keywords.end(),
-                           b.inv_keywords.begin(), b.inv_keywords.end()))
-        << "inverted keywords of node " << id;
-    for (KeywordId kw : b.inv_keywords) {
-      const KeywordId one[] = {kw};
-      const std::span<const KeywordId> kws(one);
-      const std::uint64_t fp = simd::BloomFingerprint(kws);
-      VertexList live_list;
-      VertexList fresh_list;
-      live.AppendNodeMatches(id, kws, fp, &live_list);
-      fresh.AppendNodeMatches(id, kws, fp, &fresh_list);
-      ASSERT_EQ(live_list, fresh_list)
-          << "postings of keyword " << kw << " at node " << id;
-      ASSERT_EQ(live.CountKeyword(id, kw), fresh.CountKeyword(id, kw))
-          << "subtree count of keyword " << kw << " at node " << id;
-    }
-  }
-  for (VertexId v = 0; v < dataset.graph().num_vertices(); ++v) {
-    ASSERT_EQ(live.NodeOf(v), fresh.NodeOf(v)) << "vertex " << v;
-    ASSERT_EQ(live.CoreOf(v), fresh.CoreOf(v)) << "vertex " << v;
-  }
-}
-
-// The tentpole's oracle gate: >= 12 mixed batches (edge flips + vertex
-// appends) through the service; after EVERY publish the served tree —
-// repaired whenever the batch certifies tree-neutral — must be structurally
-// identical to a from-scratch build AND answer byte-identical /v1/search
-// bodies.
-TEST(DeltaTreeRepairTest, RepairFuzzMatchesRebuild) {
-  Mirror mirror = RandomMirror(70, 160, 99);
-  api::QueryService service;
-  ASSERT_TRUE(service.UploadGraph(mirror.Rebuild()).ok());
-  api::QueryService shadow;
-
-  Rng rng(101);
-  const char* const kAlgos[] = {"ACQ", "Global", "Local"};
-  for (int batch = 0; batch < 14; ++batch) {
-    if (batch % 4 == 1) {
-      // A pure vertex append: always certified tree-neutral, so this
-      // exercises the root posting-patch path on every run.
-      mirror.names.push_back("repair author " + std::to_string(batch));
-      mirror.keywords.push_back(PoolKeywords(&rng));
-      api::MutationRequest request;
-      request.body = "{\"vertices\": [{\"name\": \"" + mirror.names.back() +
-                     "\", \"keywords\": [";
-      for (std::size_t i = 0; i < mirror.keywords.back().size(); ++i) {
-        if (i) request.body += ", ";
-        request.body += "\"" + mirror.keywords.back()[i] + "\"";
-      }
-      request.body += "]}]}";
-      auto applied = service.AddVertices(request);
-      ASSERT_TRUE(applied.ok()) << applied.error().ToJson();
-    } else {
-      std::vector<std::pair<VertexId, VertexId>> add;
-      std::vector<std::pair<VertexId, VertexId>> remove;
-      const std::uint32_t n =
-          static_cast<std::uint32_t>(mirror.names.size());
-      for (int i = 0; i < 4; ++i) {
-        VertexId u = rng.UniformU32(n);
-        VertexId v = rng.UniformU32(n);
-        if (u == v) continue;
-        if (mirror.Has(u, v)) {
-          mirror.Remove(u, v);
-          remove.push_back({u, v});
-        } else {
-          mirror.Add(u, v);
-          add.push_back({u, v});
-        }
-      }
-      if (!add.empty()) {
-        ASSERT_TRUE(Mutate(&service, EdgesBody(add), false).ok());
-      }
-      if (!remove.empty()) {
-        ASSERT_TRUE(Mutate(&service, EdgesBody(remove), true).ok());
-      }
-    }
-
-    DatasetPtr dataset = service.dataset();
-    ASSERT_NE(dataset, nullptr);
-    ExpectMatchesMirror(*dataset, mirror);
-    ExpectTreeMatchesRebuild(*dataset);
-
-    ASSERT_TRUE(shadow.UploadGraph(mirror.Rebuild()).ok());
-    for (int probe = 0; probe < 3; ++probe) {
-      api::SearchRequest search;
-      search.vertices = {rng.UniformU32(
-          static_cast<std::uint32_t>(mirror.names.size()))};
-      search.k = 1 + rng.UniformU32(4);
-      search.algo = kAlgos[rng.UniformU32(3)];
-      auto live = service.Search(search);
-      auto expected = shadow.Search(search);
-      ASSERT_EQ(live.ok(), expected.ok()) << "algo " << search.algo;
-      if (live.ok()) {
-        ASSERT_EQ(live.value(), expected.value())
-            << "algo " << search.algo << " vertex " << search.vertices[0];
-      }
-    }
-  }
-
-  // The stream must actually have taken the repair path (the pure vertex
-  // appends guarantee it) — otherwise this test proves nothing.
-  const delta::MutationStats stats = service.MutationStatsNow();
-  EXPECT_GT(stats.cltree_repairs, 0u);
-  EXPECT_GT(stats.postings_patched, 0u);
-}
-
-TEST(DeltaTreeRepairTest, CompactionFoldsPostingPatches) {
-  Mirror mirror = RandomMirror(40, 80, 17);
-  api::QueryService service;
-  ASSERT_TRUE(service.UploadGraph(mirror.Rebuild()).ok());
-
-  // A vertex append patches the root's posting lists.
-  api::MutationRequest request;
-  request.body =
-      "{\"vertices\": [{\"name\": \"patched author\","
-      " \"keywords\": [\"db\", \"ml\"]}]}";
-  ASSERT_TRUE(service.AddVertices(request).ok());
-  ASSERT_EQ(service.MutationStatsNow().cltree_repairs, 1u);
-  ASSERT_TRUE(service.dataset()->index().is_repaired());
-  EXPECT_EQ(service.dataset()->index().num_patched_nodes(), 1u);
-
-  // Compaction folds the patches back into dense arenas and reports what
-  // it folded.
-  ASSERT_TRUE(service.CompactMutations("").ok());
-  EXPECT_FALSE(service.dataset()->index().is_repaired());
-  EXPECT_EQ(service.dataset()->index().num_patched_nodes(), 0u);
-  const delta::MutationStats stats = service.MutationStatsNow();
-  EXPECT_EQ(stats.last_fold_patched_nodes, 1u);
-  EXPECT_EQ(stats.last_fold_postings, 2u);
-  ExpectTreeMatchesRebuild(*service.dataset());
-}
-
-TEST(DeltaTreeRepairTest, ThresholdZeroForcesRebuildFallback) {
-  Mirror mirror = RandomMirror(30, 60, 23);
-  auto built = Dataset::Build(mirror.Rebuild());
-  ASSERT_TRUE(built.ok());
-
-  std::mutex mu;
-  DatasetPtr served = std::move(built).value();
-  delta::Mutator mutator(
-      [&mu, &served](const DatasetPtr& expected, DatasetPtr fresh,
-                     const delta::PublishInfo&) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (served != expected) return false;
-        served = std::move(fresh);
-        return true;
-      });
-
-  // With the patched-fraction threshold pinned to zero, a vertex append —
-  // which would have to patch the root — must fall back to a rebuild.
-  mutator.set_cltree_repair_threshold(0.0);
-  delta::MutationBatch batch;
-  batch.add_vertices.push_back({"fallback author", {"db"}});
-  auto applied = mutator.Apply(served, batch);
-  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  delta::MutationStats stats = mutator.StatsFor(applied.value().dataset);
-  EXPECT_EQ(stats.cltree_rebuild_fallbacks, 1u);
-  EXPECT_EQ(stats.cltree_repairs, 0u);
-  EXPECT_FALSE(applied.value().dataset->index().is_repaired());
-
-  // Restoring the default threshold re-enables the repair path.
-  mutator.set_cltree_repair_threshold(0.25);
-  delta::MutationBatch second;
-  second.add_vertices.push_back({"repaired author", {"ml"}});
-  auto repaired = mutator.Apply(applied.value().dataset, second);
-  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-  stats = mutator.StatsFor(repaired.value().dataset);
-  EXPECT_EQ(stats.cltree_repairs, 1u);
-  EXPECT_TRUE(repaired.value().dataset->index().is_repaired());
-}
-
-TEST(DeltaTreeRepairTest, DisablingRepairAlwaysRebuilds) {
-  Mirror mirror = RandomMirror(30, 60, 29);
-  api::QueryService service;
-  ASSERT_TRUE(service.UploadGraph(mirror.Rebuild()).ok());
-  service.SetClTreeRepairEnabled(false);
-
-  api::MutationRequest request;
-  request.body =
-      "{\"vertices\": [{\"name\": \"plain author\", \"keywords\": [\"db\"]}]}";
-  ASSERT_TRUE(service.AddVertices(request).ok());
-  const delta::MutationStats stats = service.MutationStatsNow();
-  EXPECT_EQ(stats.cltree_repairs, 0u);
-  EXPECT_FALSE(service.dataset()->index().is_repaired());
-
-  service.SetClTreeRepairEnabled(true);
-  ASSERT_TRUE(Mutate(&service, EdgesBody({{30, 0}, {30, 1}}), false).ok());
-  ExpectTreeMatchesRebuild(*service.dataset());
 }
 
 }  // namespace

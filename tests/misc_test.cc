@@ -71,6 +71,29 @@ TEST(JsonCornerTest, DeepNesting) {
   EXPECT_EQ(cursor->AsInt(), 1);
 }
 
+TEST(JsonCornerTest, NestingPastTheLimitIsRejected) {
+  // 64 levels parse (DeepNesting above, and objects here); one more is a
+  // ParseError, and so is hostile depth, which must not blow the stack.
+  auto nested_objects = [](int depth) {
+    std::string doc;
+    for (int i = 0; i < depth; ++i) doc += "{\"a\":";
+    doc += "1";
+    for (int i = 0; i < depth; ++i) doc += "}";
+    return doc;
+  };
+  EXPECT_TRUE(JsonValue::Parse(nested_objects(64)).ok());
+  const std::string too_deep[] = {
+      std::string(65, '[') + "1" + std::string(65, ']'),
+      nested_objects(65),
+      "{\"a\":" + std::string(64, '[') + "]" + std::string(63, ']') + "}",
+      std::string(100000, '['),
+  };
+  for (const std::string& doc : too_deep) {
+    EXPECT_EQ(JsonValue::Parse(doc).status().code(), StatusCode::kParseError)
+        << doc.substr(0, 80);
+  }
+}
+
 TEST(JsonCornerTest, UnicodeEscapes) {
   auto v = JsonValue::Parse(R"("Aé中")");
   ASSERT_TRUE(v.ok());

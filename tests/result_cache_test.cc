@@ -194,45 +194,14 @@ TEST_F(ResultCacheFixture, StatsEndpointSurfacesCounters) {
 }
 
 // --------------------------------------------------------------------------
-// Cross-mutation migration: tagged entries survive certified-neutral
-// publishes, everything else is dropped
+// A mutation publish bumps the epoch and drops every entry
 // --------------------------------------------------------------------------
 
-TEST(ResultCacheMigrationTest, ReKeysKeptEntriesAndDropsTheRest) {
-  api::ResultCache cache(/*capacity=*/16, /*shards=*/4);
-  auto value = [](const char* body) {
-    auto v = std::make_shared<api::CachedSearch>();
-    v->body = body;
-    return v;
-  };
-  api::CacheTag keepable{/*valid=*/true, /*level=*/2, /*comp=*/7};
-  api::CacheTag droppable{/*valid=*/true, /*level=*/2, /*comp=*/3};
-  cache.Put("5\x1ekeep", value("kept"), keepable);
-  cache.Put("5\x1edrop", value("dropped"), droppable);
-  cache.Put("5\x1euntagged", value("untagged"));  // no tag: never survives
-  cache.Put("4\x1estale", value("old epoch"), keepable);  // prefix mismatch
-
-  const std::size_t kept = cache.MigrateAcrossEpoch(
-      "5\x1e", "6\x1e",
-      [](const api::CacheTag& tag) { return tag.comp == 7; });
-  EXPECT_EQ(kept, 1u);
-  EXPECT_EQ(cache.GetStats().reused_across_mutation, 1u);
-  EXPECT_EQ(cache.GetStats().entries, 1u);
-
-  // The survivor answers under the NEW epoch's key only.
-  ASSERT_NE(cache.Get("6\x1ekeep"), nullptr);
-  EXPECT_EQ(cache.Get("6\x1ekeep")->body, "kept");
-  EXPECT_EQ(cache.Get("5\x1ekeep"), nullptr);
-  EXPECT_EQ(cache.Get("6\x1edrop"), nullptr);
-  EXPECT_EQ(cache.Get("6\x1euntagged"), nullptr);
-  EXPECT_EQ(cache.Get("6\x1estale"), nullptr);
-}
-
-TEST(ResultCacheMigrationTest, NeutralMutationKeepsUntouchedComponent) {
+TEST(ResultCacheMutationTest, PublishDropsEveryEntry) {
   // A 5-cycle (component A) and a disjoint triangle (component B), all of
-  // core 2. Inserting chord (0, 2) changes no core number — a certified
-  // tree repair — so the publish migrates the cache: component B's entry
-  // survives the epoch bump, component A's (the touched one) is dropped.
+  // core 2. Chord (0, 2) touches only component A and moves no core
+  // number, yet the publish still drops both entries: both repeated
+  // searches miss, and both answer as a server rebuilt with the chord.
   AttributedGraphBuilder b;
   for (int i = 0; i < 8; ++i) {
     b.AddVertex("author " + std::to_string(i), {"x"});
@@ -243,6 +212,8 @@ TEST(ResultCacheMigrationTest, NeutralMutationKeepsUntouchedComponent) {
   ASSERT_TRUE(b.AddEdge(5, 6).ok());
   ASSERT_TRUE(b.AddEdge(6, 7).ok());
   ASSERT_TRUE(b.AddEdge(5, 7).ok());
+  AttributedGraphBuilder chorded = b;
+  ASSERT_TRUE(chorded.AddEdge(0, 2).ok());
 
   api::QueryService service;
   ASSERT_TRUE(service.UploadGraph(std::move(b).Build()).ok());
@@ -254,36 +225,31 @@ TEST(ResultCacheMigrationTest, NeutralMutationKeepsUntouchedComponent) {
   api::SearchRequest in_cycle = in_triangle;
   in_cycle.vertices = {0};
 
-  auto triangle_body = service.Search(in_triangle);
-  ASSERT_TRUE(triangle_body.ok());
+  ASSERT_TRUE(service.Search(in_triangle).ok());
   ASSERT_TRUE(service.Search(in_cycle).ok());
   EXPECT_EQ(service.ResultCacheStats().entries, 2u);
 
   api::MutationRequest chord;
   chord.body = "{\"edges\": [[0, 2]]}";
   ASSERT_TRUE(service.AddEdges(chord).ok());
-  EXPECT_EQ(service.MutationStatsNow().cltree_repairs, 1u);
-  EXPECT_EQ(service.ResultCacheStats().reused_across_mutation, 1u);
+  EXPECT_EQ(service.ResultCacheStats().entries, 0u);
 
-  // Component B: served from the migrated entry, byte-identical.
-  auto again = service.Search(in_triangle);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.value(), triangle_body.value());
-  EXPECT_EQ(service.ResultCacheStats().hits, 1u);
+  const api::ResultCache::Stats before = service.ResultCacheStats();
+  auto triangle_body = service.Search(in_triangle);
+  auto cycle_body = service.Search(in_cycle);
+  ASSERT_TRUE(triangle_body.ok());
+  ASSERT_TRUE(cycle_body.ok());
+  EXPECT_EQ(service.ResultCacheStats().hits, before.hits);
+  EXPECT_EQ(service.ResultCacheStats().misses, before.misses + 2);
 
-  // Component A was touched: its entry is gone, the search re-executes.
-  ASSERT_TRUE(service.Search(in_cycle).ok());
-  EXPECT_EQ(service.ResultCacheStats().hits, 1u);
-  EXPECT_EQ(service.ResultCacheStats().misses, 3u);
-}
-
-TEST(ResultCacheMigrationTest, StatsSurfaceReuseCounter) {
-  CExplorerServer server;
-  ASSERT_TRUE(server.UploadGraph(Figure5Graph()).ok());
-  auto v = JsonValue::Parse(server.Handle("GET /v1/stats").body);
-  ASSERT_TRUE(v.ok());
-  EXPECT_TRUE(v->Get("result_cache").Has("reused_across_mutation"));
-  EXPECT_EQ(v->Get("result_cache").Get("reused_across_mutation").AsInt(), 0);
+  api::QueryService rebuilt;
+  ASSERT_TRUE(rebuilt.UploadGraph(std::move(chorded).Build()).ok());
+  auto rebuilt_triangle = rebuilt.Search(in_triangle);
+  auto rebuilt_cycle = rebuilt.Search(in_cycle);
+  ASSERT_TRUE(rebuilt_triangle.ok());
+  ASSERT_TRUE(rebuilt_cycle.ok());
+  EXPECT_EQ(triangle_body.value(), rebuilt_triangle.value());
+  EXPECT_EQ(cycle_body.value(), rebuilt_cycle.value());
 }
 
 // --------------------------------------------------------------------------
@@ -374,7 +340,7 @@ AttributedGraphBuilder TwoComponents() {
   return b;
 }
 
-TEST(ClickBodyTest, MigratedEntryClicksLikeARebuiltServer) {
+TEST(ClickBodyTest, ClickAfterPublishLikeARebuiltServer) {
   const std::string search = "GET /v1/search?vertex=6&k=2&algo=Global";
   const std::string click = "GET /v1/community?id=0&limit=50";
   CExplorerServer server;
@@ -382,14 +348,13 @@ TEST(ClickBodyTest, MigratedEntryClicksLikeARebuiltServer) {
   ASSERT_EQ(server.Handle(search).code, 200);
   ASSERT_EQ(server.Handle(click).code, 200);  // fills the memo
 
-  // Chord (0, 2) inside component A moves no core number: a certified
-  // tree-neutral publish, which carries component B's entry across.
+  // Chord (0, 2) inside component A: the publish bumps the epoch and
+  // drops the entry, so the search runs again and the click is cold.
   ASSERT_EQ(server.Handle("POST /v1/edges\n\n{\"edges\": [[0, 2]]}").code, 200);
-  EXPECT_EQ(server.service().ResultCacheStats().reused_across_mutation, 1u);
   ASSERT_EQ(server.Handle(search).code, 200);
-  EXPECT_EQ(server.service().ResultCacheStats().hits, 1u);
-  HttpResponse migrated = server.Handle(click);
-  ASSERT_EQ(migrated.code, 200) << migrated.body;
+  EXPECT_EQ(server.service().ResultCacheStats().hits, 0u);
+  HttpResponse published = server.Handle(click);
+  ASSERT_EQ(published.code, 200) << published.body;
 
   AttributedGraphBuilder mutated = TwoComponents();
   ASSERT_TRUE(mutated.AddEdge(0, 2).ok());
@@ -398,7 +363,7 @@ TEST(ClickBodyTest, MigratedEntryClicksLikeARebuiltServer) {
   ASSERT_EQ(rebuilt.Handle(search).code, 200);
   HttpResponse fresh = rebuilt.Handle(click);
   ASSERT_EQ(fresh.code, 200) << fresh.body;
-  EXPECT_EQ(migrated.body, fresh.body);
+  EXPECT_EQ(published.body, fresh.body);
 }
 
 TEST(ClickBodyTest, AnalysisIsComputedOncePerEntry) {
