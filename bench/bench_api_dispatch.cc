@@ -1,15 +1,12 @@
 // Measures the cost of the typed /v1 API surface: request parsing,
-// declarative schema validation, and table dispatch, versus the legacy
-// unversioned alias path (which shares the table but skips strict
-// validation). The acceptance bar for the API redesign is < 5% end-to-end
-// overhead for /v1/search over /search.
+// declarative schema validation, and table dispatch, next to a full
+// Handle() of the same search.
 //
 //   $ ./bench_api_dispatch
 //
 // Emits BENCH_JSON lines:
-//   api_parse_validate   parse + schema-validate only (no handler), /v1
-//   api_dispatch_legacy  full Handle() of the legacy alias
-//   api_dispatch_v1      full Handle() of the /v1 twin
+//   api_parse_validate   parse + schema-validate only (no handler)
+//   api_dispatch_v1      full Handle() of /v1/search
 //   api_dispatch_history full Handle() of /v1/history (near-zero handler,
 //                        upper bound on the framework share)
 
@@ -62,12 +59,10 @@ int Run() {
   }
   const std::string query = "?name=" + UrlEncode(graph.Name(q)) +
                             "&k=4&keywords=" + keywords + "&algo=ACQ";
-  const std::string legacy_line = "GET /search" + query;
   const std::string v1_line = "GET /v1/search" + query;
 
   bench::Banner("API dispatch overhead",
-                "the declarative /v1 route table adds < 5% over the legacy "
-                "alias path");
+                "parse + validate + lookup is a small share of a search");
 
   const std::size_t n = graph.num_vertices();
   const std::size_t m = graph.graph().num_edges();
@@ -75,10 +70,9 @@ int Run() {
   // Parse + validate only: the pure framework cost of the typed surface.
   const double parse_ms = MeanMillis([&] {
     auto request = ParseRequest(v1_line);
-    bool is_v1 = false;
-    const api::RouteSpec* route = api::FindRoute(request->path, &is_v1);
+    const api::RouteSpec* route = api::FindRoute(request->path, nullptr);
     if (route == nullptr) std::abort();
-    if (api::ValidateParams(*route, request.value(), is_v1)) std::abort();
+    if (api::ValidateParams(*route, request.value())) std::abort();
   });
   std::printf("parse+validate+lookup (/v1/search): %.4f ms\n", parse_ms);
   bench::EmitJsonLine("api_parse_validate", n, m, 1, parse_ms);
@@ -90,18 +84,9 @@ int Run() {
   std::printf("Handle(GET /v1/history): %.4f ms\n", history_ms);
   bench::EmitJsonLine("api_dispatch_history", n, m, 1, history_ms);
 
-  const double legacy_ms =
-      MeanMillis([&] { (void)server.Handle(legacy_line); });
-  std::printf("Handle(%s): %.4f ms\n", legacy_line.c_str(), legacy_ms);
-  bench::EmitJsonLine("api_dispatch_legacy", n, m, 1, legacy_ms);
-
   const double v1_ms = MeanMillis([&] { (void)server.Handle(v1_line); });
   std::printf("Handle(%s): %.4f ms\n", v1_line.c_str(), v1_ms);
   bench::EmitJsonLine("api_dispatch_v1", n, m, 1, v1_ms);
-
-  const double overhead = (v1_ms - legacy_ms) / legacy_ms * 100.0;
-  std::printf("\n/v1/search vs /search overhead: %+.2f%% (target < 5%%)\n",
-              overhead);
   return 0;
 }
 

@@ -138,18 +138,6 @@ BENCHMARK(BM_ClTreeBuildBasic)
     ->Arg(20000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_ClTreeSerialize(benchmark::State& state) {
-  DblpOptions options = cexplorer::bench::BenchDblpOptions();
-  options.num_authors = 20000;
-  DblpDataset data = GenerateDblp(options);
-  ClTree tree = ClTree::Build(data.graph);
-  for (auto _ : state) {
-    std::string doc = tree.Serialize();
-    benchmark::DoNotOptimize(doc.size());
-  }
-}
-BENCHMARK(BM_ClTreeSerialize)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -68,16 +68,16 @@ std::vector<std::string> SessionScript(const AttributedGraph& graph,
           if (k) keywords += ',';
           keywords += UrlEncode(kws[k]);
         }
-        script.push_back("GET /search?vertex=" + std::to_string(v) +
+        script.push_back("GET /v1/search?vertex=" + std::to_string(v) +
                          "&k=4&algo=ACQ&keywords=" + keywords + session_param);
         break;
       }
       case 1:
-        script.push_back("GET /profile?vertex=" + std::to_string(v) +
+        script.push_back("GET /v1/profile?vertex=" + std::to_string(v) +
                          session_param);
         break;
       default:
-        script.push_back("GET /author?name=" + UrlEncode(graph.Name(v)) +
+        script.push_back("GET /v1/author?name=" + UrlEncode(graph.Name(v)) +
                          session_param);
         break;
     }
@@ -141,7 +141,7 @@ void RunRepeatedQueryScenario(const AttributedGraph& graph, std::size_t n,
     latencies.reserve(static_cast<std::size_t>(kSessions) *
                       kRepeatsPerSession * kDistinctQueries);
     for (int s = 0; s < kSessions; ++s) {
-      HttpResponse created = server.Handle("GET /session/new");
+      HttpResponse created = server.Handle("GET /v1/session/new");
       auto parsed = JsonValue::Parse(created.body);
       if (created.code != 200 || !parsed.ok()) {
         std::printf("session creation failed\n");
@@ -214,7 +214,7 @@ int main() {
     DatasetPtr dataset = server.dataset();
     std::vector<std::thread> threads;
     for (int s = 0; s < kSessions; ++s) {
-      HttpResponse created = server.Handle("GET /session/new");
+      HttpResponse created = server.Handle("GET /v1/session/new");
       auto parsed = JsonValue::Parse(created.body);
       if (created.code != 200 || !parsed.ok()) {
         std::printf("session creation failed: [%d] %s\n", created.code,
@@ -256,7 +256,7 @@ int main() {
     rebuild_seconds = timer.ElapsedSeconds();
   }
 
-  // --- Batched: the same search mix as ONE /batch request ----------------
+  // --- Batched: the same search mix as ONE /v1/batch request -------------
   // All entries run under a single dataset snapshot and fan across the
   // server's worker pool; this measures the dispatch-overhead savings of
   // batching vs per-request Handle() calls.
@@ -298,8 +298,7 @@ int main() {
       }
     }
     array.EndArray();
-    const std::string request =
-        "GET /batch?requests=" + UrlEncode(array.TakeString());
+    const std::string request = "POST /v1/batch\n\n" + array.TakeString();
     Timer timer;
     HttpResponse response = server.Handle(request);
     batch_ms = timer.ElapsedMillis();
@@ -311,7 +310,7 @@ int main() {
         }
       }
     }
-    std::printf("\nbatched: %zu searches in one /batch request: %.2f ms "
+    std::printf("\nbatched: %zu searches in one /v1/batch request: %.2f ms "
                 "(%zu ok, %zu workers)\n",
                 batch_entries, batch_ms, batch_ok, server.num_workers());
   }

@@ -2,11 +2,14 @@
 // the browser-server loop of the paper's Figure 3 without Tomcat. Each
 // request line is printed with its JSON response, walking through the
 // whole demo: upload, search, view, profile, explore, compare, history —
-// then a second act: two sessions created via /session/new interleave their
-// own explorations of the same shared dataset (the graph is indexed exactly
-// once, at upload).
+// then a second act: two sessions created via /v1/session/new interleave
+// their own explorations of the same shared dataset (the graph is indexed
+// exactly once, at upload).
 //
 //   $ ./server_session
+//
+// Exits 1 when any scripted request other than the deliberate unknown
+// route answers a non-2xx status.
 
 #include <chrono>
 #include <cstdio>
@@ -21,8 +24,15 @@
 
 namespace {
 
-void Show(cexplorer::CExplorerServer* server, const std::string& request) {
+/// Scripted requests that answered a non-2xx status.
+int g_failures = 0;
+
+void Show(cexplorer::CExplorerServer* server, const std::string& request,
+          bool expect_ok = true) {
   cexplorer::HttpResponse response = server->Handle(request);
+  if (expect_ok && (response.code < 200 || response.code >= 300)) {
+    ++g_failures;
+  }
   std::printf(">>> %s\n<<< [%d] ", request.c_str(), response.code);
   // Truncate very long bodies for readability.
   if (response.body.size() > 900) {
@@ -40,7 +50,7 @@ int main() {
 
   CExplorerServer server;
 
-  // Stage the dataset in-memory (the /upload endpoint also accepts files).
+  // Stage the dataset in-memory (/v1/upload also accepts files).
   DblpOptions options;
   options.num_authors = 5000;
   options.num_areas = 16;
@@ -70,30 +80,28 @@ int main() {
     keywords += UrlEncode(kws[i]);
   }
 
-  // The /v1 routes and their legacy unversioned aliases return identical
-  // success bodies; the mix below exercises both. GET /v1/api describes
-  // every route and its parameter schema, and /v1/batch accepts a POST
-  // body (a JSON array of search entries).
+  // GET /v1/api describes every route and its parameter schema, and
+  // /v1/batch takes a POST body (a JSON array of search entries).
   const std::vector<std::string> session = {
       "GET /v1/api",
-      "GET /",
+      "GET /v1/index",
       "GET /v1/search?name=" + name + "&k=4&keywords=" + keywords +
           "&algo=ACQ",
       "GET /v1/community?id=0&limit=5",
-      "GET /profile?vertex=" + std::to_string(q),
-      "GET /explore?vertex=" + std::to_string(q) + "&k=3&algo=Global",
-      "GET /compare?name=" + name + "&k=4&keywords=" + keywords +
+      "GET /v1/profile?vertex=" + std::to_string(q),
+      "GET /v1/explore?vertex=" + std::to_string(q) + "&k=3&algo=Global",
+      "GET /v1/compare?name=" + name + "&k=4&keywords=" + keywords +
           "&algos=Global,Local,ACQ",
       "GET /v1/history",
       "POST /v1/batch\n\n[{\"vertex\": " + std::to_string(q) +
           ", \"k\": 4}, {\"name\": \"nobody\"}]",
-      "GET /no_such_route",
   };
 
   for (const auto& request : session) Show(&server, request);
+  Show(&server, "GET /no_such_route", /*expect_ok=*/false);  // a 404
 
   // --- Act two: concurrent sessions over the shared dataset ---------------
-  // Each /session/new is a cheap view onto the same immutable snapshot;
+  // Each /v1/session/new is a cheap view onto the same immutable snapshot;
   // note the index was built once, at upload, no matter how many sessions
   // join (index builds so far are visible in Dataset::TotalIndexBuilds()).
   std::printf("---- multi-session: two browsers share one dataset ----\n\n");
@@ -111,16 +119,16 @@ int main() {
     start += 11;
     return response.body.substr(start, response.body.find('"', start) - start);
   };
-  const std::string alice = session_id("GET /session/new");
-  const std::string bob = session_id("GET /session/new");
+  const std::string alice = session_id("GET /v1/session/new");
+  const std::string bob = session_id("GET /v1/session/new");
 
-  Show(&server, "GET /search?name=" + name + "&k=4&keywords=" + keywords +
+  Show(&server, "GET /v1/search?name=" + name + "&k=4&keywords=" + keywords +
                     "&algo=ACQ&session=" + alice);
-  Show(&server, "GET /explore?vertex=" + std::to_string(q) +
+  Show(&server, "GET /v1/explore?vertex=" + std::to_string(q) +
                     "&k=3&algo=Global&session=" + bob);
-  Show(&server, "GET /history?session=" + alice);
-  Show(&server, "GET /history?session=" + bob);
-  Show(&server, "GET /sessions");
+  Show(&server, "GET /v1/history?session=" + alice);
+  Show(&server, "GET /v1/history?session=" + bob);
+  Show(&server, "GET /v1/sessions");
 
   std::printf("index builds during the multi-session act: %llu (dataset "
               "shared, built once at upload)\n\n",
@@ -171,5 +179,11 @@ int main() {
   Show(&server, "GET /v1/jobs/" + louvain);
   Show(&server, "GET /v1/jobs/" + louvain + "/result?member_of=0&limit=5");
   Show(&server, "GET /v1/jobs");
+
+  if (g_failures != 0) {
+    std::printf("%d scripted request(s) answered a non-2xx status\n",
+                g_failures);
+    return 1;
+  }
   return 0;
 }

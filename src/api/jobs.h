@@ -55,6 +55,11 @@ const char* JobStateName(JobState state);
 /// True for the states a job can never leave.
 bool IsTerminal(JobState state);
 
+/// The largest accepted job deadline: 10^12 ms, about 31 years. Submit
+/// adds it to steady_clock::now() in int64 nanoseconds, which overflows
+/// near 9.2e12 ms.
+inline constexpr std::int64_t kMaxDeadlineMs = 1'000'000'000'000;
+
 /// What to run: the decoded POST /v1/jobs body.
 struct JobSpec {
   std::string algo;

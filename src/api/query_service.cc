@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -24,7 +25,7 @@ constexpr const char* kServerVersion = "0.4.0";
 /// Default page size when a cursor is presented without an explicit limit.
 constexpr std::uint64_t kDefaultPageLimit = 100;
 
-/// The most members a legacy full shape carries: search results truncate
+/// The most members the full shape carries: search results truncate
 /// longer member lists here, and /v1/community without a page and
 /// /v1/export refuse larger communities, whose all-pairs force layout
 /// would run for minutes (about 2 s already at this size).
@@ -61,7 +62,7 @@ void WriteTheme(JsonWriter* w, const AttributedGraph& graph,
 }
 
 /// Serializes one community (members with names, shared keywords) in the
-/// legacy full shape. Very large communities get their member list
+/// full shape. Very large communities get their member list
 /// truncated, flagged by the "members_truncated" field.
 void WriteCommunity(JsonWriter* w, const AttributedGraph& graph,
                     const cexplorer::Community& community,
@@ -289,9 +290,16 @@ ApiResult<JobSpec> ParseJobSpec(const std::string& body,
       spec.params[name] = ScalarToParamString(value);
     }
   }
-  spec.deadline_ms = parsed->Get("deadline_ms").AsInt(0);
-  if (spec.deadline_ms < 0) {
-    return ApiError::InvalidArgument("'deadline_ms' must be non-negative");
+  if (parsed->Has("deadline_ms")) {
+    // A non-number reads as -1 and fails the range test like a negative.
+    const double ms = parsed->Get("deadline_ms").AsDouble(-1.0);
+    if (!(ms >= 0.0 && ms <= static_cast<double>(kMaxDeadlineMs)) ||
+        std::trunc(ms) != ms) {
+      return ApiError::InvalidArgument(
+          "'deadline_ms' must be an integer in [0, " +
+          std::to_string(kMaxDeadlineMs) + "]");
+    }
+    spec.deadline_ms = static_cast<std::int64_t>(ms);
   }
   return spec;
 }
@@ -327,7 +335,7 @@ ApiError TooLargeToLayOut(std::size_t members) {
 }
 
 /// Resolved pagination window. When `paginated` is false the endpoint
-/// renders its legacy full shape.
+/// renders its full shape.
 struct PageWindow {
   bool paginated = false;
   std::uint64_t offset = 0;
@@ -344,7 +352,7 @@ ApiResult<PageWindow> ResolvePage(const PageParams& page, std::uint64_t epoch,
                                   std::uint64_t object_id,
                                   std::uint64_t generation) {
   PageWindow window;
-  if (page.cursor.empty() && page.limit == 0) return window;  // legacy shape
+  if (page.cursor.empty() && page.limit == 0) return window;  // full shape
   window.paginated = true;
   window.limit = page.limit == 0 ? kDefaultPageLimit : page.limit;
   if (!page.cursor.empty()) {
@@ -504,10 +512,10 @@ bool QueryService::InstallDataset(const DatasetPtr* expected,
     dataset_ = std::move(fresh);
   }
   // Keys carry the epoch, so stale entries could never *hit*; clearing on a
-  // graph swap just stops them from occupying capacity. Index-only swaps
-  // and compactions keep the epoch and the cache stays warm. Because every
-  // install funnels through here, no consumer can ever observe a graph
-  // change (upload, snapshot load, or mutation) without its epoch change.
+  // graph swap just stops them from occupying capacity. A compaction keeps
+  // the epoch and the cache stays warm. Because every install funnels
+  // through here, no consumer can ever observe a graph change (upload,
+  // snapshot load, or mutation) without its epoch change.
   if (epoch_changed) result_cache()->Clear();
   return true;
 }
@@ -538,7 +546,7 @@ void QueryService::AttachLocked(RequestContext& ctx, bool adopt_newer,
     return;
   }
   if (ctx.dataset != nullptr && attached != ctx.dataset) {
-    // Caches derived from the same graph survive index-only swaps; a new
+    // Caches derived from the same graph survive a compaction; a new
     // graph epoch invalidates them.
     const bool epoch_changed =
         attached == nullptr ||
@@ -578,7 +586,7 @@ ApiResult<QueryService::RequestContext> QueryService::Begin(
 
 namespace {
 
-/// Decodes an edge-batch body: {"edges": [[u, v], ...]} or the bare array.
+/// Decodes an edge-batch body: {"edges": [[u, v], ...]}.
 ApiResult<std::vector<std::pair<VertexId, VertexId>>> ParseEdgePairs(
     const std::string& body) {
   auto parsed = JsonValue::Parse(body);
@@ -586,23 +594,18 @@ ApiResult<std::vector<std::pair<VertexId, VertexId>>> ParseEdgePairs(
     return ApiError::InvalidArgument("malformed JSON body: " +
                                      parsed.status().message());
   }
-  const JsonValue& root = parsed.value();
-  const JsonValue* list = &root;
-  if (root.is_object()) {
-    if (!root.Has("edges")) {
-      return ApiError::InvalidArgument(
-          "missing 'edges': pass {\"edges\": [[u, v], ...]} or the bare "
-          "array");
-    }
-    list = &root.Get("edges");
+  if (!parsed->is_object() || !parsed->Has("edges")) {
+    return ApiError::InvalidArgument(
+        "missing 'edges': pass {\"edges\": [[u, v], ...]}");
   }
-  if (!list->is_array()) {
+  const JsonValue& list = parsed->Get("edges");
+  if (!list.is_array()) {
     return ApiError::InvalidArgument("'edges' must be an array of [u, v] "
                                      "pairs");
   }
   std::vector<std::pair<VertexId, VertexId>> edges;
-  edges.reserve(list->Items().size());
-  for (const JsonValue& entry : list->Items()) {
+  edges.reserve(list.Items().size());
+  for (const JsonValue& entry : list.Items()) {
     const auto& pair = entry.Items();
     if (!entry.is_array() || pair.size() != 2 ||
         pair[0].type() != JsonValue::Type::kNumber ||
@@ -624,8 +627,8 @@ ApiResult<std::vector<std::pair<VertexId, VertexId>>> ParseEdgePairs(
   return edges;
 }
 
-/// Decodes a vertex-batch body: {"vertices": [{"name", "keywords"}, ...]}
-/// or the bare array; both fields optional per vertex.
+/// Decodes a vertex-batch body: {"vertices": [{"name", "keywords"}, ...]};
+/// both fields optional per vertex.
 ApiResult<std::vector<delta::NewVertex>> ParseNewVertices(
     const std::string& body) {
   auto parsed = JsonValue::Parse(body);
@@ -633,23 +636,19 @@ ApiResult<std::vector<delta::NewVertex>> ParseNewVertices(
     return ApiError::InvalidArgument("malformed JSON body: " +
                                      parsed.status().message());
   }
-  const JsonValue& root = parsed.value();
-  const JsonValue* list = &root;
-  if (root.is_object()) {
-    if (!root.Has("vertices")) {
-      return ApiError::InvalidArgument(
-          "missing 'vertices': pass {\"vertices\": [{\"name\", "
-          "\"keywords\"}, ...]} or the bare array");
-    }
-    list = &root.Get("vertices");
+  if (!parsed->is_object() || !parsed->Has("vertices")) {
+    return ApiError::InvalidArgument(
+        "missing 'vertices': pass {\"vertices\": [{\"name\", "
+        "\"keywords\"}, ...]}");
   }
-  if (!list->is_array()) {
+  const JsonValue& list = parsed->Get("vertices");
+  if (!list.is_array()) {
     return ApiError::InvalidArgument("'vertices' must be an array of "
                                      "objects");
   }
   std::vector<delta::NewVertex> vertices;
-  vertices.reserve(list->Items().size());
-  for (const JsonValue& entry : list->Items()) {
+  vertices.reserve(list.Items().size());
+  for (const JsonValue& entry : list.Items()) {
     if (!entry.is_object()) {
       return ApiError::InvalidArgument(
           "each vertex must be an object with optional 'name' and "
@@ -1118,7 +1117,7 @@ ApiResult<std::string> QueryService::Community(
     // memo: the first click on a community computes them, every later
     // click on that result (any session, any page size) reads them. The
     // layout and ASCII rendering cover the WHOLE community and are only
-    // produced in the legacy full shape.
+    // produced in the full shape.
     PageToken next{ctx.dataset->graph_epoch(), PageToken::Kind::kCommunity,
                    static_cast<std::uint64_t>(request.id),
                    session.communities_generation, 0};
@@ -1396,57 +1395,6 @@ ApiResult<std::string> QueryService::UploadFile(const DatasetRequest& request) {
   return w.TakeString();
 }
 
-ApiResult<std::string> QueryService::SaveIndex(const DatasetRequest& request) {
-  auto begun = Begin(request.session);
-  if (!begun.ok()) return begun.error();
-  RequestContext ctx = std::move(begun).value();
-  if (request.path.empty()) {
-    return ApiError::InvalidArgument("missing index path");
-  }
-  if (ctx.dataset == nullptr) {
-    return ApiError::Conflict("no graph uploaded");
-  }
-  Status st = ctx.dataset->SaveIndex(request.path);
-  if (!st.ok()) return FromStatus(st);
-  JsonWriter w = JsonWriter::Recycled();
-  w.BeginObject();
-  w.Key("saved");
-  w.String(request.path);
-  w.EndObject();
-  return w.TakeString();
-}
-
-ApiResult<std::string> QueryService::LoadIndex(const DatasetRequest& request) {
-  auto begun = Begin(request.session);
-  if (!begun.ok()) return begun.error();
-  RequestContext ctx = std::move(begun).value();
-  if (request.path.empty()) {
-    return ApiError::InvalidArgument("missing index path");
-  }
-  if (ctx.dataset == nullptr) {
-    return ApiError::Conflict("no graph uploaded");
-  }
-  // Deserialize against the current snapshot, then swap server-wide: the
-  // graph and core numbers are shared, only the index is replaced. The
-  // publish is conditional — if another upload landed meanwhile, installing
-  // an index for the old graph would silently revert it.
-  auto dataset = ctx.dataset->WithIndexFromFile(request.path);
-  if (!dataset.ok()) return FromStatus(dataset.status());
-  if (!PublishDataset(ctx, std::move(dataset.value()))) {
-    return ApiError::Conflict(
-        "dataset changed while the index was loading; retry");
-  }
-  AttachToSession(ctx, /*clear_history=*/false);
-  JsonWriter w = JsonWriter::Recycled();
-  w.BeginObject();
-  w.Key("loaded");
-  w.String(request.path);
-  w.Key("dataset_id");
-  w.UInt(ctx.dataset->id());
-  w.EndObject();
-  return w.TakeString();
-}
-
 ApiResult<std::string> QueryService::SnapshotSave(
     const DatasetRequest& request) {
   auto begun = Begin(request.session);
@@ -1494,9 +1442,9 @@ ApiResult<std::string> QueryService::SnapshotLoad(
     return ApiError::InvalidArgument("missing snapshot path");
   }
   // Map + validate outside all locks: queries keep flowing against the old
-  // snapshot until the CAS publish below. Unlike /load_index this installs
-  // a different *graph*, so it is published like an upload: sessions drop
-  // their dataset-derived caches on next attach.
+  // snapshot until the CAS publish below. This installs a different
+  // *graph*, so it is published like an upload: sessions drop their
+  // dataset-derived caches on next attach.
   auto dataset = Dataset::FromSnapshotFile(request.path);
   if (!dataset.ok()) return FromStatus(dataset.status());
   if (!PublishDataset(ctx, std::move(dataset.value()))) {
@@ -1699,7 +1647,7 @@ ApiResult<std::string> QueryService::SubmitJob(const JobSubmitRequest& request,
   }
   if (request.body.empty()) {
     return ApiError::InvalidArgument(
-        "missing job spec: POST a JSON object or pass ?request=");
+        "missing job spec: POST a JSON object");
   }
   std::string kind_text;
   auto spec = ParseJobSpec(request.body, &kind_text);
@@ -1914,7 +1862,8 @@ ApiResult<std::string> QueryService::JobResult(const JobResultRequest& request) 
 ApiResult<BatchRequest> QueryService::ParseBatch(const std::string& json) {
   auto parsed = JsonValue::Parse(json);
   if (!parsed.ok() || !parsed->is_array()) {
-    return ApiError::InvalidArgument("'requests' must be a JSON array");
+    return ApiError::InvalidArgument(
+        "batch body must be a JSON array of search entries");
   }
   const std::vector<JsonValue>& items = parsed->Items();
   BatchRequest batch;

@@ -17,16 +17,17 @@
 //   * the structured ApiError taxonomy — no consumer ever sees a raw
 //     library Status.
 //
-// Methods return the rendered JSON body (ExportSvg: the SVG document).
-// Rendering here rather than in the HTTP layer is what makes the legacy
-// aliases byte-identical to their /v1 twins for free.
+// Methods return the rendered JSON body (ExportSvg: the SVG document), so
+// the HTTP layer and in-process embedders (the CLI, examples) get the same
+// bytes.
 //
 // Concurrency model (inherited from the pre-split server, unchanged): the
 // served DatasetPtr is guarded by a shared_mutex — requests take a shared
-// lock just long enough to copy the pointer; Upload/LoadIndex build the
-// replacement outside the lock and install it with a compare-and-swap
-// publish (kConflict for the loser). One request at a time per session;
-// different sessions run fully in parallel. Thread-safe throughout.
+// lock just long enough to copy the pointer; an upload or snapshot load
+// builds the replacement outside the lock and installs it with a
+// compare-and-swap publish (kConflict for the loser). One request at a
+// time per session; different sessions run fully in parallel. Thread-safe
+// throughout.
 
 #ifndef CEXPLORER_API_QUERY_SERVICE_H_
 #define CEXPLORER_API_QUERY_SERVICE_H_
@@ -161,8 +162,6 @@ class QueryService {
   ApiResult<std::string> ExportSvg(const ExportRequest& request);
 
   ApiResult<std::string> UploadFile(const DatasetRequest& request);
-  ApiResult<std::string> SaveIndex(const DatasetRequest& request);
-  ApiResult<std::string> LoadIndex(const DatasetRequest& request);
 
   // --- Mutations (the dynamic-graph tier) ---------------------------------
 
@@ -222,7 +221,7 @@ class QueryService {
   ApiResult<RequestContext> Begin(const std::string& session_id);
 
   /// THE one epoch-bump path: every dataset install — programmatic swap,
-  /// /upload, /load_index, snapshot load, mutation publish, compaction —
+  /// /upload, snapshot load, mutation publish, compaction —
   /// funnels through here, so the result cache (and, via the epoch tag,
   /// every session cache) can never observe a graph change without the
   /// matching epoch change. With `expected` non-null this is a
@@ -233,9 +232,9 @@ class QueryService {
 
   bool SwapDataset(DatasetPtr dataset);
 
-  /// Compare-and-swap publish for Upload/LoadIndex: installs `fresh` only
-  /// if the served dataset is still the snapshot this request started
-  /// from; otherwise returns false (the caller reports kConflict).
+  /// Compare-and-swap publish for uploads and snapshot loads: installs
+  /// `fresh` only if the served dataset is still the snapshot this request
+  /// started from; otherwise returns false (the caller reports kConflict).
   bool PublishDataset(RequestContext& ctx, DatasetPtr fresh);
 
   /// The lazily created mutation engine; its publish callback is

@@ -15,9 +15,9 @@
 // Carrying the graph epoch in the key is the invalidation rule: an /upload,
 // a snapshot load or a mutation publish bumps the epoch and every old entry
 // simply stops matching (the service additionally clears the cache on every
-// epoch change so dead entries do not occupy capacity). Index-only swaps
-// (/load_index) and compactions keep the epoch, and the cache stays warm —
-// exactly like the session-level caches.
+// epoch change so dead entries do not occupy capacity). A compaction keeps
+// the epoch, and the cache stays warm — exactly like the session-level
+// caches.
 //
 // Concurrency: the LRU is sharded by key hash; each shard serializes its
 // own map + recency list behind one mutex held only for the lookup/insert

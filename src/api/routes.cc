@@ -36,7 +36,7 @@ constexpr ParamSpec kSearchParams[] = {
 constexpr ParamSpec kCommunityParams[] = {
     {"id", ParamType::kInt, false, "0", "cached community id"},
     {"limit", ParamType::kInt, false, "",
-     "page size for the member list; omit for the full legacy shape "
+     "page size for the member list; omit for the full shape "
      "(communities of at most 2000 members)"},
     {"cursor", ParamType::kString, false, "",
      "opaque continuation cursor from a previous page"},
@@ -74,7 +74,7 @@ constexpr ParamSpec kDetectParams[] = {
 constexpr ParamSpec kClusterParams[] = {
     {"id", ParamType::kInt, false, "0", "cluster id of the cached detection"},
     {"limit", ParamType::kInt, false, "",
-     "page size for the member list; omit for the full legacy shape"},
+     "page size for the member list; omit for the full shape"},
     {"cursor", ParamType::kString, false, "",
      "opaque continuation cursor from a previous page"},
 };
@@ -85,31 +85,6 @@ constexpr ParamSpec kAuthorParams[] = {
 
 constexpr ParamSpec kExportParams[] = {
     {"id", ParamType::kInt, false, "0", "cached community id"},
-};
-
-constexpr ParamSpec kBatchParams[] = {
-    {"requests", ParamType::kJson, false, "",
-     "JSON array of search entries ({\"name\"|\"vertex\",\"k\",\"keywords\","
-     "\"algo\"}); on POST the request body is used instead"},
-};
-
-constexpr ParamSpec kJobsParams[] = {
-    {"request", ParamType::kJson, false, "",
-     "job spec ({\"algo\",\"kind\",\"params\",\"name\"|\"vertex\",\"k\","
-     "\"keywords\",\"deadline_ms\"}); on POST the request body is used "
-     "instead"},
-};
-
-constexpr ParamSpec kEdgesParams[] = {
-    {"edges", ParamType::kJson, false, "",
-     "JSON array of [u, v] vertex-id pairs ({\"edges\": [...]} also "
-     "accepted); normally carried as the request body"},
-};
-
-constexpr ParamSpec kVerticesParams[] = {
-    {"vertices", ParamType::kJson, false, "",
-     "JSON array of {\"name\",\"keywords\"} objects ({\"vertices\": [...]} "
-     "also accepted); normally carried as the request body"},
 };
 
 constexpr ParamSpec kJobIdParams[] = {
@@ -134,82 +109,80 @@ constexpr unsigned kGetDelete = kMethodGet | kMethodDelete;
 constexpr unsigned kPostDelete = kMethodPost | kMethodDelete;
 
 constexpr RouteSpec kRoutes[] = {
-    {"api", "/api", kGet, kNoParams, 0,
+    {"api", kGet, kNoParams, 0,
      "this document: every route and registered algorithm with its schema"},
-    {"healthz", "", kGet, kNoParams, 0,
+    {"healthz", kGet, kNoParams, 0,
      "liveness probe: status, uptime, served snapshot, session/job counts"},
-    {"version", "", kGet, kNoParams, 0,
+    {"version", kGet, kNoParams, 0,
      "API and build version information"},
-    {"stats", "", kGet, kNoParams, 0,
+    {"stats", kGet, kNoParams, 0,
      "serving counters: result-cache hits/misses/entries, session and job "
      "counts, served snapshot"},
-    {"index", "/", kGet, kNoParams, 0,
+    {"index", kGet, kNoParams, 0,
      "system summary: graph size, algorithms, session count"},
-    {"session/new", "/session/new", kGet, kNoParams, 0,
+    {"session/new", kGet, kNoParams, 0,
      "create a session; 503 once the session limit is reached"},
-    {"session/delete", "/session/delete", kGet, kSessionDeleteParams, 1,
+    {"session/delete", kGet, kSessionDeleteParams, 1,
      "delete a session, freeing its slot"},
-    {"sessions", "/sessions", kGet, kNoParams, 0,
+    {"sessions", kGet, kNoParams, 0,
      "list live sessions and their cache state"},
-    {"upload", "/upload", kGet, kPathParams, 1,
+    {"upload", kGet, kPathParams, 1,
      "load an attributed graph file and swap it in for ALL sessions"},
-    {"search", "/search", kGet, kSearchParams, 5,
+    {"search", kGet, kSearchParams, 5,
      "run a community-search algorithm; results cached in the session"},
-    {"community", "/community", kGet, kCommunityParams, 3,
+    {"community", kGet, kCommunityParams, 3,
      "one cached community with stats (+ layout/ASCII in the full shape)"},
-    {"profile", "/profile", kGet, kProfileParams, 2,
+    {"profile", kGet, kProfileParams, 2,
      "author profile popup"},
-    {"explore", "/explore", kGet, kExploreParams, 3,
+    {"explore", kGet, kExploreParams, 3,
      "continue exploration from a community member"},
-    {"compare", "/compare", kGet, kCompareParams, 4,
+    {"compare", kGet, kCompareParams, 4,
      "multi-algorithm comparison table (Figure 6a) with CPJ/CMF"},
-    {"history", "/history", kGet, kNoParams, 0,
+    {"history", kGet, kNoParams, 0,
      "exploration chain of this session"},
-    {"detect", "/detect", kGet, kDetectParams, 1,
+    {"detect", kGet, kDetectParams, 1,
      "run a community-detection algorithm on the whole graph"},
-    {"cluster", "/cluster", kGet, kClusterParams, 3,
+    {"cluster", kGet, kClusterParams, 3,
      "one cluster of the cached detection result"},
-    {"author", "/author", kGet, kAuthorParams, 1,
+    {"author", kGet, kAuthorParams, 1,
      "query-form population: degree constraints and keywords of an author"},
-    {"export", "/export", kGet, kExportParams, 1,
+    {"export", kGet, kExportParams, 1,
      "cached community (at most 2000 members) as an SVG document"},
-    // State-changing persistence routes are POST on /v1; the legacy
-    // aliases keep answering GET (with the Deprecation header) so pre-v1
-    // clients continue to work.
-    {"save_index", "/save_index", kPost, kPathParams, 1,
-     "persist the CL-tree (offline Indexing module)", kGet},
-    {"load_index", "/load_index", kPost, kPathParams, 1,
-     "swap in a saved CL-tree for the loaded graph", kGet},
-    {"snapshot/save", "", kPost, kPathParams, 1,
+    {"snapshot/save", kPost, kPathParams, 1,
      "write the served dataset (graph + cores + CL-tree) as one zero-copy "
      "binary snapshot file"},
-    {"snapshot/load", "", kPost, kPathParams, 1,
+    {"snapshot/load", kPost, kPathParams, 1,
      "mmap a snapshot file and swap it in for ALL sessions — no parse, no "
      "index rebuild; corrupt files are rejected with UNAVAILABLE"},
     // The dynamic-graph tier: each request is one atomic mutation batch,
     // applied with incremental k-core maintenance and published as a fresh
     // copy-on-write overlay snapshot — no full index rebuild, and queries
     // in flight keep their pinned snapshot.
-    {"edges", "", kPostDelete, kEdgesParams, 1,
-     "POST: insert a batch of edges; DELETE: remove them. Already-present "
-     "(resp. absent) edges are counted, not errors, so streams replay"},
-    {"vertices", "", kPost, kVerticesParams, 1,
-     "append vertices (display name + keywords) to the graph as one atomic "
-     "batch; edges to them may follow in later batches or via /v1/edges"},
-    {"compact", "", kPost, kNoParams, 0,
+    {"edges", kPostDelete, kNoParams, 0,
+     "body {\"edges\": [[u, v], ...]}. POST: insert the batch of edges; "
+     "DELETE: remove them. Already-present (resp. absent) edges are "
+     "counted, not errors, so streams replay"},
+    {"vertices", kPost, kNoParams, 0,
+     "body {\"vertices\": [{\"name\", \"keywords\"}, ...]}: append "
+     "vertices (display name + keywords) to the graph as one atomic batch; "
+     "edges to them may follow in later batches or via /v1/edges"},
+    {"compact", kPost, kNoParams, 0,
      "fold the pending mutation overlay into an owned dataset now (also "
      "runs in the background past the overlay threshold); queries never "
      "pause, mutations stall for the fold"},
-    {"batch", "/batch", kGetPost, kBatchParams, 1,
-     "answer many search entries under ONE dataset snapshot, fanned across "
-     "the worker pool"},
-    {"jobs", "", kGetPost, kJobsParams, 1,
-     "POST: submit a registered algorithm as an asynchronous job pinned to "
-     "the current snapshot; GET: list jobs"},
-    {"jobs/<id>", "", kGetDelete, kJobIdParams, 1,
+    {"batch", kPost, kNoParams, 0,
+     "body: a JSON array of search entries ({\"name\"|\"vertex\", \"k\", "
+     "\"keywords\", \"algo\"}), answered under ONE dataset snapshot and "
+     "fanned across the worker pool"},
+    {"jobs", kGetPost, kNoParams, 0,
+     "POST: submit the job spec in the body ({\"algo\", \"kind\", "
+     "\"params\", \"name\"|\"vertex\", \"k\", \"keywords\", "
+     "\"deadline_ms\"}) as an asynchronous job pinned to the current "
+     "snapshot; GET: list jobs"},
+    {"jobs/<id>", kGetDelete, kJobIdParams, 1,
      "GET: job state, progress and runtime; DELETE: cancel (the worker "
      "unwinds at the algorithm's next checkpoint)"},
-    {"jobs/<id>/result", "", kGet, kJobResultParams, 4,
+    {"jobs/<id>/result", kGet, kJobResultParams, 4,
      "finished result; member_of/limit/cursor page one member list through "
      "the standard cursor machinery"},
 };
@@ -251,8 +224,6 @@ const char* ParamTypeName(ParamType type) {
       return "string";
     case ParamType::kInt:
       return "int";
-    case ParamType::kJson:
-      return "json";
   }
   return "string";
 }
@@ -269,43 +240,28 @@ const RouteSpec* Routes(std::size_t* count) {
   return kRoutes;
 }
 
-const RouteSpec* FindRoute(const std::string& path, bool* is_v1,
+const RouteSpec* FindRoute(const std::string& path,
                            std::map<std::string, std::string>* path_params) {
-  // Allocation-free hot path: a "/v1/" prefix means the suffix is the
-  // route name; anything else is matched against the legacy aliases.
+  // Allocation-free hot path: after the "/v1/" prefix the suffix is the
+  // route name.
   const std::string_view sv(path);
-  if (sv.rfind("/v1/", 0) == 0) {
-    const std::string_view name = sv.substr(4);
-    for (const RouteSpec& route : kRoutes) {
-      if (name == route.name) {
-        *is_v1 = true;
-        return &route;
-      }
-    }
-    // Pattern routes ("jobs/<id>") are rarer: second pass.
-    for (const RouteSpec& route : kRoutes) {
-      if (std::string_view(route.name).find('<') == std::string_view::npos) {
-        continue;
-      }
-      if (MatchPattern(route.name, name, path_params)) {
-        *is_v1 = true;
-        return &route;
-      }
-    }
-    return nullptr;
-  }
+  if (sv.rfind("/v1/", 0) != 0) return nullptr;
+  const std::string_view name = sv.substr(4);
   for (const RouteSpec& route : kRoutes) {
-    if (route.legacy_path[0] != '\0' && sv == route.legacy_path) {
-      *is_v1 = false;
-      return &route;
+    if (name == route.name) return &route;
+  }
+  // Pattern routes ("jobs/<id>") are rarer: second pass.
+  for (const RouteSpec& route : kRoutes) {
+    if (std::string_view(route.name).find('<') == std::string_view::npos) {
+      continue;
     }
+    if (MatchPattern(route.name, name, path_params)) return &route;
   }
   return nullptr;
 }
 
 std::optional<ApiError> ValidateParams(const RouteSpec& route,
-                                       const HttpRequest& request,
-                                       bool strict) {
+                                       const HttpRequest& request) {
   for (std::size_t i = 0; i < route.num_params; ++i) {
     const ParamSpec& spec = route.params[i];
     const auto it = request.params.find(spec.name);
@@ -317,42 +273,26 @@ std::optional<ApiError> ValidateParams(const RouteSpec& route,
       }
       continue;
     }
-    if (!strict) continue;  // legacy aliases keep pre-v1 fallback semantics
-    switch (spec.type) {
-      case ParamType::kString:
-        break;
-      case ParamType::kInt: {
-        std::int64_t value = 0;
-        if (!ParseInt64(it->second, &value)) {
-          return ApiError::InvalidArgument(
-              std::string("parameter '") + spec.name +
-              "' must be an integer, got '" + it->second + "'");
-        }
-        break;
-      }
-      case ParamType::kJson:
-        // Documented as JSON in /v1/api, but validated by the handler's
-        // own parse (which produces the same INVALID_ARGUMENT envelope) —
-        // pre-parsing here would double the parse cost of every batch.
-        break;
+    std::int64_t value = 0;
+    if (spec.type == ParamType::kInt && !ParseInt64(it->second, &value)) {
+      return ApiError::InvalidArgument(std::string("parameter '") +
+                                       spec.name + "' must be an integer, "
+                                       "got '" + it->second + "'");
     }
   }
-  if (strict) {
-    // Unknown parameters are rejected on /v1 paths: a typoed parameter
-    // silently falling back to a default is exactly the legacy behavior
-    // the versioned surface retires.
-    for (const auto& [key, value] : request.params) {
-      if (key == "session") continue;  // universal
-      bool declared = false;
-      for (std::size_t i = 0; i < route.num_params; ++i) {
-        if (key == route.params[i].name) {
-          declared = true;
-          break;
-        }
+  // Unknown parameters are rejected: a typoed parameter must not silently
+  // fall back to a default.
+  for (const auto& [key, value] : request.params) {
+    if (key == "session") continue;  // universal
+    bool declared = false;
+    for (std::size_t i = 0; i < route.num_params; ++i) {
+      if (key == route.params[i].name) {
+        declared = true;
+        break;
       }
-      if (!declared) {
-        return ApiError::InvalidArgument("unknown parameter '" + key + "'");
-      }
+    }
+    if (!declared) {
+      return ApiError::InvalidArgument("unknown parameter '" + key + "'");
     }
   }
   return std::nullopt;
@@ -400,24 +340,12 @@ std::string DescribeApi(
     w.String(route.name);
     w.Key("path");
     w.String(route.V1Path());
-    if (route.legacy_path[0] != '\0') {
-      w.Key("legacy_alias");
-      w.String(route.legacy_path);
-    }
     w.Key("methods");
     w.BeginArray();
     if (route.methods & kMethodGet) w.String("GET");
     if (route.methods & kMethodPost) w.String("POST");
     if (route.methods & kMethodDelete) w.String("DELETE");
     w.EndArray();
-    if (route.legacy_methods != 0 && route.legacy_methods != route.methods) {
-      w.Key("legacy_methods");
-      w.BeginArray();
-      if (route.legacy_methods & kMethodGet) w.String("GET");
-      if (route.legacy_methods & kMethodPost) w.String("POST");
-      if (route.legacy_methods & kMethodDelete) w.String("DELETE");
-      w.EndArray();
-    }
     w.Key("doc");
     w.String(route.doc);
     w.Key("params");

@@ -1,20 +1,18 @@
 // The declarative route table of the /v1 HTTP surface.
 //
 // One static table declares every endpoint: its name (the path is always
-// "/v1/<name>"), its legacy unversioned alias (when it has one), the HTTP
-// methods it answers, and its parameter schema (name, type, required,
-// default, doc). Route names may contain one or more "<param>" segments
-// ("jobs/<id>/result"); the matching segment of the request path is
-// captured into the named parameter before validation. From this single
-// source of truth the server derives
+// "/v1/<name>"), the HTTP methods it answers, and its parameter schema
+// (name, type, required, default, doc). Route names may contain one or more
+// "<param>" segments ("jobs/<id>/result"); the matching segment of the
+// request path is captured into the named parameter before validation.
+// From this single source of truth the server derives
 //
-//   * route lookup for the /v1 path (exact or pattern) and the legacy
-//     alias,
+//   * route lookup for the /v1 path (exact or pattern); a path without the
+//     "/v1/" prefix is unknown,
 //   * method policy (405 for an undeclared method),
 //   * automatic parameter validation (missing required params, type
-//     mismatches, and — on /v1 paths only — unknown parameters are
-//     kInvalidArgument before any handler runs; legacy aliases stay
-//     lenient so pre-v1 clients keep their byte-identical behavior),
+//     mismatches and unknown parameters are kInvalidArgument before any
+//     handler runs),
 //   * the GET /v1/api self-description document, including the schema of
 //     every registered algorithm.
 //
@@ -37,9 +35,9 @@
 namespace cexplorer {
 namespace api {
 
-enum class ParamType { kString, kInt, kJson };
+enum class ParamType { kString, kInt };
 
-/// Wire name of a parameter type ("string", "int", "json").
+/// Wire name of a parameter type ("string", "int").
 const char* ParamTypeName(ParamType type);
 
 /// HTTP method mask of a route.
@@ -64,48 +62,29 @@ struct RouteSpec {
   /// Route name; the v1 path is "/v1/<name>". "<param>" segments match any
   /// non-empty path segment and capture it under the bracketed name.
   const char* name;
-  const char* legacy_path;  ///< unversioned alias; "" = none
-  unsigned methods;         ///< RouteMethod mask for the /v1 path
+  unsigned methods;  ///< RouteMethod mask
   const ParamSpec* params;
   std::size_t num_params;
   const char* doc;
-  /// Method mask honored on the legacy alias; 0 means "same as methods".
-  /// Lets a state-changing route move to POST on /v1 while its
-  /// unversioned alias keeps serving pre-v1 GET clients (who already
-  /// receive the Deprecation header on every response).
-  unsigned legacy_methods = 0;
 
   std::string V1Path() const { return std::string("/v1/") + name; }
-  unsigned LegacyMethods() const {
-    return legacy_methods != 0 ? legacy_methods : methods;
-  }
 };
 
 /// The full route table, in documentation order. `count` receives its size.
 const RouteSpec* Routes(std::size_t* count);
 
-/// Looks a path up as a /v1 path (exact first, then "<param>" patterns) or
-/// a legacy alias. Returns nullptr when unknown; `is_v1` reports which form
-/// matched (strict validation applies only to the /v1 form); pattern
-/// captures land in `path_params` (may be nullptr when the caller only
-/// probes).
-const RouteSpec* FindRoute(const std::string& path, bool* is_v1,
+/// Looks a path up as "/v1/<name>" (exact first, then "<param>"
+/// patterns). Returns nullptr when unknown; pattern captures land in
+/// `path_params` (may be nullptr when the caller only probes).
+const RouteSpec* FindRoute(const std::string& path,
                            std::map<std::string, std::string>* path_params);
 
-/// Two-argument overload (no capture output) for probing callers.
-inline const RouteSpec* FindRoute(const std::string& path, bool* is_v1) {
-  return FindRoute(path, is_v1, nullptr);
-}
-
-/// Validates a parsed request against the schema. In strict (/v1) mode,
-/// required params must be present and non-empty, typed params must parse,
-/// and any parameter not in the schema (other than the universal "session")
-/// is rejected. Lenient (legacy-alias) mode only enforces required
-/// presence, preserving the pre-v1 fallback behavior for everything else.
-/// Returns nullopt when the request is valid.
+/// Validates a parsed request against the schema: required params must be
+/// present and non-empty, typed params must parse, and any parameter not in
+/// the schema (other than the universal "session") is rejected. Returns
+/// nullopt when the request is valid.
 std::optional<ApiError> ValidateParams(const RouteSpec& route,
-                                       const HttpRequest& request,
-                                       bool strict);
+                                       const HttpRequest& request);
 
 /// Renders the GET /v1/api self-description document from the table plus
 /// the registered algorithm descriptors (kind, doc, capabilities, and the

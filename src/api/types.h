@@ -68,8 +68,8 @@ std::uint64_t NextResultGeneration();
 /// out-of-range id is refused instead of wrapping or truncating.
 std::optional<std::uint32_t> CheckedUint32(double value);
 
-/// Page selection for member-list endpoints. limit == 0 means "legacy
-/// mode": the full (truncation-capped) list, byte-identical to the
+/// Page selection for member-list endpoints. limit == 0 means the full
+/// shape: the whole (truncation-capped) list, byte-identical to the
 /// unpaginated response.
 struct PageParams {
   std::uint64_t limit = 0;
@@ -145,7 +145,8 @@ struct ExportRequest {
   std::int64_t id = 0;
 };
 
-/// /v1/upload, /v1/save_index, /v1/load_index — dataset administration.
+/// /v1/upload, /v1/snapshot/save, /v1/snapshot/load — dataset
+/// administration.
 struct DatasetRequest {
   std::string session;
   std::string path;
@@ -153,9 +154,9 @@ struct DatasetRequest {
 
 /// POST/DELETE /v1/edges and POST /v1/vertices — the streaming-mutation
 /// surface of the dynamic-graph tier. The JSON body carries the payload:
-///   edges:    {"edges": [[0, 5], [2, 7]]}   (or the bare array)
+///   edges:    {"edges": [[0, 5], [2, 7]]}
 ///   vertices: {"vertices": [{"name": "Ada", "keywords": ["db", "ml"]}]}
-///             (or the bare array; name/keywords both optional)
+///             (name/keywords both optional)
 /// One request is one atomic batch: it is validated whole, applied whole,
 /// and published as one fresh dataset snapshot (new graph epoch).
 struct MutationRequest {

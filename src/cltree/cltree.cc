@@ -7,7 +7,6 @@
 
 #include "common/bitset.h"
 #include "common/simd/simd.h"
-#include "common/strings.h"
 #include "core/kcore.h"
 
 namespace cexplorer {
@@ -615,125 +614,6 @@ std::size_t ClTree::MemoryBytes() const {
          inv_offset_arena_.size() * sizeof(std::uint32_t) +
          inv_posting_arena_.size() * sizeof(VertexId) +
          node_kw_bloom_.size() * sizeof(std::uint64_t);
-}
-
-std::string ClTree::Serialize() const {
-  std::string out;
-  out += "cltree " + std::to_string(nodes_.size()) + " " +
-         std::to_string(vertex_node_.size()) + "\n";
-  for (const auto& node : nodes_) {
-    out += "n " + std::to_string(node.core) + " " +
-           (node.parent == kInvalidClNode ? std::string("-")
-                                          : std::to_string(node.parent));
-    for (VertexId v : node.vertices) {
-      out += ' ';
-      out += std::to_string(v);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-Result<ClTree> ClTree::Deserialize(const AttributedGraph& g,
-                                   const std::string& text) {
-  auto lines = Split(text, '\n');
-  if (lines.empty()) return Status::ParseError("empty CL-tree document");
-  auto header = SplitWhitespace(lines[0]);
-  if (header.size() != 3 || header[0] != "cltree") {
-    return Status::ParseError("bad CL-tree header");
-  }
-  std::int64_t num_nodes = 0;
-  std::int64_t num_vertices = 0;
-  if (!ParseInt64(header[1], &num_nodes) ||
-      !ParseInt64(header[2], &num_vertices) || num_nodes < 0) {
-    return Status::ParseError("bad CL-tree header counts");
-  }
-  if (static_cast<std::size_t>(num_vertices) != g.num_vertices()) {
-    return Status::InvalidArgument(
-        "CL-tree was built for a different graph (vertex count mismatch)");
-  }
-
-  std::vector<ClTreeRawNode> raw;
-  // One node per line: a header count beyond the line count is a lie (and
-  // would make the reservation unbounded).
-  raw.reserve(std::min(static_cast<std::size_t>(num_nodes), lines.size()));
-  for (std::size_t li = 1; li < lines.size(); ++li) {
-    auto fields = SplitWhitespace(lines[li]);
-    if (fields.empty()) continue;
-    if (fields[0] != "n" || fields.size() < 3) {
-      return Status::ParseError("bad CL-tree node line " + std::to_string(li));
-    }
-    ClTreeRawNode node;
-    std::int64_t core = 0;
-    if (!ParseInt64(fields[1], &core) || core < 0) {
-      return Status::ParseError("bad core number on line " +
-                                std::to_string(li));
-    }
-    node.core = static_cast<std::uint32_t>(core);
-    if (fields[2] == "-") {
-      node.parent = kInvalidClNode;
-    } else {
-      std::int64_t parent = 0;
-      if (!ParseInt64(fields[2], &parent) || parent < 0) {
-        return Status::ParseError("bad parent on line " + std::to_string(li));
-      }
-      node.parent = static_cast<ClNodeId>(parent);
-    }
-    for (std::size_t f = 3; f < fields.size(); ++f) {
-      std::int64_t v = 0;
-      if (!ParseInt64(fields[f], &v) || v < 0 ||
-          static_cast<std::size_t>(v) >= g.num_vertices()) {
-        return Status::ParseError("bad vertex on line " + std::to_string(li));
-      }
-      node.vertices.push_back(static_cast<VertexId>(v));
-    }
-    raw.push_back(std::move(node));
-  }
-  if (raw.size() != static_cast<std::size_t>(num_nodes)) {
-    return Status::ParseError("CL-tree node count mismatch");
-  }
-
-  // Serialize writes preorder: node 0 is the root and every other node
-  // follows its parent, so parent links that point backwards cannot form a
-  // cycle and reach every node from the root. Cores strictly increase
-  // downwards and anchor lists strictly ascend, as in a built tree.
-  if (raw.empty() || raw[0].parent != kInvalidClNode) {
-    return Status::ParseError("node 0 is not the CL-tree root");
-  }
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    const VertexList& anchors = raw[i].vertices;
-    if (std::adjacent_find(anchors.begin(), anchors.end(),
-                           std::greater_equal<>()) != anchors.end()) {
-      return Status::ParseError("anchors of node " + std::to_string(i) +
-                                " not strictly ascending");
-    }
-    if (i == 0) continue;
-    const ClNodeId parent = raw[i].parent;
-    if (parent >= i) {
-      return Status::ParseError("parent of node " + std::to_string(i) +
-                                " does not precede it");
-    }
-    if (raw[i].core <= raw[parent].core) {
-      return Status::ParseError("core of node " + std::to_string(i) +
-                                " not above its parent's");
-    }
-    raw[parent].children.push_back(static_cast<ClNodeId>(i));
-  }
-
-  std::vector<bool> anchored(g.num_vertices(), false);
-  for (const auto& node : raw) {
-    for (VertexId v : node.vertices) {
-      if (anchored[v]) return Status::ParseError("vertex anchored twice");
-      anchored[v] = true;
-    }
-  }
-  for (bool a : anchored) {
-    if (!a) return Status::ParseError("vertex never anchored");
-  }
-
-  ClTree tree;
-  tree.Finalize(g, std::move(raw), /*raw_root=*/0);
-  return tree;
 }
 
 Result<ClTree> ClTree::FromParts(const ClTreeParts& parts,

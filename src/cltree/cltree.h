@@ -106,8 +106,8 @@ enum class ClTreeBuildMethod {
 /// call compiling (e2ebench/e2e.cc:1023); nothing branches on it.
 enum class PostingFormat { kRaw };
 
-/// Mutable node used while a tree is under construction (the builders and
-/// the text deserializer); Finalize flattens these into the arena form.
+/// Mutable node used while a tree is under construction (the basic and
+/// advanced builders); Finalize flattens these into the arena form.
 struct ClTreeRawNode {
   std::uint32_t core = 0;
   ClNodeId parent = kInvalidClNode;
@@ -241,17 +241,6 @@ class ClTree {
 
   /// Approximate heap footprint in bytes (structure + inverted lists).
   std::size_t MemoryBytes() const;
-
-  /// Serializes the tree structure (not the graph) to a text form.
-  std::string Serialize() const;
-
-  /// Restores a tree serialized by Serialize(). The same graph must be
-  /// supplied. The document must be in the form Serialize() writes: node 0
-  /// is the root, every other node's parent precedes it and has a smaller
-  /// core, each anchor list is strictly ascending, and every vertex is
-  /// anchored exactly once. Core numbers are not checked against the graph.
-  static Result<ClTree> Deserialize(const AttributedGraph& g,
-                                    const std::string& text);
 
   /// Re-hydrates a tree from persisted records + borrowed arenas (the
   /// snapshot load path): validates every record's arena references, then

@@ -103,7 +103,7 @@ struct Access {
   /// An owned dataset from pre-built parts (the compaction fold). The
   /// caller passes the epoch of the overlay being folded: a compaction
   /// changes storage, not the graph, so epoch-tagged session caches stay
-  /// valid across it — exactly like WithIndex.
+  /// valid across it.
   static DatasetPtr MakeOwnedDataset(
       std::shared_ptr<const AttributedGraph> graph,
       std::vector<std::uint32_t> cores, ClTree index,

@@ -1,9 +1,7 @@
 #include "explorer/dataset.h"
 
 #include <atomic>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <utility>
 
 #include "common/rng.h"
@@ -53,19 +51,6 @@ Result<DatasetPtr> Dataset::FromFile(const std::string& file_path) {
   return Build(std::move(graph.value()));
 }
 
-DatasetPtr Dataset::WithIndex(ClTree index) const {
-  auto dataset = std::shared_ptr<Dataset>(new Dataset());
-  dataset->graph_ = graph_;
-  dataset->core_store_ = core_store_;
-  dataset->core_span_ = core_span_;
-  dataset->backing_ = backing_;  // keep a mapped graph alive across swaps
-  dataset->storage_ = storage_;
-  dataset->index_ = std::move(index);
-  dataset->id_ = g_next_dataset_id.fetch_add(1, std::memory_order_relaxed);
-  dataset->graph_epoch_ = graph_epoch_;  // same graph, same epoch
-  return DatasetPtr(std::move(dataset));
-}
-
 Result<DatasetPtr> Dataset::FromSnapshotFile(const std::string& path) {
   auto loaded = snapshot::LoadSnapshot(path);
   if (!loaded.ok()) return loaded.status();
@@ -97,16 +82,6 @@ Status Dataset::SaveSnapshot(const std::string& path) const {
   return snapshot::WriteSnapshot(*graph_, core_span_, index_, path);
 }
 
-Result<DatasetPtr> Dataset::WithIndexFromFile(const std::string& path) const {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  auto tree = ClTree::Deserialize(*graph_, buffer.str());
-  if (!tree.ok()) return tree.status();
-  return WithIndex(std::move(tree.value()));
-}
-
 ExplorerContext Dataset::Context() const {
   ExplorerContext ctx;
   ctx.graph = graph_.get();
@@ -136,14 +111,6 @@ Result<AuthorProfile> Dataset::Profile(VertexId v) const {
                   &rng);
   std::unique_lock<std::shared_mutex> lock(profiles_mu_);
   return profiles_.emplace(v, std::move(profile)).first->second;
-}
-
-Status Dataset::SaveIndex(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << index_.Serialize();
-  if (!out) return Status::IoError("short write to " + path);
-  return Status::Ok();
 }
 
 std::uint64_t Dataset::TotalIndexBuilds() {

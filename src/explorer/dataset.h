@@ -12,8 +12,8 @@
 // epoch that changes only when the graph itself changes. Session-level
 // caches (the browser's community list, detection results, plug-in state)
 // are tagged with the graph epoch they were computed against — stale-cache
-// bugs become a simple integer comparison, while index-only snapshots
-// (same epoch, new id) keep those caches valid.
+// bugs become a simple integer comparison, while a compaction (same graph,
+// new id) keeps those caches valid.
 
 #ifndef CEXPLORER_EXPLORER_DATASET_H_
 #define CEXPLORER_EXPLORER_DATASET_H_
@@ -57,14 +57,6 @@ class Dataset {
   /// Loads an attributed graph file (graph/io.h format) and builds.
   static Result<DatasetPtr> FromFile(const std::string& file_path);
 
-  /// A new dataset snapshot sharing this graph and core numbers but using
-  /// `index` (the /load_index path). The result has a fresh id.
-  DatasetPtr WithIndex(ClTree index) const;
-
-  /// Restores an index previously saved for this exact graph (validated)
-  /// and returns the resulting snapshot.
-  Result<DatasetPtr> WithIndexFromFile(const std::string& path) const;
-
   /// Loads a full binary snapshot (snapshot/format.h): graph, core numbers
   /// and CL-tree served zero-copy from a read-only mapping of `path`. The
   /// returned dataset owns the mapping; queries run directly over it.
@@ -106,8 +98,8 @@ class Dataset {
   std::uint64_t id() const { return id_; }
 
   /// The algorithm-facing graph epoch: changes only when the *graph*
-  /// changes, so index-only snapshots (WithIndex) keep the epoch and
-  /// per-graph algorithm caches (e.g. CODICIL's clustering) stay valid.
+  /// changes, so a compaction keeps the epoch and per-graph algorithm
+  /// caches (e.g. CODICIL's clustering) stay valid.
   std::uint64_t graph_epoch() const { return graph_epoch_; }
 
   /// The read-only view handed to CR algorithms. Pointers are valid as
@@ -119,13 +111,9 @@ class Dataset {
   /// Thread-safe.
   Result<AuthorProfile> Profile(VertexId v) const;
 
-  /// Writes the CL-tree to a file; reloading via WithIndexFromFile skips
-  /// the index build for the same graph.
-  Status SaveIndex(const std::string& path) const;
-
   /// Total number of CL-tree builds performed by this process (Build and
-  /// FromFile increment it; WithIndex* do not). Lets tests assert that N
-  /// sessions sharing a dataset triggered exactly one build.
+  /// FromFile increment it; a snapshot load does not). Lets tests assert
+  /// that N sessions sharing a dataset triggered exactly one build.
   static std::uint64_t TotalIndexBuilds();
 
  private:

@@ -168,19 +168,6 @@ Result<std::string> Explorer::ExportSvg(const Community& community,
   return RenderCommunitySvg(sub.graph, layout, labels, svg_options);
 }
 
-Status Explorer::SaveIndex(const std::string& path) const {
-  if (!dataset_) return Status::FailedPrecondition("no graph uploaded");
-  return dataset_->SaveIndex(path);
-}
-
-Status Explorer::LoadIndex(const std::string& path) {
-  if (!dataset_) return Status::FailedPrecondition("no graph uploaded");
-  auto dataset = dataset_->WithIndexFromFile(path);
-  if (!dataset.ok()) return dataset.status();
-  dataset_ = std::move(dataset.value());
-  return Status::Ok();
-}
-
 Status Explorer::Register(std::unique_ptr<Algorithm> algorithm) {
   return registry_.Register(std::move(algorithm));
 }

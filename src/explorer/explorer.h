@@ -151,17 +151,6 @@ class Explorer {
   Result<std::string> ExportSvg(const Community& community,
                                 VertexId query_vertex = kInvalidVertex) const;
 
-  // --- Index persistence (the offline Indexing module of Figure 3) --------
-
-  /// Writes the CL-tree to a file; reloading skips the index build on the
-  /// next upload of the same graph.
-  Status SaveIndex(const std::string& path) const;
-
-  /// Replaces this session's dataset with a snapshot carrying an index
-  /// previously saved for this exact graph (validated). Other sessions
-  /// sharing the old snapshot are unaffected.
-  Status LoadIndex(const std::string& path);
-
   // --- Plug-in registry ---------------------------------------------------
 
   /// Registers an algorithm plug-in; fails on a duplicate (kind, name).

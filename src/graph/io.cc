@@ -25,6 +25,18 @@ Status WriteFile(const std::string& path, const std::string& content) {
   return Status::Ok();
 }
 
+/// Parses a vertex id field: a decimal integer in [0, kInvalidVertex). A
+/// larger id would wrap in the cast to VertexId or collide with the
+/// sentinel.
+bool ParseVertexId(std::string_view text, VertexId* id) {
+  std::int64_t value = 0;
+  if (!ParseInt64(text, &value) || value < 0 || value >= kInvalidVertex) {
+    return false;
+  }
+  *id = static_cast<VertexId>(value);
+  return true;
+}
+
 }  // namespace
 
 Result<Graph> ParseEdgeList(const std::string& text) {
@@ -39,14 +51,13 @@ Result<Graph> ParseEdgeList(const std::string& text) {
       return Status::ParseError("edge list line " + std::to_string(line_no) +
                                 ": expected 'u v'");
     }
-    std::int64_t u = 0;
-    std::int64_t v = 0;
-    if (!ParseInt64(fields[0], &u) || !ParseInt64(fields[1], &v) || u < 0 ||
-        v < 0) {
+    VertexId u = 0;
+    VertexId v = 0;
+    if (!ParseVertexId(fields[0], &u) || !ParseVertexId(fields[1], &v)) {
       return Status::ParseError("edge list line " + std::to_string(line_no) +
                                 ": invalid vertex id");
     }
-    builder.AddEdge(static_cast<VertexId>(u), static_cast<VertexId>(v));
+    builder.AddEdge(u, v);
   }
   return builder.Build();
 }
@@ -76,11 +87,12 @@ Status SaveEdgeList(const Graph& g, const std::string& path) {
 
 Result<AttributedGraph> ParseAttributed(const std::string& text) {
   struct PendingVertex {
+    VertexId id = 0;
+    std::size_t line_no = 0;
     std::string name;
     std::vector<std::string> keywords;
-    bool seen = false;
   };
-  std::vector<PendingVertex> vertices;
+  std::vector<PendingVertex> declared;  // file order
   std::vector<std::pair<VertexId, VertexId>> edges;
 
   std::size_t line_no = 0;
@@ -94,45 +106,50 @@ Result<AttributedGraph> ParseAttributed(const std::string& text) {
       if (fields.size() < 3 || fields.size() > 4) {
         return Status::ParseError(where + ": expected 'v<TAB>id<TAB>name[<TAB>keywords]'");
       }
-      std::int64_t id = 0;
-      if (!ParseInt64(fields[1], &id) || id < 0) {
+      PendingVertex& pv = declared.emplace_back();
+      if (!ParseVertexId(fields[1], &pv.id)) {
         return Status::ParseError(where + ": invalid vertex id");
       }
-      if (vertices.size() <= static_cast<std::size_t>(id)) {
-        vertices.resize(static_cast<std::size_t>(id) + 1);
-      }
-      PendingVertex& pv = vertices[static_cast<std::size_t>(id)];
-      if (pv.seen) return Status::ParseError(where + ": duplicate vertex id");
-      pv.seen = true;
+      pv.line_no = line_no;
       pv.name = fields[2];
       if (fields.size() == 4) pv.keywords = SplitWhitespace(fields[3]);
     } else if (fields[0] == "e") {
       if (fields.size() != 3) {
         return Status::ParseError(where + ": expected 'e<TAB>u<TAB>v'");
       }
-      std::int64_t u = 0;
-      std::int64_t v = 0;
-      if (!ParseInt64(fields[1], &u) || !ParseInt64(fields[2], &v) || u < 0 ||
-          v < 0) {
+      VertexId u = 0;
+      VertexId v = 0;
+      if (!ParseVertexId(fields[1], &u) || !ParseVertexId(fields[2], &v)) {
         return Status::ParseError(where + ": invalid edge endpoint");
       }
-      edges.emplace_back(static_cast<VertexId>(u), static_cast<VertexId>(v));
+      edges.emplace_back(u, v);
     } else {
       return Status::ParseError(where + ": unknown record type '" +
                                 std::string(fields[0]) + "'");
     }
   }
 
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    if (!vertices[i].seen) {
-      return Status::ParseError("vertex id " + std::to_string(i) +
-                                " never declared (ids must be dense)");
+  // Ids must be dense: n 'v' records carry exactly the ids 0..n-1, so an
+  // id >= n is refused before anything is sized by it, and n distinct ids
+  // below n leave no gap.
+  std::vector<PendingVertex*> by_id(declared.size(), nullptr);
+  for (PendingVertex& pv : declared) {
+    const std::string where = "attributed line " + std::to_string(pv.line_no);
+    if (pv.id >= by_id.size()) {
+      return Status::ParseError(where + ": vertex id " + std::to_string(pv.id) +
+                                " out of range: " +
+                                std::to_string(by_id.size()) +
+                                " vertices declared (ids must be dense)");
     }
+    if (by_id[pv.id] != nullptr) {
+      return Status::ParseError(where + ": duplicate vertex id");
+    }
+    by_id[pv.id] = &pv;
   }
 
   AttributedGraphBuilder builder;
-  for (auto& pv : vertices) {
-    builder.AddVertex(std::move(pv.name), pv.keywords);
+  for (PendingVertex* pv : by_id) {
+    builder.AddVertex(std::move(pv->name), pv->keywords);
   }
   for (const auto& [u, v] : edges) {
     CEXPLORER_RETURN_IF_ERROR(builder.AddEdge(u, v));

@@ -22,12 +22,6 @@ std::int64_t HttpRequest::IntParam(const std::string& key,
   return value;
 }
 
-const std::string& HttpResponse::Header(const std::string& name) const {
-  static const std::string kEmpty;
-  auto it = headers.find(name);
-  return it == headers.end() ? kEmpty : it->second;
-}
-
 HttpResponse HttpResponse::Ok(std::string json) {
   HttpResponse r;
   r.code = 200;
@@ -70,52 +64,29 @@ HttpResponse HttpResponse::Error(int code, std::string_view message) {
   return r;
 }
 
-namespace {
-
-/// Shared %XX / '+' decoding loop. In strict mode a malformed escape stops
-/// the decode and reports failure; in lenient mode it is copied through.
-bool DecodeInto(std::string_view text, bool strict, std::string* out) {
-  out->reserve(text.size());
+Result<std::string> UrlDecodeStrict(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
   for (std::size_t i = 0; i < text.size(); ++i) {
     char c = text[i];
     if (c == '+') {
-      *out += ' ';
-    } else if (c == '%') {
-      if (i + 2 < text.size() &&
-          std::isxdigit(static_cast<unsigned char>(text[i + 1])) &&
-          std::isxdigit(static_cast<unsigned char>(text[i + 2]))) {
-        auto hex = [](char h) {
-          if (h >= '0' && h <= '9') return h - '0';
-          if (h >= 'a' && h <= 'f') return h - 'a' + 10;
-          return h - 'A' + 10;
-        };
-        *out += static_cast<char>(hex(text[i + 1]) * 16 + hex(text[i + 2]));
-        i += 2;
-      } else if (strict) {
-        return false;
-      } else {
-        *out += c;
-      }
+      out += ' ';
+    } else if (c != '%') {
+      out += c;
+    } else if (i + 2 < text.size() &&
+               std::isxdigit(static_cast<unsigned char>(text[i + 1])) &&
+               std::isxdigit(static_cast<unsigned char>(text[i + 2]))) {
+      auto hex = [](char h) {
+        if (h >= '0' && h <= '9') return h - '0';
+        if (h >= 'a' && h <= 'f') return h - 'a' + 10;
+        return h - 'A' + 10;
+      };
+      out += static_cast<char>(hex(text[i + 1]) * 16 + hex(text[i + 2]));
+      i += 2;
     } else {
-      *out += c;
+      return Status::InvalidArgument("malformed %-escape in '" +
+                                     std::string(text) + "'");
     }
-  }
-  return true;
-}
-
-}  // namespace
-
-std::string UrlDecode(std::string_view text) {
-  std::string out;
-  DecodeInto(text, /*strict=*/false, &out);
-  return out;
-}
-
-Result<std::string> UrlDecodeStrict(std::string_view text) {
-  std::string out;
-  if (!DecodeInto(text, /*strict=*/true, &out)) {
-    return Status::InvalidArgument("malformed %-escape in '" +
-                                   std::string(text) + "'");
   }
   return out;
 }

@@ -1,9 +1,9 @@
 // Minimal HTTP-like request/response types for the in-process server that
 // stands in for the paper's JSP/Tomcat deployment. A request is a request
-// line ("GET /search?name=jim+gray&k=4") optionally followed by a body
+// line ("GET /v1/search?name=jim+gray&k=4") optionally followed by a body
 // ("POST /v1/batch" + newline(s) + JSON payload); responses carry a status
 // code and a JSON body. No sockets: the browser loop of the demo is
-// simulated by calling Handle() directly (see examples/server_session.cc).
+// simulated by calling Handle() directly (see examples/server_session.cpp).
 //
 // Query-string semantics (the documented contract of ParseRequest):
 //   * duplicate keys: the LAST occurrence wins ("?k=1&k=2" -> k=2);
@@ -25,10 +25,10 @@
 namespace cexplorer {
 
 /// A parsed request: method, path, decoded query parameters, and the raw
-/// body (POST only; empty for GET/DELETE).
+/// body, which carries every payload (POST, and DELETE /v1/edges).
 struct HttpRequest {
   std::string method;  // "GET", "POST" or "DELETE"
-  std::string path;    // "/search"
+  std::string path;    // "/v1/search"
   std::map<std::string, std::string> params;
   std::string body;  // text after the request line, blank line stripped
 
@@ -39,16 +39,10 @@ struct HttpRequest {
   std::int64_t IntParam(const std::string& key, std::int64_t fallback) const;
 };
 
-/// A response: status code (HTTP semantics), response headers beyond the
-/// implied defaults (e.g. "Deprecation: true" on legacy alias routes), and
-/// a JSON body.
+/// A response: status code (HTTP semantics) and a JSON body.
 struct HttpResponse {
   int code = 200;
-  std::map<std::string, std::string> headers;
   std::string body;
-
-  /// Header value, or the empty string.
-  const std::string& Header(const std::string& name) const;
 
   static HttpResponse Ok(std::string json);
 
@@ -66,11 +60,8 @@ struct HttpResponse {
 /// LF or CRLF, is stripped); only GET, POST and DELETE are accepted.
 Result<HttpRequest> ParseRequest(std::string_view text);
 
-/// Decodes %XX escapes and '+' spaces leniently: malformed escapes are
-/// copied through verbatim. Prefer UrlDecodeStrict for request parsing.
-std::string UrlDecode(std::string_view text);
-
-/// Strict variant: malformed %-escapes are an error (kInvalidArgument).
+/// Decodes %XX escapes and '+' spaces; a malformed %-escape is an error
+/// (kInvalidArgument).
 Result<std::string> UrlDecodeStrict(std::string_view text);
 
 /// Encodes a string for use in a query value.

@@ -24,8 +24,8 @@ HttpResponse ToResponse(ApiResult<std::string> result) {
 }
 
 /// Binds limit/cursor. A negative limit is rejected rather than silently
-/// degrading to the unpaginated shape (limit=0 or absent means "legacy
-/// full response" by contract).
+/// degrading to the unpaginated shape (limit=0 or absent means "full
+/// response" by contract).
 api::ApiResult<api::PageParams> PageParamsOf(const HttpRequest& request) {
   const std::int64_t limit = request.IntParam("limit", 0);
   if (limit < 0) {
@@ -40,15 +40,17 @@ api::ApiResult<api::PageParams> PageParamsOf(const HttpRequest& request) {
 
 /// Binds an explicit `vertex` or `k` parameter through the checked
 /// conversion (api::CheckedUint32): a value outside [0, 2^32 - 1] is a 400.
-/// Absent reads as nullopt, and so does a non-integer, which only a lenient
-/// legacy alias lets through (the /v1 schema has already refused it).
+/// Absent reads as nullopt; the route schema has already refused a
+/// non-integer.
 api::ApiResult<std::optional<std::uint32_t>> Uint32Param(
     const HttpRequest& request, const std::string& key) {
   const std::string& text = request.Param(key);
+  if (text.empty()) return std::optional<std::uint32_t>();
   std::int64_t value = 0;
-  if (!ParseInt64(text, &value)) return std::optional<std::uint32_t>();
-  if (auto checked = api::CheckedUint32(static_cast<double>(value))) {
-    return checked;
+  if (ParseInt64(text, &value)) {
+    if (auto checked = api::CheckedUint32(static_cast<double>(value))) {
+      return checked;
+    }
   }
   return api::ApiError::InvalidArgument(
       "parameter '" + key + "' must be an integer in [0, 4294967295], got '" +
@@ -66,35 +68,15 @@ HttpResponse CExplorerServer::Handle(std::string_view request_text) {
 }
 
 HttpResponse CExplorerServer::Dispatch(const HttpRequest& request) {
-  // The declarative table drives everything: membership (both the /v1 path
-  // and the legacy alias), method policy, path-parameter capture, and
-  // parameter validation. Binders below only convert validated parameters
-  // into typed requests.
-  bool is_v1 = false;
+  // The declarative table drives everything: membership, method policy,
+  // path-parameter capture, and parameter validation. Binders below only
+  // convert validated parameters into typed requests.
   std::map<std::string, std::string> path_params;
-  const api::RouteSpec* route =
-      api::FindRoute(request.path, &is_v1, &path_params);
+  const api::RouteSpec* route = api::FindRoute(request.path, &path_params);
   if (route == nullptr) {
     return HttpResponse::Error(404, "no route for " + request.path);
   }
-  HttpResponse response = DispatchRoute(*route, request, is_v1, &path_params);
-  if (!is_v1) {
-    // RFC 9745 deprecation signal on every legacy unversioned alias
-    // response (validation errors included); the /v1 twin is the
-    // supported spelling.
-    response.headers["Deprecation"] = "true";
-  }
-  return response;
-}
-
-HttpResponse CExplorerServer::DispatchRoute(
-    const api::RouteSpec& route, const HttpRequest& request, bool is_v1,
-    std::map<std::string, std::string>* path_params) {
-  // The /v1 path and the legacy alias can carry different method policies
-  // (e.g. save_index: POST on /v1, GET kept alive on the alias).
-  const unsigned allowed = is_v1 ? route.methods : route.LegacyMethods();
-  const unsigned method_bit = api::MethodBit(request.method);
-  if ((allowed & method_bit) == 0) {
+  if ((route->methods & api::MethodBit(request.method)) == 0) {
     return HttpResponse::Error(405, request.method + " not allowed on " +
                                         request.path);
   }
@@ -102,14 +84,14 @@ HttpResponse CExplorerServer::DispatchRoute(
   // override any query-string twin: the path is the authoritative spelling.
   const HttpRequest* effective = &request;
   HttpRequest with_captures;
-  if (!path_params->empty()) {
+  if (!path_params.empty()) {
     with_captures = request;
-    for (auto& [key, value] : *path_params) {
+    for (auto& [key, value] : path_params) {
       with_captures.params[key] = std::move(value);
     }
     effective = &with_captures;
   }
-  if (auto invalid = api::ValidateParams(route, *effective, is_v1)) {
+  if (auto invalid = api::ValidateParams(*route, *effective)) {
     HttpResponse response;
     response.code = api::HttpStatus(invalid->code);
     response.body = invalid->ToJson();
@@ -143,8 +125,6 @@ HttpResponse CExplorerServer::DispatchRoute(
       {"cluster", &CExplorerServer::BindCluster},
       {"author", &CExplorerServer::BindAuthor},
       {"export", &CExplorerServer::BindExport},
-      {"save_index", &CExplorerServer::BindSaveIndex},
-      {"load_index", &CExplorerServer::BindLoadIndex},
       {"snapshot/save", &CExplorerServer::BindSnapshotSave},
       {"snapshot/load", &CExplorerServer::BindSnapshotLoad},
       {"edges", &CExplorerServer::BindEdges},
@@ -153,9 +133,9 @@ HttpResponse CExplorerServer::DispatchRoute(
       {"batch", &CExplorerServer::BindBatch},
   };
   for (const Binder& binder : kBinders) {
-    if (binder.name == route.name) return (this->*binder.bind)(*effective);
+    if (binder.name == route->name) return (this->*binder.bind)(*effective);
   }
-  return HttpResponse::Error(500, std::string("route '") + route.name +
+  return HttpResponse::Error(500, std::string("route '") + route->name +
                                       "' has no binder");
 }
 
@@ -176,16 +156,10 @@ HttpResponse CExplorerServer::BindStats(const HttpRequest&) {
 }
 
 HttpResponse CExplorerServer::BindJobs(const HttpRequest& request) {
-  if (request.method == "GET" && request.Param("request").empty()) {
-    return ToResponse(service_.ListJobs());
-  }
-  // POST carries the job spec as the request body; ?request= is the GET
-  // escape hatch mirroring /batch.
+  if (request.method == "GET") return ToResponse(service_.ListJobs());
   api::JobSubmitRequest typed;
   typed.session = request.Param("session");
-  typed.body = request.method == "POST" && !request.body.empty()
-                   ? request.body
-                   : request.Param("request");
+  typed.body = request.body;
   return ToResponse(service_.SubmitJob(typed, Workers()));
 }
 
@@ -241,12 +215,9 @@ HttpResponse CExplorerServer::BindSearch(const HttpRequest& request) {
   if (!k.ok()) return ToResponse(k.error());
   typed.k = k->value_or(typed.k);
   typed.keywords = SplitNonEmpty(request.Param("keywords"), ',');
-  if (!request.Param("vertex").empty()) {
-    auto vertex = Uint32Param(request, "vertex");
-    if (!vertex.ok()) return ToResponse(vertex.error());
-    if (!vertex->has_value()) return HttpResponse::Error(400, "bad 'vertex'");
-    typed.vertices.push_back(**vertex);
-  }
+  auto vertex = Uint32Param(request, "vertex");
+  if (!vertex.ok()) return ToResponse(vertex.error());
+  if (vertex->has_value()) typed.vertices.push_back(**vertex);
   if (!request.Param("algo").empty()) typed.algo = request.Param("algo");
   return ToResponse(service_.Search(typed));
 }
@@ -274,7 +245,6 @@ HttpResponse CExplorerServer::BindProfile(const HttpRequest& request) {
 HttpResponse CExplorerServer::BindExplore(const HttpRequest& request) {
   auto vertex = Uint32Param(request, "vertex");
   if (!vertex.ok()) return ToResponse(vertex.error());
-  if (!vertex->has_value()) return HttpResponse::Error(400, "bad 'vertex'");
   auto k = Uint32Param(request, "k");
   if (!k.ok()) return ToResponse(k.error());
   api::ExploreRequest typed;
@@ -333,20 +303,6 @@ HttpResponse CExplorerServer::BindExport(const HttpRequest& request) {
   return ToResponse(service_.ExportSvg(typed));
 }
 
-HttpResponse CExplorerServer::BindSaveIndex(const HttpRequest& request) {
-  api::DatasetRequest typed;
-  typed.session = request.Param("session");
-  typed.path = request.Param("path");
-  return ToResponse(service_.SaveIndex(typed));
-}
-
-HttpResponse CExplorerServer::BindLoadIndex(const HttpRequest& request) {
-  api::DatasetRequest typed;
-  typed.session = request.Param("session");
-  typed.path = request.Param("path");
-  return ToResponse(service_.LoadIndex(typed));
-}
-
 HttpResponse CExplorerServer::BindSnapshotSave(const HttpRequest& request) {
   api::DatasetRequest typed;
   typed.session = request.Param("session");
@@ -362,11 +318,9 @@ HttpResponse CExplorerServer::BindSnapshotLoad(const HttpRequest& request) {
 }
 
 HttpResponse CExplorerServer::BindEdges(const HttpRequest& request) {
-  // POST/DELETE carry the edge list as the request body; ?edges= is the
-  // escape hatch for clients that cannot send one.
   api::MutationRequest typed;
   typed.session = request.Param("session");
-  typed.body = !request.body.empty() ? request.body : request.Param("edges");
+  typed.body = request.body;
   if (request.method == "DELETE") {
     return ToResponse(service_.RemoveEdges(typed));
   }
@@ -376,8 +330,7 @@ HttpResponse CExplorerServer::BindEdges(const HttpRequest& request) {
 HttpResponse CExplorerServer::BindVertices(const HttpRequest& request) {
   api::MutationRequest typed;
   typed.session = request.Param("session");
-  typed.body =
-      !request.body.empty() ? request.body : request.Param("vertices");
+  typed.body = request.body;
   return ToResponse(service_.AddVertices(typed));
 }
 
@@ -386,17 +339,11 @@ HttpResponse CExplorerServer::BindCompact(const HttpRequest& request) {
 }
 
 HttpResponse CExplorerServer::BindBatch(const HttpRequest& request) {
-  // POST carries the JSON array as the request body; the legacy GET alias
-  // (and GET /v1/batch) takes it url-encoded in ?requests=.
-  const std::string& payload = request.method == "POST" &&
-                                       !request.body.empty()
-                                   ? request.body
-                                   : request.Param("requests");
-  if (payload.empty()) {
+  if (request.body.empty()) {
     return HttpResponse::Error(
-        400, "missing batch payload: POST a JSON array or pass ?requests=");
+        400, "missing batch payload: POST a JSON array of search entries");
   }
-  auto batch = api::QueryService::ParseBatch(payload);
+  auto batch = api::QueryService::ParseBatch(request.body);
   if (!batch.ok()) {
     HttpResponse response;
     response.code = api::HttpStatus(batch.error().code);

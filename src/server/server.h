@@ -4,58 +4,52 @@
 // beyond per-parameter typing, session resolution, snapshot discipline,
 // pagination, and the structured error taxonomy.
 //
-// Dispatch is table-driven: the path is looked up as "/v1/<name>" or as the
-// legacy unversioned alias, the parameter schema is auto-validated (strict
-// on /v1: typed params must parse and unknown params are rejected; lenient
-// on aliases so pre-v1 clients keep byte-identical behavior), and a
-// per-route binder converts the validated parameters into the typed request
-// struct for the service. GET /v1/api returns the generated
-// self-description of every route and its schema. Every error is the
-// envelope {"error":{"code","message"[,"detail"]}} with the HTTP status
-// implied by the code.
+// Dispatch is table-driven: the path is looked up as "/v1/<name>" (any
+// other path is a 404), the parameter schema is validated (typed params
+// must parse and unknown params are rejected), and a per-route binder
+// converts the validated parameters into the typed request struct for the
+// service. Every payload travels in the request body. GET /v1/api
+// returns the generated self-description of every route and its schema.
+// Every error is the envelope {"error":{"code","message"[,"detail"]}} with
+// the HTTP status implied by the code.
 //
-// Responses on a legacy alias carry a "Deprecation: true" header; the /v1
-// twin never does.
-//
-// Endpoints (reachable as /v1/<name> and, where noted, as the legacy
-// alias; all accept an optional &session=ID; GET unless noted):
+// Endpoints (all accept an optional &session=ID; GET unless noted):
 //   /v1/api             self-description: routes + algorithm registry
 //   /v1/healthz         liveness: uptime, snapshot id, session/job counts
 //   /v1/version         API + build version info
 //   /v1/stats           result-cache hit/miss counters, sessions, jobs
-//   /v1/index           system summary                       (alias /)
-//   /v1/session/new     create a session            (alias /session/new)
-//   /v1/session/delete  delete a session            (alias /session/delete)
-//   /v1/sessions        list live sessions                   (alias /sessions)
-//   /v1/upload          load a graph file for ALL sessions   (alias /upload)
-//   /v1/search          run a CS algorithm                   (alias /search)
+//   /v1/index           system summary
+//   /v1/session/new     create a session
+//   /v1/session/delete  delete a session
+//   /v1/sessions        list live sessions
+//   /v1/upload          load a graph file for ALL sessions
+//   /v1/search          run a CS algorithm
 //   /v1/community       one cached community; supports limit/cursor paging
-//   /v1/profile         author profile popup                 (alias /profile)
-//   /v1/explore         continue exploration from a member   (alias /explore)
-//   /v1/compare         Figure 6(a) comparison table         (alias /compare)
-//   /v1/history         exploration chain                    (alias /history)
-//   /v1/detect          run a CD algorithm                   (alias /detect)
+//   /v1/profile         author profile popup
+//   /v1/explore         continue exploration from a member
+//   /v1/compare         Figure 6(a) comparison table
+//   /v1/history         exploration chain
+//   /v1/detect          run a CD algorithm
 //   /v1/cluster         one cluster; supports limit/cursor paging
-//   /v1/author          query-form population                (alias /author)
-//   /v1/export          cached community as SVG              (alias /export)
-//   /v1/save_index      persist the CL-tree (POST)        (alias /save_index)
-//   /v1/load_index      swap in a saved CL-tree (POST)    (alias /load_index)
+//   /v1/author          query-form population
+//   /v1/export          cached community as SVG
 //   /v1/snapshot/save   POST: write the dataset as a zero-copy binary
-//                       snapshot (graph + cores + CL-tree, one file)
+//                       snapshot (graph + cores + CL-tree, one file), the
+//                       saved form of the offline Indexing module
 //   /v1/snapshot/load   POST: mmap a snapshot and swap it in for ALL
 //                       sessions — no parse, no rebuild, sub-second
-//   /v1/edges           POST: insert a batch of edges; DELETE: remove them.
+//   /v1/edges           POST {"edges": [[u, v], ...]}: insert a batch of
+//                       edges; DELETE with the same body removes them.
 //                       One request = one atomic mutation batch, applied
 //                       with incremental k-core maintenance and published
 //                       as a fresh copy-on-write overlay snapshot
-//   /v1/vertices        POST: append vertices (name + keywords) as one
-//                       atomic batch
+//   /v1/vertices        POST {"vertices": [{"name", "keywords"}, ...]}:
+//                       append vertices as one atomic batch
 //   /v1/compact         POST: fold the pending mutation overlay into an
 //                       owned dataset now (also runs in the background
 //                       past the overlay threshold)
 //   /v1/batch           POST a JSON array of search entries; all entries
 //                       run under ONE snapshot on the worker pool
-//                       (alias: GET /batch?requests=<url-encoded JSON>)
 //   /v1/jobs            POST a job spec to run any registered algorithm
 //                       asynchronously on the worker pool, pinned to the
 //                       current snapshot; GET lists jobs
@@ -140,13 +134,6 @@ class CExplorerServer {
   std::size_t num_workers() const;
 
  private:
-  /// Method policy, path-capture merge, schema validation, and binder
-  /// dispatch for one matched route (the Deprecation header is applied by
-  /// Dispatch so alias error responses carry it too).
-  HttpResponse DispatchRoute(const api::RouteSpec& route,
-                             const HttpRequest& request, bool is_v1,
-                             std::map<std::string, std::string>* path_params);
-
   /// Per-route binders: convert validated parameters into the typed request
   /// struct and call the facade.
   HttpResponse BindApi(const HttpRequest& request);
@@ -171,8 +158,6 @@ class CExplorerServer {
   HttpResponse BindCluster(const HttpRequest& request);
   HttpResponse BindAuthor(const HttpRequest& request);
   HttpResponse BindExport(const HttpRequest& request);
-  HttpResponse BindSaveIndex(const HttpRequest& request);
-  HttpResponse BindLoadIndex(const HttpRequest& request);
   HttpResponse BindSnapshotSave(const HttpRequest& request);
   HttpResponse BindSnapshotLoad(const HttpRequest& request);
   HttpResponse BindEdges(const HttpRequest& request);

@@ -8,11 +8,11 @@
 // with the result cache, copying neither.
 //
 // Cached results are tagged with the graph epoch of the dataset snapshot
-// they were computed against (index-only snapshots share the epoch of the
-// graph they index). After /upload swaps in a new graph, a stale tag makes
-// /community and /cluster refuse to serve vertex ids from the previous
-// graph instead of silently returning garbage; after /load_index the
-// caches remain valid and are kept.
+// they were computed against (a compaction keeps the epoch of the graph it
+// folds). After /v1/upload swaps in a new graph, a stale tag makes
+// /v1/community and /v1/cluster refuse to serve vertex ids from the
+// previous graph instead of silently returning garbage; after /v1/compact
+// the caches remain valid and are kept.
 //
 // Locking: SessionManager's map is guarded by its own mutex; each Session
 // carries a mutex serializing the requests of that one session. Requests of

@@ -291,13 +291,6 @@ TEST_P(ClTreeRandomTest, InvertedListsMatchAnchoredKeywords) {
   }
 }
 
-TEST_P(ClTreeRandomTest, SerializationRoundTrip) {
-  ClTree tree = ClTree::Build(graph_);
-  auto restored = ClTree::Deserialize(graph_, tree.Serialize());
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  ExpectTreesEqual(tree, restored.value());
-}
-
 INSTANTIATE_TEST_SUITE_P(Sweep, ClTreeRandomTest, ::testing::Range(0, 10));
 
 /// A K4, a keyword-less pair and a triangle, plus an isolated keyword-less
@@ -350,9 +343,6 @@ TEST(ClTreeInvertedListTest, KeywordLessNodesAndUnusedWords) {
       const KeywordId kw = g.vocabulary().Find(word);
       EXPECT_EQ(tree.CountKeyword(tree.root(), kw), 0u) << word;
     }
-    auto restored = ClTree::Deserialize(g, tree.Serialize());
-    ASSERT_TRUE(restored.ok()) << restored.status();
-    ExpectInvertedListsMatchAnchors(g, restored.value());
   }
 }
 
@@ -366,52 +356,6 @@ TEST(ClTreeInvertedListTest, EmptyVocabulary) {
     EXPECT_TRUE(tree.node(i).inv_keywords.empty()) << "node " << i;
     EXPECT_EQ(tree.NodeKeywordBloom(i), 0u) << "node " << i;
   }
-}
-
-TEST(ClTreeSerializeTest, RejectsCorruptDocuments) {
-  AttributedGraph g = Figure5Graph();
-  ClTree tree = ClTree::Build(g);
-  EXPECT_FALSE(ClTree::Deserialize(g, "").ok());
-  EXPECT_FALSE(ClTree::Deserialize(g, "bogus 1 2\n").ok());
-  EXPECT_FALSE(ClTree::Deserialize(g, "cltree 1 10\nn 0 5\n").ok());  // parent
-  // Vertex anchored twice.
-  EXPECT_FALSE(
-      ClTree::Deserialize(g, "cltree 2 10\nn 0 - 0 1 2 3 4 5 6 7 8 9\nn 1 0 0\n")
-          .ok());
-  // Documents that pass the range and anchoring checks but are not in the
-  // preorder form Serialize writes, or whose header lies about its size.
-  for (const char* doc : {
-           // Nodes 1 and 2 name each other as parent.
-           "cltree 3 10\nn 0 - 0 1 2 3\nn 2 2 4 5 6\nn 3 1 7 8 9\n",
-           // Node 1 is its own parent.
-           "cltree 2 10\nn 0 - 0 1 2 3\nn 2 1 4 5 6 7 8 9\n",
-           // Node 1's parent follows it.
-           "cltree 3 10\nn 0 - 9\nn 2 2 0 1 2 3 4\nn 1 0 5 6 7 8\n",
-           // A second root.
-           "cltree 2 10\nn 0 - 0 1 2 3 4\nn 0 - 5 6 7 8 9\n",
-           // A child whose core is not above its parent's.
-           "cltree 2 10\nn 1 - 9\nn 1 0 0 1 2 3 4 5 6 7 8\n",
-           // Anchors out of order, and repeated within one node.
-           "cltree 2 10\nn 0 - 0 1 2 3\nn 2 0 9 8 7 6 5 4\n",
-           "cltree 2 10\nn 0 - 0 1 2 3\nn 2 0 4 4 5 6 7 8 9\n",
-           // A node count no allocation could hold.
-           "cltree 4000000000000000 10\nn 0 - 0 1 2 3\n",
-       }) {
-    EXPECT_FALSE(ClTree::Deserialize(g, doc).ok()) << doc;
-  }
-  // What Serialize writes still loads.
-  EXPECT_TRUE(ClTree::Deserialize(g, tree.Serialize()).ok());
-  // Wrong graph (vertex count mismatch).
-  AttributedGraphBuilder b;
-  b.AddVertex("solo", {});
-  AttributedGraph tiny = b.Build();
-  EXPECT_FALSE(ClTree::Deserialize(tiny, tree.Serialize()).ok());
-}
-
-TEST(ClTreeSerializeTest, MissingVertexRejected) {
-  AttributedGraph g = Figure5Graph();
-  // A document anchoring only one vertex.
-  EXPECT_FALSE(ClTree::Deserialize(g, "cltree 1 10\nn 0 - 0\n").ok());
 }
 
 TEST(ClTreeMemoryTest, MemoryGrowsWithGraph) {

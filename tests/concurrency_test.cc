@@ -35,7 +35,7 @@ DblpOptions SmallDblp(std::uint64_t seed) {
 }
 
 std::string NewSession(CExplorerServer* server) {
-  HttpResponse response = server->Handle("GET /session/new");
+  HttpResponse response = server->Handle("GET /v1/session/new");
   EXPECT_EQ(response.code, 200) << response.body;
   auto v = JsonValue::Parse(response.body);
   EXPECT_TRUE(v.ok());
@@ -60,16 +60,18 @@ TEST(ConcurrencyTest, TwoSessionsInterleaveWithOneIndexBuild) {
     const std::string vertex = std::to_string(v % n);
     // s1 searches, s2 explores, interleaved request by request.
     HttpResponse search = server.Handle(
-        "GET /search?vertex=" + vertex + "&k=3&algo=Global&session=" + s1);
+        "GET /v1/search?vertex=" + vertex + "&k=3&algo=Global&session=" + s1);
     EXPECT_EQ(search.code, 200) << search.body;
     HttpResponse explore = server.Handle(
-        "GET /explore?vertex=" + vertex + "&k=2&algo=Local&session=" + s2);
+        "GET /v1/explore?vertex=" + vertex + "&k=2&algo=Local&session=" + s2);
     EXPECT_EQ(explore.code, 200) << explore.body;
   }
 
   // Per-session history: 6 searches in s1, 6 explores in s2.
-  auto h1 = JsonValue::Parse(server.Handle("GET /history?session=" + s1).body);
-  auto h2 = JsonValue::Parse(server.Handle("GET /history?session=" + s2).body);
+  auto h1 =
+      JsonValue::Parse(server.Handle("GET /v1/history?session=" + s1).body);
+  auto h2 =
+      JsonValue::Parse(server.Handle("GET /v1/history?session=" + s2).body);
   ASSERT_TRUE(h1.ok() && h2.ok());
   EXPECT_EQ(h1->Get("history").Items().size(), 6u);
   EXPECT_EQ(h2->Get("history").Items().size(), 6u);
@@ -111,18 +113,18 @@ TEST(ConcurrencyTest, ParallelQueriesAcrossDatasetSwaps) {
       std::string request;
       switch (it % 4) {
         case 0:
-          request = "GET /search?vertex=" + vertex +
+          request = "GET /v1/search?vertex=" + vertex +
                     "&k=3&algo=Global&session=" + id;
           break;
         case 1:
-          request = "GET /profile?vertex=" + vertex + "&session=" + id;
+          request = "GET /v1/profile?vertex=" + vertex + "&session=" + id;
           break;
         case 2:
-          request = "GET /compare?name=" + name +
+          request = "GET /v1/compare?name=" + name +
                     "&k=3&algos=Global,Local&session=" + id;
           break;
         default:
-          request = "GET /community?id=0&session=" + id;
+          request = "GET /v1/community?id=0&session=" + id;
           break;
       }
       HttpResponse response = server.Handle(request);
@@ -163,10 +165,10 @@ TEST(ConcurrencyTest, ParallelQueriesAcrossDatasetSwaps) {
   const std::uint64_t final_id = server.dataset()->id();
   for (const auto& id : ids) {
     HttpResponse search =
-        server.Handle("GET /search?vertex=0&k=2&algo=Global&session=" + id);
+        server.Handle("GET /v1/search?vertex=0&k=2&algo=Global&session=" + id);
     EXPECT_EQ(search.code, 200) << search.body;
   }
-  auto sessions = JsonValue::Parse(server.Handle("GET /sessions").body);
+  auto sessions = JsonValue::Parse(server.Handle("GET /v1/sessions").body);
   ASSERT_TRUE(sessions.ok());
   for (const auto& s : sessions->Get("sessions").Items()) {
     if (s.Get("id").AsString() == "default") continue;
@@ -206,7 +208,7 @@ TEST(ConcurrencyTest, BatchQueriesAcrossDatasetSwaps) {
       array.EndObject();
     }
     array.EndArray();
-    return "GET /batch?requests=" + UrlEncode(array.TakeString());
+    return "POST /v1/batch\n\n" + array.TakeString();
   };
 
   std::atomic<int> bad{0};
@@ -259,11 +261,11 @@ TEST(ConcurrencyTest, BatchQueriesAcrossDatasetSwaps) {
   EXPECT_EQ(server.num_workers(), 4u);
 
   // Malformed batches are clean 400s, and bad entries fail per-slot.
-  EXPECT_EQ(server.Handle("GET /batch").code, 400);
-  EXPECT_EQ(server.Handle("GET /batch?requests=notjson").code, 400);
+  EXPECT_EQ(server.Handle("POST /v1/batch").code, 400);
+  EXPECT_EQ(server.Handle("POST /v1/batch\n\nnotjson").code, 400);
   HttpResponse mixed = server.Handle(
-      "GET /batch?requests=" +
-      UrlEncode("[{\"vertex\":0,\"k\":2,\"algo\":\"Global\"},{\"k\":2}]"));
+      "POST /v1/batch\n\n"
+      "[{\"vertex\":0,\"k\":2,\"algo\":\"Global\"},{\"k\":2}]");
   ASSERT_EQ(mixed.code, 200) << mixed.body;
   auto mixed_parsed = JsonValue::Parse(mixed.body);
   ASSERT_TRUE(mixed_parsed.ok());

@@ -1,6 +1,5 @@
 // Tests for the extension features: Girvan-Newman detection, SVG export,
-// display zoom, index persistence, and the query-form/export/index server
-// endpoints.
+// display zoom, and the query-form/export server endpoints.
 
 #include <gtest/gtest.h>
 
@@ -276,59 +275,6 @@ TEST(DisplayZoomTest, CustomViewportSize) {
 }
 
 // --------------------------------------------------------------------------
-// Index persistence
-// --------------------------------------------------------------------------
-
-TEST(IndexPersistenceTest, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/fig5.cltree";
-  Explorer explorer;
-  ASSERT_TRUE(explorer.UploadGraph(Figure5Graph()).ok());
-  ASSERT_TRUE(explorer.SaveIndex(path).ok());
-
-  Explorer fresh;
-  ASSERT_TRUE(fresh.UploadGraph(Figure5Graph()).ok());
-  ASSERT_TRUE(fresh.LoadIndex(path).ok());
-  EXPECT_EQ(fresh.index().num_nodes(), explorer.index().num_nodes());
-
-  // Queries behave identically after reload.
-  Query query;
-  query.name = "a";
-  query.k = 2;
-  query.keywords = {"x", "y"};
-  auto communities = fresh.Search("ACQ", query);
-  ASSERT_TRUE(communities.ok());
-  ASSERT_EQ(communities->size(), 1u);
-  EXPECT_EQ((*communities)[0].vertices, (VertexList{0, 2, 3}));
-}
-
-TEST(IndexPersistenceTest, LoadRejectsWrongGraph) {
-  const std::string path = ::testing::TempDir() + "/karate.cltree";
-  Explorer karate_explorer;
-  AttributedGraphBuilder b;
-  Graph karate = KarateClub();
-  for (VertexId v = 0; v < karate.num_vertices(); ++v) {
-    b.AddVertex("m" + std::to_string(v), {});
-  }
-  for (const auto& [u, v] : karate.Edges()) (void)b.AddEdge(u, v);
-  ASSERT_TRUE(karate_explorer.UploadGraph(b.Build()).ok());
-  ASSERT_TRUE(karate_explorer.SaveIndex(path).ok());
-
-  Explorer fig5;
-  ASSERT_TRUE(fig5.UploadGraph(Figure5Graph()).ok());
-  EXPECT_FALSE(fig5.LoadIndex(path).ok());
-}
-
-TEST(IndexPersistenceTest, ErrorsWithoutGraphOrFile) {
-  Explorer explorer;
-  EXPECT_EQ(explorer.SaveIndex("/tmp/x").code(),
-            StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(explorer.UploadGraph(Figure5Graph()).ok());
-  EXPECT_EQ(explorer.LoadIndex("/nonexistent/index").code(),
-            StatusCode::kIoError);
-  EXPECT_FALSE(explorer.SaveIndex("/nonexistent_dir/index").ok());
-}
-
-// --------------------------------------------------------------------------
 // New server endpoints
 // --------------------------------------------------------------------------
 
@@ -341,7 +287,7 @@ class EndpointFixture : public ::testing::Test {
 };
 
 TEST_F(EndpointFixture, AuthorFormPopulation) {
-  HttpResponse r = server_.Handle("GET /author?name=a");
+  HttpResponse r = server_.Handle("GET /v1/author?name=a");
   ASSERT_EQ(r.code, 200) << r.body;
   auto v = JsonValue::Parse(r.body);
   ASSERT_TRUE(v.ok());
@@ -349,26 +295,17 @@ TEST_F(EndpointFixture, AuthorFormPopulation) {
   // A has core number 3: degree constraints 1..3.
   EXPECT_EQ(v->Get("degree_constraints").Items().size(), 3u);
   EXPECT_EQ(v->Get("keywords").Items().size(), 3u);
-  EXPECT_EQ(server_.Handle("GET /author?name=zzz").code, 404);
-  EXPECT_EQ(server_.Handle("GET /author").code, 400);
+  EXPECT_EQ(server_.Handle("GET /v1/author?name=zzz").code, 404);
+  EXPECT_EQ(server_.Handle("GET /v1/author").code, 400);
 }
 
 TEST_F(EndpointFixture, ExportSvgEndpoint) {
-  ASSERT_EQ(server_.Handle("GET /search?name=a&k=2&keywords=x,y").code, 200);
-  HttpResponse r = server_.Handle("GET /export?id=0");
+  ASSERT_EQ(server_.Handle("GET /v1/search?name=a&k=2&keywords=x,y").code,
+            200);
+  HttpResponse r = server_.Handle("GET /v1/export?id=0");
   ASSERT_EQ(r.code, 200);
   EXPECT_NE(r.body.find("<svg"), std::string::npos);
-  EXPECT_EQ(server_.Handle("GET /export?id=9").code, 404);
-}
-
-TEST_F(EndpointFixture, IndexPersistenceEndpoints) {
-  const std::string path = ::testing::TempDir() + "/endpoint.cltree";
-  EXPECT_EQ(server_.Handle("GET /save_index?path=" + UrlEncode(path)).code,
-            200);
-  EXPECT_EQ(server_.Handle("GET /load_index?path=" + UrlEncode(path)).code,
-            200);
-  EXPECT_EQ(server_.Handle("GET /save_index").code, 400);
-  EXPECT_EQ(server_.Handle("GET /load_index?path=%2Fnope").code, 400);
+  EXPECT_EQ(server_.Handle("GET /v1/export?id=9").code, 404);
 }
 
 }  // namespace

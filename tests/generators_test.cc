@@ -129,7 +129,7 @@ class DetectFixture : public ::testing::Test {
 };
 
 TEST_F(DetectFixture, DetectSummarizesClustering) {
-  HttpResponse r = server_.Handle("GET /detect?algo=Louvain");
+  HttpResponse r = server_.Handle("GET /v1/detect?algo=Louvain");
   ASSERT_EQ(r.code, 200) << r.body;
   auto v = JsonValue::Parse(r.body);
   ASSERT_TRUE(v.ok());
@@ -140,8 +140,8 @@ TEST_F(DetectFixture, DetectSummarizesClustering) {
 }
 
 TEST_F(DetectFixture, ClusterViewAfterDetect) {
-  ASSERT_EQ(server_.Handle("GET /detect?algo=Louvain").code, 200);
-  HttpResponse r = server_.Handle("GET /cluster?id=0");
+  ASSERT_EQ(server_.Handle("GET /v1/detect?algo=Louvain").code, 200);
+  HttpResponse r = server_.Handle("GET /v1/cluster?id=0");
   ASSERT_EQ(r.code, 200) << r.body;
   auto v = JsonValue::Parse(r.body);
   ASSERT_TRUE(v.ok());
@@ -150,20 +150,21 @@ TEST_F(DetectFixture, ClusterViewAfterDetect) {
 }
 
 TEST_F(DetectFixture, ClusterErrors) {
-  EXPECT_EQ(server_.Handle("GET /cluster?id=0").code, 404);  // no detect yet
-  ASSERT_EQ(server_.Handle("GET /detect?algo=Louvain").code, 200);
-  EXPECT_EQ(server_.Handle("GET /cluster?id=99999").code, 404);
+  // No detection yet.
+  EXPECT_EQ(server_.Handle("GET /v1/cluster?id=0").code, 404);
+  ASSERT_EQ(server_.Handle("GET /v1/detect?algo=Louvain").code, 200);
+  EXPECT_EQ(server_.Handle("GET /v1/cluster?id=99999").code, 404);
 }
 
 TEST_F(DetectFixture, DetectErrors) {
-  EXPECT_EQ(server_.Handle("GET /detect?algo=Bogus").code, 404);
+  EXPECT_EQ(server_.Handle("GET /v1/detect?algo=Bogus").code, 404);
   CExplorerServer empty;
-  EXPECT_EQ(empty.Handle("GET /detect").code, 409);
+  EXPECT_EQ(empty.Handle("GET /v1/detect").code, 409);
 }
 
 TEST_F(DetectFixture, DetectRecordedInHistory) {
-  ASSERT_EQ(server_.Handle("GET /detect?algo=Louvain").code, 200);
-  HttpResponse r = server_.Handle("GET /history");
+  ASSERT_EQ(server_.Handle("GET /v1/detect?algo=Louvain").code, 200);
+  HttpResponse r = server_.Handle("GET /v1/history");
   auto v = JsonValue::Parse(r.body);
   ASSERT_TRUE(v.ok());
   ASSERT_EQ(v->Get("history").Items().size(), 1u);

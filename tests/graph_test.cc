@@ -305,6 +305,10 @@ TEST(IoTest, EdgeListRejectsBadLines) {
   EXPECT_FALSE(ParseEdgeList("0 1 2\n").ok());
   EXPECT_FALSE(ParseEdgeList("a b\n").ok());
   EXPECT_FALSE(ParseEdgeList("-1 2\n").ok());
+  // Ids at or above 2^32 - 1 would wrap in the cast to VertexId.
+  EXPECT_FALSE(ParseEdgeList("4294967297 2\n").ok());
+  EXPECT_FALSE(ParseEdgeList("0 4294967295\n").ok());
+  EXPECT_FALSE(ParseEdgeList("9000000000000000000 1\n").ok());
 }
 
 TEST(IoTest, EdgeListRoundTrip) {
@@ -349,6 +353,18 @@ TEST(IoTest, AttributedRejectsMalformed) {
   EXPECT_FALSE(ParseAttributed("v\t1\ta\n").ok());             // gap (no 0)
   EXPECT_FALSE(ParseAttributed("v\t0\ta\ne\t0\t9\n").ok());    // bad endpoint
   EXPECT_FALSE(ParseAttributed("e\t0\n").ok());                // short edge
+  // Out-of-range ids: an endpoint that would wrap to vertex 1, and
+  // declared ids past the record count (the table is never sized by them).
+  EXPECT_FALSE(
+      ParseAttributed("v\t0\ta\nv\t1\tb\nv\t2\tc\ne\t4294967297\t2\n").ok());
+  EXPECT_FALSE(ParseAttributed("v\t9000000000000000000\tb\n").ok());
+  EXPECT_FALSE(ParseAttributed("v\t0\ta\nv\t4294967294\tb\n").ok());
+  EXPECT_FALSE(ParseAttributed("v\t4294967295\ta\n").ok());
+  // Dense ids in any order still parse.
+  auto shuffled = ParseAttributed("v\t1\tb\nv\t0\ta\ne\t0\t1\n");
+  ASSERT_TRUE(shuffled.ok());
+  EXPECT_EQ(shuffled->Name(0), "a");
+  EXPECT_EQ(shuffled->Name(1), "b");
 }
 
 TEST(IoTest, AttributedFileRoundTrip) {

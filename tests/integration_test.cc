@@ -161,18 +161,6 @@ TEST_F(DblpPipeline, Figure6aShapeReproduces) {
   EXPECT_GE(acq.cmf, global.cmf);
 }
 
-TEST_F(DblpPipeline, IndexSerializationRoundTripAtScale) {
-  const ClTree& tree = Engine().index();
-  auto restored = ClTree::Deserialize(Engine().graph(), tree.Serialize());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->num_nodes(), tree.num_nodes());
-  // Spot-check query equivalence.
-  VertexId q = QueryAuthor();
-  for (std::uint32_t k = 1; k <= 5; ++k) {
-    EXPECT_EQ(restored->LocateKCore(q, k), tree.LocateKCore(q, k));
-  }
-}
-
 TEST_F(DblpPipeline, ServerSessionOnDblp) {
   // Run the full browser loop against a fresh server sharing the dataset.
   CExplorerServer server;
@@ -183,13 +171,13 @@ TEST_F(DblpPipeline, ServerSessionOnDblp) {
   const std::string name(dataset->graph().Name(q));
 
   HttpResponse search = server.Handle(
-      "GET /search?vertex=" + std::to_string(q) + "&k=4&algo=Global");
+      "GET /v1/search?vertex=" + std::to_string(q) + "&k=4&algo=Global");
   EXPECT_EQ(search.code, 200) << search.body;
   HttpResponse profile =
-      server.Handle("GET /profile?vertex=" + std::to_string(q));
+      server.Handle("GET /v1/profile?vertex=" + std::to_string(q));
   EXPECT_EQ(profile.code, 200);
   HttpResponse compare = server.Handle(
-      "GET /compare?name=" + UrlEncode(name) + "&k=4&algos=Global,Local");
+      "GET /v1/compare?name=" + UrlEncode(name) + "&k=4&algos=Global,Local");
   EXPECT_EQ(compare.code, 200) << compare.body;
 }
 

@@ -176,6 +176,18 @@ TEST(JobsTest, ListAndUnknownAndValidation) {
   EXPECT_EQ(
       server.Handle("POST /v1/jobs\n\n{\"algo\": \"Global\"}").code,
       400);  // search job without name/vertex
+  // deadline_ms is an integer in [0, 10^12]: 10^13 ms would overflow the
+  // submit-time steady_clock sum, and a non-integer is not "no deadline".
+  for (const char* deadline :
+       {"10000000000000", "1e300", "\"5\"", "-1", "2.5"}) {
+    const std::string spec =
+        std::string(R"({"algo": "LabelProp", "deadline_ms": )") + deadline +
+        "}";
+    HttpResponse refused = server.Handle("POST /v1/jobs\n\n" + spec);
+    EXPECT_EQ(refused.code, 400) << spec;
+    EXPECT_NE(refused.body.find("1000000000000"), std::string::npos)
+        << refused.body;
+  }
 
   const std::string id = Submit(&server, R"({"algo": "LabelProp"})");
   ASSERT_TRUE(WaitFor(&server, id, {"DONE"}));

@@ -249,14 +249,14 @@ TEST(UrlCodecCornerTest, EncodeSpecials) {
 }
 
 TEST(UrlCodecCornerTest, DecodeMixedCaseHex) {
-  EXPECT_EQ(UrlDecode("%2f%2F"), "//");
-  EXPECT_EQ(UrlDecode("%C3%A9"), "\xC3\xA9");
+  EXPECT_EQ(UrlDecodeStrict("%2f%2F").value(), "//");
+  EXPECT_EQ(UrlDecodeStrict("%C3%A9").value(), "\xC3\xA9");
 }
 
 TEST(UrlCodecCornerTest, RoundTripBinaryish) {
   std::string original;
   for (int c = 1; c < 128; ++c) original += static_cast<char>(c);
-  EXPECT_EQ(UrlDecode(UrlEncode(original)), original);
+  EXPECT_EQ(UrlDecodeStrict(UrlEncode(original)).value(), original);
 }
 
 // --------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Tests for the snapshot-keyed result cache behind /v1/search and
 // /v1/batch: cross-session hits with byte-identical bodies, epoch-bump
 // invalidation after /upload, misses on any parameter delta, canonicalized
-// keyword order, warm survival of index-only swaps, capacity eviction, and
+// keyword order, warm survival of compactions, capacity eviction, and
 // the /v1/stats counters that surface all of it.
 
 #include <gtest/gtest.h>
@@ -110,16 +110,20 @@ TEST_F(ResultCacheFixture, MissOnParamDelta) {
   EXPECT_EQ(stats.entries, 5u);
 }
 
-TEST_F(ResultCacheFixture, IndexOnlySwapKeepsCacheWarm) {
-  const std::string path = ::testing::TempDir() + "/result_cache_index.clt";
+TEST_F(ResultCacheFixture, CompactionKeepsCacheWarm) {
+  // A compaction folds the mutation overlay into owned storage without
+  // changing the graph, so it keeps the epoch: the entry cached after the
+  // last mutation survives the snapshot swap.
+  Get("POST /v1/edges\n\n{\"edges\": [[8, 9]]}");
   Get("GET /v1/search?name=A&k=2&keywords=x,y");
-  Get("POST /v1/save_index?path=" + path);
-  Get("POST /v1/load_index?path=" + path);
-  // Same graph epoch: the entry survives the snapshot swap.
   Get("GET /v1/search?name=A&k=2&keywords=x,y");
-  auto stats = Stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
+  const auto before = Stats();
+  EXPECT_EQ(before.hits, 1u);
+  Get("POST /v1/compact");
+  Get("GET /v1/search?name=A&k=2&keywords=x,y");
+  const auto after = Stats();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses);
 }
 
 TEST_F(ResultCacheFixture, CapacityEviction) {
@@ -156,8 +160,7 @@ TEST_F(ResultCacheFixture, ByteBudgetEvicts) {
 TEST_F(ResultCacheFixture, BatchSharesEntriesWithSearch) {
   HttpResponse search = Get("GET /v1/search?name=A&k=2&keywords=x,y");
   HttpResponse batch = Get(
-      "GET /v1/batch?requests=%5B%7B%22name%22%3A%22A%22%2C%22k%22%3A2%2C"
-      "%22keywords%22%3A%22x%2Cy%22%7D%5D");
+      "POST /v1/batch\n\n[{\"name\": \"A\", \"k\": 2, \"keywords\": \"x,y\"}]");
   auto stats = Stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);

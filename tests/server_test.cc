@@ -18,23 +18,24 @@ namespace {
 // --------------------------------------------------------------------------
 
 TEST(UrlCodecTest, DecodeBasics) {
-  EXPECT_EQ(UrlDecode("jim+gray"), "jim gray");
-  EXPECT_EQ(UrlDecode("a%20b"), "a b");
-  EXPECT_EQ(UrlDecode("%2Fpath"), "/path");
-  EXPECT_EQ(UrlDecode("plain"), "plain");
-  EXPECT_EQ(UrlDecode("bad%2"), "bad%2");  // truncated escape left as-is
+  EXPECT_EQ(UrlDecodeStrict("jim+gray").value(), "jim gray");
+  EXPECT_EQ(UrlDecodeStrict("a%20b").value(), "a b");
+  EXPECT_EQ(UrlDecodeStrict("%2Fpath").value(), "/path");
+  EXPECT_EQ(UrlDecodeStrict("plain").value(), "plain");
+  EXPECT_FALSE(UrlDecodeStrict("bad%2").ok());  // truncated escape
 }
 
 TEST(UrlCodecTest, EncodeDecodeRoundTrip) {
   const std::string original = "jim gray & co/sons #1";
-  EXPECT_EQ(UrlDecode(UrlEncode(original)), original);
+  EXPECT_EQ(UrlDecodeStrict(UrlEncode(original)).value(), original);
 }
 
 TEST(ParseRequestTest, PathAndParams) {
-  auto req = ParseRequest("GET /search?name=jim+gray&k=4&keywords=data,web");
+  auto req =
+      ParseRequest("GET /v1/search?name=jim+gray&k=4&keywords=data,web");
   ASSERT_TRUE(req.ok());
   EXPECT_EQ(req->method, "GET");
-  EXPECT_EQ(req->path, "/search");
+  EXPECT_EQ(req->path, "/v1/search");
   EXPECT_EQ(req->Param("name"), "jim gray");
   EXPECT_EQ(req->IntParam("k", 0), 4);
   EXPECT_EQ(req->Param("keywords"), "data,web");
@@ -47,11 +48,11 @@ TEST(ParseRequestTest, RejectsMalformed) {
   EXPECT_FALSE(ParseRequest("GET").ok());
   EXPECT_FALSE(ParseRequest("PUT /x").ok());
   EXPECT_FALSE(ParseRequest("GET nopath").ok());
-  EXPECT_FALSE(ParseRequest("GET /x extra").ok());
+  EXPECT_FALSE(ParseRequest("GET /v1/x extra").ok());
 }
 
 TEST(ParseRequestTest, EmptyAndValuelessParams) {
-  auto req = ParseRequest("GET /x?flag&k=");
+  auto req = ParseRequest("GET /v1/x?flag&k=");
   ASSERT_TRUE(req.ok());
   EXPECT_EQ(req->Param("flag"), "");
   EXPECT_EQ(req->Param("k"), "");
@@ -59,25 +60,23 @@ TEST(ParseRequestTest, EmptyAndValuelessParams) {
 
 TEST(ParseRequestTest, QueryEdgeCases) {
   // Empty query and trailing/duplicate '&' separators are fine.
-  EXPECT_TRUE(ParseRequest("GET /x?").ok());
-  auto req = ParseRequest("GET /x?a=1&&b=2&");
+  EXPECT_TRUE(ParseRequest("GET /v1/x?").ok());
+  auto req = ParseRequest("GET /v1/x?a=1&&b=2&");
   ASSERT_TRUE(req.ok());
   EXPECT_EQ(req->Param("a"), "1");
   EXPECT_EQ(req->Param("b"), "2");
   // Duplicate keys: the last occurrence wins (documented contract).
-  auto dup = ParseRequest("GET /x?k=1&k=2&k=3");
+  auto dup = ParseRequest("GET /v1/x?k=1&k=2&k=3");
   ASSERT_TRUE(dup.ok());
   EXPECT_EQ(dup->Param("k"), "3");
 }
 
 TEST(ParseRequestTest, RejectsMalformedEscapes) {
   // Malformed %-escapes are a parse error, not silently decoded garbage.
-  EXPECT_FALSE(ParseRequest("GET /x?name=%zz").ok());
-  EXPECT_FALSE(ParseRequest("GET /x?name=bad%2").ok());
-  EXPECT_FALSE(ParseRequest("GET /x?%GG=1").ok());
-  // The lenient decoder used for display keeps its pass-through behavior.
-  EXPECT_EQ(UrlDecode("bad%2"), "bad%2");
-  // Strict decoding surfaces the error directly.
+  EXPECT_FALSE(ParseRequest("GET /v1/x?name=%zz").ok());
+  EXPECT_FALSE(ParseRequest("GET /v1/x?name=bad%2").ok());
+  EXPECT_FALSE(ParseRequest("GET /v1/x?%GG=1").ok());
+  // The decoder surfaces the error directly.
   EXPECT_FALSE(UrlDecodeStrict("bad%zz").ok());
   EXPECT_EQ(UrlDecodeStrict("a%20b").value(), "a b");
 }
@@ -89,10 +88,10 @@ TEST(ParseRequestTest, PostBody) {
   EXPECT_EQ(req->path, "/v1/batch");
   EXPECT_EQ(req->body, "[{\"vertex\": 3}]");
   // CRLF separator and no blank line both work.
-  EXPECT_EQ(ParseRequest("POST /x\r\n\r\nhello")->body, "hello");
-  EXPECT_EQ(ParseRequest("POST /x\nhello")->body, "hello");
+  EXPECT_EQ(ParseRequest("POST /v1/x\r\n\r\nhello")->body, "hello");
+  EXPECT_EQ(ParseRequest("POST /v1/x\nhello")->body, "hello");
   // GET requests simply carry no body.
-  EXPECT_EQ(ParseRequest("GET /x")->body, "");
+  EXPECT_EQ(ParseRequest("GET /v1/x")->body, "");
 }
 
 // --------------------------------------------------------------------------
@@ -118,7 +117,7 @@ class ServerFixture : public ::testing::Test {
 };
 
 TEST_F(ServerFixture, IndexListsAlgorithms) {
-  JsonValue v = GetJson("GET /");
+  JsonValue v = GetJson("GET /v1/index");
   EXPECT_EQ(v.Get("system").AsString(), "C-Explorer");
   EXPECT_TRUE(v.Get("graph_loaded").AsBool());
   EXPECT_EQ(v.Get("vertices").AsInt(), 10);
@@ -141,7 +140,7 @@ TEST_F(ServerFixture, BadRequestLineIs400) {
 }
 
 TEST_F(ServerFixture, SearchFlowReturnsCommunities) {
-  JsonValue v = GetJson("GET /search?name=a&k=2&keywords=w,x,y&algo=ACQ");
+  JsonValue v = GetJson("GET /v1/search?name=a&k=2&keywords=w,x,y&algo=ACQ");
   EXPECT_EQ(v.Get("algorithm").AsString(), "ACQ");
   EXPECT_EQ(v.Get("num_communities").AsInt(), 1);
   const auto& communities = v.Get("communities").Items();
@@ -154,14 +153,15 @@ TEST_F(ServerFixture, SearchFlowReturnsCommunities) {
 }
 
 TEST_F(ServerFixture, SearchErrors) {
-  EXPECT_EQ(server_.Handle("GET /search?k=2").code, 400);          // no name
-  EXPECT_EQ(server_.Handle("GET /search?name=zzz&k=2").code, 404);  // unknown
-  EXPECT_EQ(server_.Handle("GET /search?name=a&algo=Nope").code, 404);
+  EXPECT_EQ(server_.Handle("GET /v1/search?k=2").code, 400);          // no name
+  EXPECT_EQ(server_.Handle("GET /v1/search?name=zzz&k=2").code,
+            404);  // unknown
+  EXPECT_EQ(server_.Handle("GET /v1/search?name=a&algo=Nope").code, 404);
 }
 
 TEST_F(ServerFixture, CommunityViewHasLayoutAndAscii) {
-  GetJson("GET /search?name=a&k=2&keywords=x,y&algo=ACQ");
-  JsonValue v = GetJson("GET /community?id=0");
+  GetJson("GET /v1/search?name=a&k=2&keywords=x,y&algo=ACQ");
+  JsonValue v = GetJson("GET /v1/community?id=0");
   EXPECT_EQ(v.Get("community").Get("size").AsInt(), 3);
   const auto& layout = v.Get("layout").Items();
   ASSERT_EQ(layout.size(), 3u);
@@ -174,45 +174,44 @@ TEST_F(ServerFixture, CommunityViewHasLayoutAndAscii) {
 }
 
 TEST_F(ServerFixture, CommunityViewWithoutSearchIs404) {
-  EXPECT_EQ(server_.Handle("GET /community?id=0").code, 404);
+  EXPECT_EQ(server_.Handle("GET /v1/community?id=0").code, 404);
 }
 
 TEST_F(ServerFixture, ProfilePopup) {
-  JsonValue v = GetJson("GET /profile?name=a");
+  JsonValue v = GetJson("GET /v1/profile?name=a");
   EXPECT_EQ(v.Get("name").AsString(), "A");
   EXPECT_FALSE(v.Get("institute").AsString().empty());
   EXPECT_EQ(v.Get("keywords").Items().size(), 3u);  // {w,x,y}
   // By vertex id too.
-  JsonValue v2 = GetJson("GET /profile?vertex=0");
+  JsonValue v2 = GetJson("GET /v1/profile?vertex=0");
   EXPECT_EQ(v2.Get("name").AsString(), "A");
-  EXPECT_EQ(server_.Handle("GET /profile?name=zzz").code, 404);
-  EXPECT_EQ(server_.Handle("GET /profile?vertex=99").code, 404);
+  EXPECT_EQ(server_.Handle("GET /v1/profile?name=zzz").code, 404);
+  EXPECT_EQ(server_.Handle("GET /v1/profile?vertex=99").code, 404);
 }
 
 TEST_F(ServerFixture, ExplorationLoopFigures1And2) {
   // Figure 1: search for 'a'.
-  GetJson("GET /search?name=a&k=2&keywords=x,y&algo=ACQ");
+  GetJson("GET /v1/search?name=a&k=2&keywords=x,y&algo=ACQ");
   // Figure 2: open the profile of member C (vertex 2), then explore C.
-  JsonValue profile = GetJson("GET /profile?vertex=2");
+  JsonValue profile = GetJson("GET /v1/profile?vertex=2");
   EXPECT_EQ(profile.Get("name").AsString(), "C");
-  JsonValue explored = GetJson("GET /explore?vertex=2&k=2");
+  JsonValue explored = GetJson("GET /v1/explore?vertex=2&k=2");
   EXPECT_GE(explored.Get("num_communities").AsInt(), 1);
   // History recorded both steps.
-  JsonValue history = GetJson("GET /history");
+  JsonValue history = GetJson("GET /v1/history");
   EXPECT_EQ(history.Get("history").Items().size(), 2u);
 }
 
 TEST_F(ServerFixture, ExploreValidatesVertex) {
-  EXPECT_EQ(server_.Handle("GET /explore?vertex=99").code, 404);
+  EXPECT_EQ(server_.Handle("GET /v1/explore?vertex=99").code, 404);
   // 'vertex' is declared required in the route schema: missing it is an
-  // invalid argument on the alias and the /v1 path alike.
-  EXPECT_EQ(server_.Handle("GET /explore").code, 400);
+  // invalid argument.
   EXPECT_EQ(server_.Handle("GET /v1/explore").code, 400);
 }
 
 TEST_F(ServerFixture, CompareEndpointFigure6) {
   JsonValue v =
-      GetJson("GET /compare?name=a&k=2&keywords=x,y&algos=Global,Local,ACQ");
+      GetJson("GET /v1/compare?name=a&k=2&keywords=x,y&algos=Global,Local,ACQ");
   const auto& rows = v.Get("rows").Items();
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].Get("method").AsString(), "Global");
@@ -222,7 +221,7 @@ TEST_F(ServerFixture, CompareEndpointFigure6) {
 }
 
 TEST_F(ServerFixture, CompareRequiresName) {
-  EXPECT_EQ(server_.Handle("GET /compare?k=2").code, 400);
+  EXPECT_EQ(server_.Handle("GET /v1/compare?k=2").code, 400);
 }
 
 // --------------------------------------------------------------------------
@@ -230,41 +229,42 @@ TEST_F(ServerFixture, CompareRequiresName) {
 // --------------------------------------------------------------------------
 
 TEST_F(ServerFixture, SessionNewCreatesIsolatedSessions) {
-  JsonValue s1 = GetJson("GET /session/new");
-  JsonValue s2 = GetJson("GET /session/new");
+  JsonValue s1 = GetJson("GET /v1/session/new");
+  JsonValue s2 = GetJson("GET /v1/session/new");
   const std::string id1 = s1.Get("session").AsString();
   const std::string id2 = s2.Get("session").AsString();
   EXPECT_FALSE(id1.empty());
   EXPECT_NE(id1, id2);
 
   // Both sessions interleave search/explore against the one uploaded graph.
-  GetJson("GET /search?name=a&k=2&keywords=x,y&algo=ACQ&session=" + id1);
-  GetJson("GET /search?name=b&k=3&algo=Global&session=" + id2);
-  GetJson("GET /explore?vertex=2&k=2&session=" + id1);
+  GetJson("GET /v1/search?name=a&k=2&keywords=x,y&algo=ACQ&session=" + id1);
+  GetJson("GET /v1/search?name=b&k=3&algo=Global&session=" + id2);
+  GetJson("GET /v1/explore?vertex=2&k=2&session=" + id1);
 
   // Community caches and history are per-session.
-  JsonValue h1 = GetJson("GET /history?session=" + id1);
-  JsonValue h2 = GetJson("GET /history?session=" + id2);
+  JsonValue h1 = GetJson("GET /v1/history?session=" + id1);
+  JsonValue h2 = GetJson("GET /v1/history?session=" + id2);
   EXPECT_EQ(h1.Get("history").Items().size(), 2u);
   EXPECT_EQ(h2.Get("history").Items().size(), 1u);
-  EXPECT_EQ(GetJson("GET /community?id=0&session=" + id2)
+  EXPECT_EQ(GetJson("GET /v1/community?id=0&session=" + id2)
                 .Get("community")
                 .Get("method")
                 .AsString(),
             "Global");
 
   // The default session (no ?session=) is yet another isolated session.
-  EXPECT_EQ(server_.Handle("GET /community?id=0").code, 404);
+  EXPECT_EQ(server_.Handle("GET /v1/community?id=0").code, 404);
 }
 
 TEST_F(ServerFixture, UnknownSessionIs404) {
-  EXPECT_EQ(server_.Handle("GET /search?name=a&session=nope").code, 404);
+  EXPECT_EQ(server_.Handle("GET /v1/search?name=a&session=nope").code, 404);
 }
 
 TEST_F(ServerFixture, SessionsEndpointListsState) {
-  const std::string id = GetJson("GET /session/new").Get("session").AsString();
-  GetJson("GET /search?name=a&k=2&keywords=x,y&session=" + id);
-  JsonValue v = GetJson("GET /sessions");
+  const std::string id =
+      GetJson("GET /v1/session/new").Get("session").AsString();
+  GetJson("GET /v1/search?name=a&k=2&keywords=x,y&session=" + id);
+  JsonValue v = GetJson("GET /v1/sessions");
   const auto& sessions = v.Get("sessions").Items();
   ASSERT_GE(sessions.size(), 1u);
   bool found = false;
@@ -279,47 +279,27 @@ TEST_F(ServerFixture, SessionsEndpointListsState) {
 }
 
 TEST_F(ServerFixture, UploadInvalidatesCachedCommunitiesAcrossSessions) {
-  const std::string id = GetJson("GET /session/new").Get("session").AsString();
-  GetJson("GET /search?name=a&k=2&keywords=x,y&session=" + id);
-  GetJson("GET /detect?algo=CODICIL&session=" + id);
-  GetJson("GET /community?id=0&session=" + id);
-  GetJson("GET /cluster?id=0&session=" + id);
+  const std::string id =
+      GetJson("GET /v1/session/new").Get("session").AsString();
+  GetJson("GET /v1/search?name=a&k=2&keywords=x,y&session=" + id);
+  GetJson("GET /v1/detect?algo=CODICIL&session=" + id);
+  GetJson("GET /v1/community?id=0&session=" + id);
+  GetJson("GET /v1/cluster?id=0&session=" + id);
 
   // Another session re-uploads the graph: the dataset pointer is swapped.
   const std::string path = ::testing::TempDir() + "/fig5_reload.attr";
   ASSERT_TRUE(SaveAttributed(Figure5Graph(), path).ok());
-  GetJson("GET /upload?path=" + UrlEncode(path));
+  GetJson("GET /v1/upload?path=" + UrlEncode(path));
 
   // The first session's cached results were computed against the old
   // snapshot and must not be served against the new one.
-  EXPECT_EQ(server_.Handle("GET /community?id=0&session=" + id).code, 404);
-  EXPECT_EQ(server_.Handle("GET /cluster?id=0&session=" + id).code, 404);
-  EXPECT_EQ(server_.Handle("GET /export?id=0&session=" + id).code, 404);
+  EXPECT_EQ(server_.Handle("GET /v1/community?id=0&session=" + id).code, 404);
+  EXPECT_EQ(server_.Handle("GET /v1/cluster?id=0&session=" + id).code, 404);
+  EXPECT_EQ(server_.Handle("GET /v1/export?id=0&session=" + id).code, 404);
 
   // A fresh search against the new snapshot works again.
-  GetJson("GET /search?name=a&k=2&keywords=x,y&session=" + id);
-  GetJson("GET /community?id=0&session=" + id);
-}
-
-TEST_F(ServerFixture, LoadIndexSwapsSnapshotForAllSessions) {
-  const std::string path = ::testing::TempDir() + "/fig5_server_index.cl";
-  GetJson("GET /save_index?path=" + UrlEncode(path));
-  const std::uint64_t before =
-      static_cast<std::uint64_t>(GetJson("GET /").Get("dataset_id").AsInt());
-  const std::uint64_t epoch_before = server_.dataset()->graph_epoch();
-  // Session caches computed before the index reload...
-  GetJson("GET /search?name=a&k=2&keywords=x,y");
-  JsonValue loaded = GetJson("GET /load_index?path=" + UrlEncode(path));
-  EXPECT_GT(static_cast<std::uint64_t>(loaded.Get("dataset_id").AsInt()),
-            before);
-  // Same graph: the algorithm-facing epoch is preserved so per-graph
-  // plug-in caches (e.g. CODICIL's clustering) survive an index reload...
-  EXPECT_EQ(server_.dataset()->graph_epoch(), epoch_before);
-  // ...and so do the session's cached communities: the vertex ids are
-  // still valid, only the index snapshot changed.
-  GetJson("GET /community?id=0");
-  // Same graph, fresh snapshot: queries still work.
-  GetJson("GET /search?name=a&k=2&keywords=x,y");
+  GetJson("GET /v1/search?name=a&k=2&keywords=x,y&session=" + id);
+  GetJson("GET /v1/community?id=0&session=" + id);
 }
 
 TEST(ServerSessionTest, SessionLimitAndRemoval) {
@@ -338,14 +318,15 @@ TEST(ServerSessionTest, SessionLimitAndRemoval) {
 }
 
 TEST_F(ServerFixture, SessionDeleteEndpoint) {
-  const std::string id = GetJson("GET /session/new").Get("session").AsString();
-  GetJson("GET /search?name=a&k=2&keywords=x,y&session=" + id);
-  JsonValue deleted = GetJson("GET /session/delete?id=" + id);
+  const std::string id =
+      GetJson("GET /v1/session/new").Get("session").AsString();
+  GetJson("GET /v1/search?name=a&k=2&keywords=x,y&session=" + id);
+  JsonValue deleted = GetJson("GET /v1/session/delete?id=" + id);
   EXPECT_EQ(deleted.Get("deleted").AsString(), id);
   // The session is gone: routed requests 404, re-delete 404.
-  EXPECT_EQ(server_.Handle("GET /search?name=a&session=" + id).code, 404);
-  EXPECT_EQ(server_.Handle("GET /session/delete?id=" + id).code, 404);
-  EXPECT_EQ(server_.Handle("GET /session/delete").code, 400);
+  EXPECT_EQ(server_.Handle("GET /v1/search?name=a&session=" + id).code, 404);
+  EXPECT_EQ(server_.Handle("GET /v1/session/delete?id=" + id).code, 404);
+  EXPECT_EQ(server_.Handle("GET /v1/session/delete").code, 400);
 }
 
 TEST(ServerSessionTest, SessionsShareOneIndexBuild) {
@@ -354,14 +335,15 @@ TEST(ServerSessionTest, SessionsShareOneIndexBuild) {
   ASSERT_TRUE(server.UploadGraph(Figure5Graph()).ok());
   // Creating sessions and querying must not rebuild the CL-tree.
   for (int i = 0; i < 8; ++i) {
-    HttpResponse created = server.Handle("GET /session/new");
+    HttpResponse created = server.Handle("GET /v1/session/new");
     ASSERT_EQ(created.code, 200);
     auto v = JsonValue::Parse(created.body);
     ASSERT_TRUE(v.ok());
     const std::string id = v->Get("session").AsString();
-    EXPECT_EQ(
-        server.Handle("GET /search?name=a&k=2&algo=Global&session=" + id).code,
-        200);
+    EXPECT_EQ(server
+                  .Handle("GET /v1/search?name=a&k=2&algo=Global&session=" + id)
+                  .code,
+              200);
   }
   EXPECT_EQ(Dataset::TotalIndexBuilds(), builds_before + 1);
   EXPECT_EQ(server.num_sessions(), 8u);
@@ -371,16 +353,22 @@ TEST(ServerUploadTest, UploadEndpointLoadsFile) {
   const std::string path = ::testing::TempDir() + "/fig5_server.attr";
   ASSERT_TRUE(SaveAttributed(Figure5Graph(), path).ok());
   CExplorerServer server;
-  HttpResponse before = server.Handle("GET /search?name=a");
+  HttpResponse before = server.Handle("GET /v1/search?name=a");
   EXPECT_EQ(before.code, 409);  // no graph yet
-  HttpResponse up = server.Handle("GET /upload?path=" + UrlEncode(path));
+  HttpResponse up = server.Handle("GET /v1/upload?path=" + UrlEncode(path));
   EXPECT_EQ(up.code, 200);
   auto v = JsonValue::Parse(up.body);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->Get("vertices").AsInt(), 10);
-  EXPECT_EQ(server.Handle("GET /search?name=a&k=2").code, 200);
-  EXPECT_EQ(server.Handle("GET /upload?path=%2Fnope").code, 400);
-  EXPECT_EQ(server.Handle("GET /upload").code, 400);
+  // Every upload serves a fresh snapshot with the next dataset id.
+  auto again = JsonValue::Parse(
+      server.Handle("GET /v1/upload?path=" + UrlEncode(path)).body);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->Get("dataset_id").AsInt(),
+            v->Get("dataset_id").AsInt() + 1);
+  EXPECT_EQ(server.Handle("GET /v1/search?name=a&k=2").code, 200);
+  EXPECT_EQ(server.Handle("GET /v1/upload?path=%2Fnope").code, 400);
+  EXPECT_EQ(server.Handle("GET /v1/upload").code, 400);
 }
 
 }  // namespace

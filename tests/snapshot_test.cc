@@ -340,24 +340,6 @@ TEST(SnapshotTest, FailedSaveRemovesItsTempFile) {
   EXPECT_TRUE(TempSiblings(path).empty());
 }
 
-TEST(SnapshotTest, SaveIndexRoutesArePostOnV1GetOnLegacy) {
-  CExplorerServer server;
-  ASSERT_TRUE(server.UploadGraph(Figure5Graph()).ok());
-  const std::string path = TempPath("method_policy.cl");
-  // /v1: POST works, GET is rejected.
-  EXPECT_EQ(server.Handle("GET /v1/save_index?path=" + path).code, 405);
-  EXPECT_EQ(server.Handle("POST /v1/save_index?path=" + path).code, 200);
-  EXPECT_EQ(server.Handle("GET /v1/load_index?path=" + path).code, 405);
-  EXPECT_EQ(server.Handle("POST /v1/load_index?path=" + path).code, 200);
-  // Legacy aliases keep GET alive, flagged deprecated.
-  HttpResponse legacy = server.Handle("GET /save_index?path=" + path);
-  EXPECT_EQ(legacy.code, 200);
-  EXPECT_EQ(legacy.headers.at("Deprecation"), "true");
-  HttpResponse legacy_load = server.Handle("GET /load_index?path=" + path);
-  EXPECT_EQ(legacy_load.code, 200);
-  EXPECT_EQ(legacy_load.headers.at("Deprecation"), "true");
-}
-
 TEST(SnapshotTest, CorruptLoadThroughApiIs503AndKeepsOldDataset) {
   CExplorerServer server;
   ASSERT_TRUE(server.UploadGraph(Figure5Graph()).ok());
