@@ -50,9 +50,18 @@ struct QueryContext {
   std::uint32_t k = 0;
   KeywordList keywords;  // S, sorted
   ClNodeId node = kInvalidClNode;
-  VertexList component;  // subtree of `node` (indexed algorithms only)
+  VertexList component;  // subtree of `node`, built by Component()
   AcqStats stats;
 };
+
+/// The located node's subtree, built on the first call: only Inc-S's scan
+/// and the fallback read it. Once built it is never empty (it holds q).
+VertexList& Component(QueryContext* ctx) {
+  if (ctx->component.empty()) {
+    ctx->component = ctx->index->SubtreeVertices(ctx->node);
+  }
+  return ctx->component;
+}
 
 /// True iff every query vertex appears in the sorted `community`.
 bool ContainsAllQueryVertices(const QueryContext& ctx,
@@ -132,19 +141,32 @@ VertexList GatherBySubtree(const QueryContext& ctx, const KeywordList& cand) {
   return VertexList(buf.begin(), buf.end());
 }
 
-/// The fallback community (empty shared keyword set): the connected k-core
-/// component of the anchor, or nothing if the query vertices are not all in
-/// one such component.
-std::vector<AttributedCommunity> FallbackCommunity(QueryContext* ctx,
-                                                   const VertexList& universe) {
-  // Both callers pass a sorted unique universe (the subtree component or
-  // the full vertex range).
-  VertexList community = PeelToKCoreSorted(ctx->g->graph(), universe, ctx->k,
-                                           ctx->query_vertices[0]);
-  if (community.empty() || !ContainsAllQueryVertices(*ctx, community)) {
+/// The connected k-core component of the anchor within the sorted unique
+/// `universe`, with an empty shared keyword set; nothing if the query
+/// vertices are not all in it.
+std::vector<AttributedCommunity> PeeledFallback(const QueryContext& ctx,
+                                                VertexList universe) {
+  VertexList community = PeelToKCoreSorted(
+      ctx.g->graph(), std::move(universe), ctx.k, ctx.query_vertices[0]);
+  if (community.empty() || !ContainsAllQueryVertices(ctx, community)) {
     return {};
   }
   return {AttributedCommunity{std::move(community), {}}};
+}
+
+/// The fallback community of the indexed algorithms (empty shared keyword
+/// set): the connected k-core component holding every query vertex. Below
+/// the root that is the located subtree itself — every member has at least
+/// k neighbours inside it, it is connected, and MakeContext located every
+/// query vertex to this node — so a peel would remove nothing and its BFS
+/// would reach every member. The root (k = 0) adopts every component, so
+/// there the peel's BFS still cuts out the anchor's.
+std::vector<AttributedCommunity> FallbackCommunity(QueryContext* ctx) {
+  VertexList component = std::move(Component(ctx));
+  if (ctx->node != ctx->index->root()) {
+    return {AttributedCommunity{std::move(component), {}}};
+  }
+  return PeeledFallback(*ctx, std::move(component));
 }
 
 void SortCommunities(std::vector<AttributedCommunity>* communities) {
@@ -205,7 +227,7 @@ Result<std::vector<AttributedCommunity>> RunBruteForce(QueryContext* ctx) {
       return found;
     }
   }
-  return FallbackCommunity(ctx, universe);
+  return PeeledFallback(*ctx, std::move(universe));
 }
 
 // ---------------------------------------------------------------------------
@@ -286,8 +308,9 @@ Result<std::vector<AttributedCommunity>> RunIncremental(QueryContext* ctx,
     if (tree_batched) {
       gathered = BatchCollect(*ctx, frontier);
     } else {
+      const VertexList& component = Component(ctx);
       for (std::size_t i = 0; i < frontier.size(); ++i) {
-        gathered[i] = GatherByScan(*ctx, ctx->component, frontier[i]);
+        gathered[i] = GatherByScan(*ctx, component, frontier[i]);
       }
     }
 
@@ -305,7 +328,7 @@ Result<std::vector<AttributedCommunity>> RunIncremental(QueryContext* ctx,
     frontier = AprioriJoin(qualified);
   }
 
-  if (best.empty()) return FallbackCommunity(ctx, ctx->component);
+  if (best.empty()) return FallbackCommunity(ctx);
   SortCommunities(&best);
   return best;
 }
@@ -325,7 +348,7 @@ Result<std::vector<AttributedCommunity>> RunDec(QueryContext* ctx) {
       ++ctx->stats.support_pruned;
     }
   }
-  if (effective.empty()) return FallbackCommunity(ctx, ctx->component);
+  if (effective.empty()) return FallbackCommunity(ctx);
 
   std::vector<KeywordList> frontier{effective};
   while (!frontier.empty()) {
@@ -369,7 +392,7 @@ Result<std::vector<AttributedCommunity>> RunDec(QueryContext* ctx) {
     frontier.assign(std::make_move_iterator(next.begin()),
                     std::make_move_iterator(next.end()));
   }
-  return FallbackCommunity(ctx, ctx->component);
+  return FallbackCommunity(ctx);
 }
 
 Result<QueryContext> MakeContext(const AttributedGraph& g, const ClTree* index,
@@ -424,9 +447,6 @@ Result<QueryContext> MakeContext(const AttributedGraph& g, const ClTree* index,
           break;
         }
       }
-    }
-    if (ctx.node != kInvalidClNode) {
-      ctx.component = index->SubtreeVertices(ctx.node);
     }
   }
   return ctx;

@@ -10,6 +10,10 @@
 // One community (the maximal connected qualifying subgraph) is returned per
 // maximal shared-keyword set; when no non-empty keyword set qualifies, the
 // connected k-core component of q is returned with an empty shared set.
+// The indexed algorithms serve that fallback from the CL-tree: for k >= 1
+// the node LocateKCore finds has exactly that component as its subtree, so
+// no peel runs. Only k = 0 peels, because the root's subtree is the whole
+// graph rather than q's component.
 //
 // Qualification is anti-monotone in the keyword set (adding keywords only
 // removes vertices), which yields the paper's three index-based algorithms:

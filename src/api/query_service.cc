@@ -321,7 +321,8 @@ void WriteStats(JsonWriter* w, const CommunityAnalysis& analysis) {
 /// True iff the session's last search left a community with this id.
 bool HasCachedCommunity(const Session& session, std::int64_t id) {
   return session.communities != nullptr && id >= 0 &&
-         static_cast<std::size_t>(id) < session.communities->communities.size();
+         static_cast<std::size_t>(id) <
+             session.communities->communities().size();
 }
 
 /// The answer of the routes that lay out a whole community (/v1/community
@@ -853,7 +854,7 @@ ApiResult<std::string> QueryService::ListSessions() {
       w.Key("cached_communities");
       w.UInt(session->communities == nullptr
                  ? 0
-                 : session->communities->communities.size());
+                 : session->communities->communities().size());
       w.Key("history_length");
       w.UInt(session->history.size());
       const DatasetPtr& snapshot = session->explorer.dataset();
@@ -922,7 +923,7 @@ ApiResult<std::string> QueryService::RunSearch(RequestContext& ctx,
     if (who.empty() && !q.vertices.empty()) {
       who = ctx.dataset->graph().Name(q.vertices.front());
     }
-    session.history.push_back(algo + ":" + who + ":k=" + std::to_string(q.k));
+    session.AddHistory(algo + ":" + who + ":k=" + std::to_string(q.k));
   };
 
   // Identical searches (any session) are answered from the shared result
@@ -938,23 +939,27 @@ ApiResult<std::string> QueryService::RunSearch(RequestContext& ctx,
     if (CachedSearchPtr hit = cache->Get(cache_key)) {
       session.communities = std::move(hit);
       record_in_session(query);
-      return session.communities->body;
+      return session.communities->body();
     }
   }
 
   auto communities = session.explorer.Search(algo, query, control);
   if (!communities.ok()) return FromStatus(communities.status());
-  auto result = std::make_shared<CachedSearch>();
-  result->communities = std::move(communities).value();
+  auto answer = std::make_shared<SearchAnswer>();
+  answer->communities = std::move(communities).value();
   JsonWriter w = JsonWriter::Recycled();
   w.BeginObject();
-  WriteSearchFields(&w, ctx.dataset->graph(), algo, result->communities);
+  WriteSearchFields(&w, ctx.dataset->graph(), algo, answer->communities);
   w.EndObject();
-  result->body = w.TakeString();
+  answer->body = w.TakeString();
+  // Queries that reach the same answer share one copy of it; each entry
+  // still gets its own analysis memo.
+  auto result = std::make_shared<CachedSearch>(
+      cacheable ? cache->Intern(std::move(answer)) : std::move(answer));
   session.communities = result;
   record_in_session(query);
   if (cacheable) cache->Put(cache_key, result);
-  return result->body;
+  return result->body();
 }
 
 ApiResult<std::string> QueryService::Search(const SearchRequest& request) {
@@ -1075,7 +1080,7 @@ ApiResult<std::string> QueryService::Detect(const DetectRequest& request) {
   session.detection_epoch = ctx.dataset->graph_epoch();
   // Invalidates outstanding page cursors, including across sessions.
   session.detection_generation = NextResultGeneration();
-  session.history.push_back("detect:" + algo);
+  session.AddHistory("detect:" + algo);
 
   JsonWriter w = JsonWriter::Recycled();
   w.BeginObject();
@@ -1103,7 +1108,7 @@ ApiResult<std::string> QueryService::Community(
   }
   const CachedSearch& search = *session.communities;
   const std::size_t index = static_cast<std::size_t>(request.id);
-  const cexplorer::Community& community = search.communities[index];
+  const cexplorer::Community& community = search.communities()[index];
 
   auto window = ResolvePage(request.page, ctx.dataset->graph_epoch(),
                             PageToken::Kind::kCommunity,
@@ -1353,7 +1358,8 @@ ApiResult<std::string> QueryService::ExportSvg(const ExportRequest& request) {
         "cached communities are stale (graph was reloaded); search again");
   }
   const cexplorer::Community& community =
-      session.communities->communities[static_cast<std::size_t>(request.id)];
+      session.communities
+          ->communities()[static_cast<std::size_t>(request.id)];
   if (community.vertices.size() > kMaxFullShapeMembers) {
     return TooLargeToLayOut(community.vertices.size());
   }
@@ -1952,7 +1958,7 @@ ApiResult<std::string> QueryService::Batch(const BatchRequest& request,
           if (cacheable) {
             cache_key = SearchCacheKey(snapshot->graph_epoch(), algo, query);
             if (CachedSearchPtr hit = cache->Get(cache_key)) {
-              fragments[i] = hit->body;
+              fragments[i] = hit->body();
               return;
             }
           }
@@ -1971,10 +1977,11 @@ ApiResult<std::string> QueryService::Batch(const BatchRequest& request,
             w.EndObject();
             fragments[i] = w.TakeString();
             if (cacheable) {
-              auto value = std::make_shared<CachedSearch>();
-              value->communities = std::move(communities).value();
-              value->body = fragments[i];
-              cache->Put(cache_key, std::move(value));
+              auto answer = std::make_shared<SearchAnswer>();
+              answer->communities = std::move(communities).value();
+              answer->body = fragments[i];
+              cache->Put(cache_key, std::make_shared<CachedSearch>(
+                                        cache->Intern(std::move(answer))));
             }
             return;
           }

@@ -1,18 +1,49 @@
 #include "api/result_cache.h"
 
+#include <algorithm>
 #include <functional>
 #include <utility>
+
+#include "common/hash64.h"
 
 namespace cexplorer {
 namespace api {
 
+namespace {
+
+/// The intern table is swept once it reaches this multiple of the cache
+/// capacity.
+constexpr std::size_t kInternSweepFactor = 2;
+
+std::uint64_t AnswerHash(const SearchAnswer& answer) {
+  std::uint64_t h = Hash64(answer.body.data(), answer.body.size());
+  for (const Community& community : answer.communities) {
+    const std::uint64_t size = community.vertices.size();
+    h = Hash64(&size, sizeof(size), h);
+  }
+  return h;
+}
+
+bool SameAnswer(const SearchAnswer& a, const SearchAnswer& b) {
+  return a.body == b.body &&
+         std::equal(a.communities.begin(), a.communities.end(),
+                    b.communities.begin(), b.communities.end(),
+                    [](const Community& x, const Community& y) {
+                      return x.vertices == y.vertices &&
+                             x.shared_keywords == y.shared_keywords &&
+                             x.method == y.method;
+                    });
+}
+
+}  // namespace
+
 Result<CommunityAnalysis> CachedSearch::Analysis(
     std::size_t i, const Explorer& explorer) const {
   std::lock_guard<std::mutex> lock(analysis_mu_);
-  if (analyses_.empty()) analyses_.resize(communities.size());
+  if (analyses_.empty()) analyses_.resize(communities().size());
   std::optional<CommunityAnalysis>& slot = analyses_[i];
   if (!slot) {
-    auto analysis = explorer.Analyze(communities[i]);
+    auto analysis = explorer.Analyze(communities()[i]);
     if (!analysis.ok()) return analysis.status();
     slot = std::move(analysis).value();
   }
@@ -32,6 +63,7 @@ ResultCache::ResultCache(std::size_t capacity, std::size_t shards,
     for (std::size_t i = 0; i < shards; ++i) {
       shards_.push_back(std::make_unique<Shard>());
     }
+    intern_sweep_at_ = kInternSweepFactor * capacity;
   }
 }
 
@@ -39,9 +71,9 @@ ResultCache::Shard& ResultCache::ShardOf(const std::string& key) {
   return *shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
-std::size_t ResultCache::PayloadBytes(const CachedSearch& value) {
-  std::size_t bytes = value.body.size();
-  for (const Community& community : value.communities) {
+std::size_t ResultCache::PayloadBytes(const SearchAnswer& answer) {
+  std::size_t bytes = answer.body.size();
+  for (const Community& community : answer.communities) {
     bytes += community.method.size() +
              community.vertices.size() * sizeof(VertexId) +
              community.shared_keywords.size() * sizeof(KeywordId);
@@ -75,7 +107,7 @@ CachedSearchPtr ResultCache::Get(const std::string& key) {
 
 void ResultCache::Put(const std::string& key, CachedSearchPtr value) {
   if (!enabled() || value == nullptr) return;
-  const std::size_t bytes = PayloadBytes(*value);
+  const std::size_t bytes = PayloadBytes(*value->answer);
   Shard& shard = ShardOf(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
@@ -95,6 +127,28 @@ void ResultCache::Put(const std::string& key, CachedSearchPtr value) {
   EvictWhileOver(&shard);
 }
 
+SearchAnswerPtr ResultCache::Intern(SearchAnswerPtr answer) {
+  if (!enabled()) return answer;
+  const std::uint64_t hash = AnswerHash(*answer);
+  std::lock_guard<std::mutex> lock(intern_mu_);
+  auto [first, last] = interned_.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    SearchAnswerPtr live = it->second.lock();
+    if (live != nullptr && SameAnswer(*live, *answer)) return live;
+  }
+  interned_.emplace(hash, answer);
+  if (interned_.size() >= intern_sweep_at_) {
+    std::erase_if(interned_, [](const auto& slot) {
+      return slot.second.expired();
+    });
+    // Doubling past the live count keeps the sweeps amortized O(1) per
+    // Intern even when sessions keep more answers alive than the cache.
+    intern_sweep_at_ = std::max(kInternSweepFactor * capacity_,
+                                kInternSweepFactor * interned_.size());
+  }
+  return answer;
+}
+
 void ResultCache::Clear() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
@@ -102,6 +156,9 @@ void ResultCache::Clear() {
     shard->index.clear();
     shard->bytes = 0;
   }
+  std::lock_guard<std::mutex> lock(intern_mu_);
+  interned_.clear();
+  intern_sweep_at_ = kInternSweepFactor * capacity_;
 }
 
 ResultCache::Stats ResultCache::GetStats() const {

@@ -19,10 +19,20 @@
 // the epoch, and the cache stays warm — exactly like the session-level
 // caches.
 //
+// Many different queries reach the same answer (every search that falls
+// back to one k-core component renders the same members, size and theme),
+// so an entry holds its answer — communities plus body — as a shared
+// immutable SearchAnswer: Intern hands every identical answer the one copy
+// already alive. The analysis memo stays per entry. Each entry is still
+// charged its full answer against the byte budget, so eviction order and
+// hit ratios do not depend on sharing, and the real footprint can only be
+// smaller than the charged one.
+//
 // Concurrency: the LRU is sharded by key hash; each shard serializes its
 // own map + recency list behind one mutex held only for the lookup/insert
 // itself. Values are shared_ptr<const CachedSearch>, so a hit handed to a
 // session stays valid even if the entry is evicted a microsecond later.
+// The intern table has a mutex of its own, taken once per rendered answer.
 // Hit/miss/insert/evict counters are process-cheap relaxed atomics,
 // surfaced on GET /v1/stats.
 
@@ -46,23 +56,42 @@
 namespace cexplorer {
 namespace api {
 
-/// One search outcome, shared by the result cache and by every session
-/// whose last search ran or hit it: it is that session's browser cache (so
-/// /community, /export and /explore behave as if the search had run), and
-/// `body` is the rendered response, byte-identical to what execution would
-/// have produced. A search of an uncacheable algorithm gets one too; it is
-/// simply never Put.
-struct CachedSearch {
+/// One search answer: the communities and the rendered response `body`,
+/// byte-identical to what execution would have produced. The body holds
+/// only the answer (algorithm, members, sizes, themes), not the query, so
+/// every query that reaches the same communities renders the same bytes.
+/// Immutable once built, so entries may share it (ResultCache::Intern).
+struct SearchAnswer {
   std::vector<Community> communities;
   std::string body;
+};
 
-  /// Explorer::Analyze of communities[i] (no query vertex), computed on the
-  /// first call for `i` and returned from this entry on every later call,
-  /// from any session. Concurrent first callers wait for the one fill. The
+using SearchAnswerPtr = std::shared_ptr<const SearchAnswer>;
+
+/// One search outcome, shared by the result cache and by every session
+/// whose last search ran or hit it: it is that session's browser cache (so
+/// /community, /export and /explore behave as if the search had run). A
+/// search of an uncacheable algorithm gets one too; it is simply never Put.
+struct CachedSearch {
+  /// Never null.
+  explicit CachedSearch(SearchAnswerPtr shared_answer)
+      : answer(std::move(shared_answer)) {}
+
+  const SearchAnswerPtr answer;
+
+  const std::vector<Community>& communities() const {
+    return answer->communities;
+  }
+  const std::string& body() const { return answer->body; }
+
+  /// Explorer::Analyze of communities()[i] (no query vertex), computed on
+  /// the first call for `i` and returned from this entry on every later
+  /// call, from any session. Concurrent first callers wait for the one fill. The
   /// analysis depends only on the members, their induced edges and their
   /// keyword rows, all fixed by the graph epoch in the entry's key, so it
   /// holds for the entry's whole life: an epoch change clears the cache.
-  /// Precondition: i < communities.size().
+  /// The memo belongs to this entry alone, even when its answer is shared.
+  /// Precondition: i < communities().size().
   Result<CommunityAnalysis> Analysis(std::size_t i,
                                      const Explorer& explorer) const;
 
@@ -121,10 +150,18 @@ class ResultCache {
   CachedSearchPtr Get(const std::string& key);
 
   /// Inserts (or refreshes) `key`, evicting the shard's least recently
-  /// used entry when the shard is at capacity. No-op when disabled.
+  /// used entry when the shard is at capacity. No-op when disabled. The
+  /// entry is charged its answer's full size, shared or not.
   void Put(const std::string& key, CachedSearchPtr value);
 
-  /// Drops every entry (graph swap); counters are kept.
+  /// The live answer equal to `answer` (same communities, same body), or
+  /// `answer` itself, which then becomes the one later equal answers get.
+  /// Answers are held weakly, so interning never keeps one alive. Returns
+  /// `answer` unchanged when the cache is disabled.
+  SearchAnswerPtr Intern(SearchAnswerPtr answer);
+
+  /// Drops every entry (graph swap) and forgets every interned answer;
+  /// counters are kept.
   void Clear();
 
   Stats GetStats() const;
@@ -146,8 +183,8 @@ class ResultCache {
 
   Shard& ShardOf(const std::string& key);
 
-  /// Approximate payload footprint of one cached result.
-  static std::size_t PayloadBytes(const CachedSearch& value);
+  /// Approximate payload footprint of one answer.
+  static std::size_t PayloadBytes(const SearchAnswer& answer);
 
   /// Drops LRU entries until the shard respects both budgets. Requires
   /// shard.mu held.
@@ -157,6 +194,14 @@ class ResultCache {
   std::size_t capacity_per_shard_ = 0;
   std::size_t max_bytes_per_shard_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
+
+  /// Interned answers by a hash of the body and the community sizes;
+  /// Intern sweeps the expired ones once the table reaches
+  /// `intern_sweep_at_` entries.
+  std::mutex intern_mu_;
+  std::unordered_multimap<std::uint64_t, std::weak_ptr<const SearchAnswer>>
+      interned_;
+  std::size_t intern_sweep_at_ = 0;
 
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

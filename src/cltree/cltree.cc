@@ -509,12 +509,32 @@ ClNodeId ClTree::LocateKCore(VertexId q, std::uint32_t k) const {
 }
 
 VertexList ClTree::SubtreeVertices(ClNodeId id) const {
-  VertexList out;
-  out.reserve(subtree_sizes_[id]);
-  for (ClNodeId i = id; i < nodes_[id].subtree_end; ++i) {
-    out.insert(out.end(), nodes_[i].vertices.begin(), nodes_[i].vertices.end());
+  const std::size_t size = subtree_sizes_[id];
+  const ClNodeId end = nodes_[id].subtree_end;
+  if (!IsDenseSubset(size, vertex_node_.size())) {
+    VertexList out;
+    out.reserve(size);
+    for (ClNodeId i = id; i < end; ++i) {
+      out.insert(out.end(), nodes_[i].vertices.begin(),
+                 nodes_[i].vertices.end());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
   }
-  std::sort(out.begin(), out.end());
+  // Dense subtree: v is a member iff its anchoring node lies in the preorder
+  // range [id, end), so one branchless pass over vertex_node_ writes the
+  // members in ascending order. Every slot is written before the cursor
+  // passes it, and the loop stops at the last member — or at the last
+  // vertex, should a loaded snapshot's subtree size overstate its members.
+  const std::size_t n = vertex_node_.size();
+  VertexList out(size);
+  const ClNodeId span = end - id;
+  std::size_t pos = 0;
+  for (VertexId v = 0; v < n && pos < size; ++v) {
+    out[pos] = v;
+    pos += static_cast<ClNodeId>(vertex_node_[v] - id) < span;
+  }
+  out.resize(pos);
   return out;
 }
 

@@ -2,12 +2,14 @@
 // ACQ engine.
 //
 // The CL-tree organizes the nested k-cores of an attributed graph: the
-// subtree rooted at a node is one connected component of the k-core for the
-// node's core number, and each vertex is "anchored" at the unique node whose
-// component first contains it (its core number). Each node carries an
-// inverted list keyword -> anchored vertices, so the vertices of a k-core
-// component that contain a given keyword set can be collected in one subtree
-// walk over the relevant postings only.
+// subtree rooted at a non-root node is one connected component of the
+// k-core for the node's core number, while the root (core 0) adopts every
+// component, so its subtree is the whole graph, connected or not. Each
+// vertex is "anchored" at the unique node whose component first contains it
+// (its core number). Each node carries an inverted list keyword -> anchored
+// vertices, so the vertices of a k-core component that contain a given
+// keyword set can be collected in one subtree walk over the relevant
+// postings only.
 //
 // Chains of nodes with identical vertex sets (a component whose k-core and
 // (k+1)-core coincide) are compressed into the deepest node, which keeps the
@@ -58,14 +60,15 @@ struct ClTreePostingsView {
 };
 
 /// One CL-tree node: a connected component of the `core`-core, minus the
-/// components of deeper cores (those live in child subtrees).
+/// components of deeper cores (those live in child subtrees). The root is
+/// the exception: it holds the core-0 vertices of every component.
 ///
 /// The per-node lists are spans into tree-wide arenas (children, anchored
 /// vertices and inverted lists alike), so the node directory itself is a
 /// flat array that a snapshot load can rebuild with a single allocation.
 struct ClTreeNode {
   /// Core number of this node (max k such that the subtree is one connected
-  /// component of the k-core).
+  /// component of the k-core; 0 at the root).
   std::uint32_t core = 0;
 
   /// Parent node, kInvalidClNode for the root.
@@ -204,11 +207,16 @@ class ClTree {
     return id == kInvalidClNode ? 0 : nodes_[id].core;
   }
 
-  /// The node whose subtree is the connected k-core component containing q,
-  /// or kInvalidClNode if core(q) < k.
+  /// For k >= 1, the node whose subtree is the connected k-core component
+  /// containing q; it is never the root. For k = 0, the root, whose subtree
+  /// is the whole graph rather than q's component. kInvalidClNode if
+  /// core(q) < k.
   ClNodeId LocateKCore(VertexId q, std::uint32_t k) const;
 
-  /// All vertices in the subtree of `id`, ascending.
+  /// All vertices in the subtree of `id`, ascending. A dense subtree
+  /// (IsDenseSubset in core/kcore.h) is read in one pass over the
+  /// vertex-to-node map, which yields the vertices already in order; a
+  /// sparse one copies its nodes' anchored lists and sorts them.
   VertexList SubtreeVertices(ClNodeId id) const;
 
   /// Number of vertices in the subtree of `id`.

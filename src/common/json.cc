@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -25,6 +26,50 @@ void ReleaseRenderBuffer(std::string&& buffer) {
     t_render_buffer = std::move(buffer);
     t_render_buffer.clear();
   }
+}
+
+/// Appends `raw` escaped per JSON rules (quotes not included): each run of
+/// bytes that need no escaping is appended in one piece, and only '"', '\'
+/// and the control bytes below 0x20 are rewritten.
+void AppendEscaped(std::string* out, std::string_view raw) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(raw[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(raw.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default: {
+        const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        out->append(code, sizeof(code));
+      }
+    }
+  }
+  out->append(raw.data() + run, raw.size() - run);
+}
+
+/// Appends the decimal digits of an integer without a temporary string.
+template <typename Int>
+void AppendInt(std::string* out, Int value) {
+  char digits[24];  // 20 digits of UINT64_MAX, or a sign and 19 digits
+  const char* end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  out->append(digits, static_cast<std::size_t>(end - digits));
 }
 
 }  // namespace
@@ -103,7 +148,7 @@ void JsonWriter::EndArray() {
 void JsonWriter::Key(std::string_view key) {
   MaybeComma();
   out_ += '"';
-  out_ += Escape(key);
+  AppendEscaped(&out_, key);
   out_ += "\":";
   pending_key_ = true;
 }
@@ -111,18 +156,18 @@ void JsonWriter::Key(std::string_view key) {
 void JsonWriter::String(std::string_view value) {
   MaybeComma();
   out_ += '"';
-  out_ += Escape(value);
+  AppendEscaped(&out_, value);
   out_ += '"';
 }
 
 void JsonWriter::Int(std::int64_t value) {
   MaybeComma();
-  out_ += std::to_string(value);
+  AppendInt(&out_, value);
 }
 
 void JsonWriter::UInt(std::uint64_t value) {
   MaybeComma();
-  out_ += std::to_string(value);
+  AppendInt(&out_, value);
 }
 
 void JsonWriter::Double(double value) {
@@ -166,33 +211,7 @@ std::string JsonWriter::TakeString() {
 std::string JsonWriter::Escape(std::string_view raw) {
   std::string out;
   out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  AppendEscaped(&out, raw);
   return out;
 }
 

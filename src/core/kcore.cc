@@ -238,14 +238,12 @@ VertexList PeelBody(const Graph& g, VertexList candidates, std::uint32_t k,
     }
   }
 
-  // The survivors are a subset of `candidates`, so the result compacts into
-  // the input buffer — no allocation on the success path either.
   if (anchor != kInvalidVertex) {
     if (anchor >= g.num_vertices() || !m.IsMember(anchor)) {
       candidates.clear();
       return candidates;
     }
-    // Keep only the anchor's connected component among the survivors.
+    // Mark the anchor's connected component among the survivors.
     s.queue_.clear();
     s.queue_.push_back(anchor);
     m.MarkVisited(anchor);
@@ -259,13 +257,14 @@ VertexList PeelBody(const Graph& g, VertexList candidates, std::uint32_t k,
         }
       }
     }
-    candidates.assign(s.queue_.begin(), s.queue_.end());
-    std::sort(candidates.begin(), candidates.end());
-    return candidates;
   }
+  // The result is a subset of `candidates`, so it compacts into the input
+  // buffer in candidate order: ascending, with no allocation and no sort.
   std::size_t out = 0;
   for (VertexId v : candidates) {
-    if (m.IsMember(v)) candidates[out++] = v;
+    if (anchor == kInvalidVertex ? m.IsMember(v) : m.Visited(v)) {
+      candidates[out++] = v;
+    }
   }
   candidates.resize(out);
   return candidates;
@@ -283,7 +282,7 @@ bool UseBitsetFrontier(std::size_t num_candidates, std::size_t n) {
   // Bitsets pay an O(n/64) clear; stamps pay a 4-byte (vs 1-bit) random
   // probe footprint. The clear amortises once the candidate set is at
   // least n/64 vertices — i.e. one candidate per cleared word.
-  return num_candidates * 64 >= n;
+  return IsDenseSubset(num_candidates, n);
 }
 
 }  // namespace

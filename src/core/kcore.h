@@ -72,6 +72,15 @@ struct PeelScratch {
 /// the explicit modes exist for tests and tuning.
 enum class PeelFrontierMode { kAuto, kStamps, kBitset };
 
+/// The density rule behind kAuto: a subset of `size` of the graph's `n`
+/// vertices is dense when it holds at least one vertex per 64, so one pass
+/// over all n vertices (or one word per 64 of them) costs no more than
+/// touching the members alone. ClTree::SubtreeVertices uses the same rule
+/// to pick between a vertex scan and copy-and-sort.
+inline bool IsDenseSubset(std::size_t size, std::size_t n) {
+  return size * 64 >= n;
+}
+
 /// Process-wide override of the peel membership representation.
 void SetPeelFrontierMode(PeelFrontierMode mode);
 PeelFrontierMode GetPeelFrontierMode();
@@ -91,8 +100,10 @@ VertexList ConnectedKCore(const Graph& g,
 /// neighbours inside the subset (peeling restricted to the candidate set).
 /// If `anchor` is not kInvalidVertex, the result is further restricted to
 /// the connected component of `anchor` (empty if the anchor was peeled).
-/// Result ascending. Uses the calling thread's scratch, so a steady-state
-/// call allocates nothing (the result reuses the candidate buffer).
+/// Result ascending: the survivors are kept in the order of the sorted
+/// candidates, so the peel itself never sorts. Uses the calling thread's
+/// scratch, so a steady-state call allocates nothing (the result reuses
+/// the candidate buffer).
 VertexList PeelToKCore(const Graph& g, VertexList candidates, std::uint32_t k,
                        VertexId anchor = kInvalidVertex);
 
@@ -101,7 +112,8 @@ VertexList PeelToKCore(const Graph& g, VertexList candidates, std::uint32_t k,
                        VertexId anchor, PeelScratch* scratch);
 
 /// Like PeelToKCore, but `candidates` must already be sorted ascending with
-/// no duplicates — callers that produce sorted sets skip the re-sort.
+/// no duplicates — callers that produce sorted sets skip the re-sort, and
+/// the peel then sorts nothing at all.
 VertexList PeelToKCoreSorted(const Graph& g, VertexList candidates,
                              std::uint32_t k, VertexId anchor = kInvalidVertex);
 VertexList PeelToKCoreSorted(const Graph& g, VertexList candidates,

@@ -28,7 +28,7 @@
 //   /v1/profile         author profile popup
 //   /v1/explore         continue exploration from a member
 //   /v1/compare         Figure 6(a) comparison table
-//   /v1/history         exploration chain
+//   /v1/history         exploration chain (the last 1,000 steps)
 //   /v1/detect          run a CD algorithm
 //   /v1/cluster         one cluster; supports limit/cursor paging
 //   /v1/author          query-form population

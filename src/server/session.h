@@ -23,6 +23,7 @@
 #define CEXPLORER_SERVER_SESSION_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -72,8 +73,18 @@ struct Session {
   /// replaced (see communities_generation).
   std::uint64_t detection_generation = 0;
 
-  /// Exploration chain ("ACQ:jim gray:k=4", ...).
-  std::vector<std::string> history;
+  /// Most entries `history` keeps; AddHistory drops the oldest first.
+  static constexpr std::size_t kMaxHistory = 1000;
+
+  /// Exploration chain ("ACQ:jim gray:k=4", ...), oldest first: the last
+  /// kMaxHistory searches, explores and detects.
+  std::deque<std::string> history;
+
+  /// Appends one step to `history`, keeping only the last kMaxHistory.
+  void AddHistory(std::string entry) {
+    history.push_back(std::move(entry));
+    if (history.size() > kMaxHistory) history.pop_front();
+  }
 
   /// Drops all graph-derived caches (on graph swap).
   void InvalidateCaches() {

@@ -321,6 +321,147 @@ TEST_P(MultiVertexSweepTest, MultiVertexMatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(Sweep, MultiVertexSweepTest, ::testing::Range(0, 8));
 
 // --------------------------------------------------------------------------
+// The fallback community (no non-empty keyword set qualifies): for k >= 1
+// the indexed algorithms answer with the located CL-tree subtree, for k = 0
+// (the root) with a peel of the whole graph.
+// --------------------------------------------------------------------------
+
+/// Runs every indexed algorithm against the brute-force oracle and returns
+/// the oracle's answer. A fallback answer for k >= 1 must also equal the
+/// subtree of the node LocateKCore finds.
+std::vector<AttributedCommunity> ExpectIndexedMatchOracle(
+    const AttributedGraph& g, const ClTree& tree, const VertexList& query,
+    std::uint32_t k, const KeywordList& keywords) {
+  AcqEngine engine(&g, &tree);
+  auto oracle =
+      engine.SearchMulti(query, k, keywords, AcqAlgorithm::kBruteForce);
+  EXPECT_TRUE(oracle.ok());
+  if (!oracle.ok()) return {};
+  for (AcqAlgorithm algo :
+       {AcqAlgorithm::kIncS, AcqAlgorithm::kIncT, AcqAlgorithm::kDec}) {
+    auto result = engine.SearchMulti(query, k, keywords, algo);
+    EXPECT_TRUE(result.ok()) << AcqAlgorithmName(algo);
+    if (!result.ok()) continue;
+    EXPECT_EQ(result->communities, oracle->communities)
+        << AcqAlgorithmName(algo) << " q=" << query[0] << " k=" << k;
+    if (k >= 1 && result->communities.size() == 1 &&
+        result->communities[0].shared_keywords.empty()) {
+      EXPECT_EQ(result->communities[0].vertices,
+                tree.SubtreeVertices(tree.LocateKCore(query[0], k)))
+          << AcqAlgorithmName(algo) << " q=" << query[0] << " k=" << k;
+    }
+  }
+  return oracle->communities;
+}
+
+/// Triangles {0,1,2} and {3,4,5} bridged by edge 2-3 (all core 2), vertex
+/// 6 hanging off 0 (core 1), a separate triangle {7,8,9} and an isolated
+/// vertex 10. Keyword b sits on 0, 1, 4 and 5: enough support for k = 2,
+/// but those four hold no 2-core. Keyword a sits on 0 alone.
+AttributedGraph BridgedTriangles() {
+  AttributedGraphBuilder b;
+  const std::vector<std::vector<std::string>> keywords = {
+      {"a", "b"}, {"b"}, {"c"}, {"c"}, {"b"}, {"b", "c"},
+      {"c"},      {"c"}, {"c"}, {"c"}, {"c"}};
+  for (std::size_t v = 0; v < keywords.size(); ++v) {
+    b.AddVertex("v" + std::to_string(v), keywords[v]);
+  }
+  for (auto [u, v] : std::vector<std::pair<VertexId, VertexId>>{
+           {0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 3}, {0, 6},
+           {7, 8}, {8, 9}, {7, 9}}) {
+    EXPECT_TRUE(b.AddEdge(u, v).ok());
+  }
+  return b.Build();
+}
+
+KeywordList KwOf(const AttributedGraph& g,
+                 const std::vector<std::string>& words) {
+  KeywordList out;
+  for (const auto& w : words) out.push_back(g.vocabulary().Find(w));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(AcqFallbackTest, EmptyKeywordSetIsTheLocatedSubtree) {
+  const AttributedGraph g = BridgedTriangles();
+  const ClTree tree = ClTree::Build(g);
+  const VertexList bridged = {0, 1, 2, 3, 4, 5};
+  using Answer = std::vector<AttributedCommunity>;
+  EXPECT_EQ(ExpectIndexedMatchOracle(g, tree, {0}, 2, {}),
+            (Answer{{bridged, {}}}));
+  EXPECT_EQ(ExpectIndexedMatchOracle(g, tree, {0}, 1, {}),
+            (Answer{{{0, 1, 2, 3, 4, 5, 6}, {}}}));
+  EXPECT_EQ(ExpectIndexedMatchOracle(g, tree, {8}, 2, {}),
+            (Answer{{{7, 8, 9}, {}}}));
+  EXPECT_TRUE(ExpectIndexedMatchOracle(g, tree, {6}, 2, {}).empty());
+}
+
+TEST(AcqFallbackTest, NoQualifyingKeywordIsTheLocatedSubtree) {
+  const AttributedGraph g = BridgedTriangles();
+  const ClTree tree = ClTree::Build(g);
+  // a lacks support; b has support but its vertices hold no 2-core, so Dec
+  // peels {b} and fails before falling back.
+  EXPECT_EQ(ExpectIndexedMatchOracle(g, tree, {0}, 2, KwOf(g, {"a", "b"})),
+            (std::vector<AttributedCommunity>{{{0, 1, 2, 3, 4, 5}, {}}}));
+  // c is shared by every other member of the triangle {7,8,9}: it
+  // qualifies there, so no fallback.
+  EXPECT_EQ(ExpectIndexedMatchOracle(g, tree, {8}, 2, KwOf(g, {"c"})),
+            (std::vector<AttributedCommunity>{
+                {{7, 8, 9}, KwOf(g, {"c"})}}));
+}
+
+TEST(AcqFallbackTest, TwoQueryVerticesShareTheLocatedSubtree) {
+  const AttributedGraph g = BridgedTriangles();
+  const ClTree tree = ClTree::Build(g);
+  using Answer = std::vector<AttributedCommunity>;
+  EXPECT_EQ(ExpectIndexedMatchOracle(g, tree, {0, 5}, 2, KwOf(g, {"b"})),
+            (Answer{{{0, 1, 2, 3, 4, 5}, {}}}));
+  EXPECT_EQ(ExpectIndexedMatchOracle(g, tree, {5, 6}, 1, {}),
+            (Answer{{{0, 1, 2, 3, 4, 5, 6}, {}}}));
+  // Different components, or one vertex below k: no community.
+  EXPECT_TRUE(ExpectIndexedMatchOracle(g, tree, {0, 8}, 2, {}).empty());
+  EXPECT_TRUE(ExpectIndexedMatchOracle(g, tree, {0, 6}, 2, {}).empty());
+}
+
+TEST(AcqFallbackTest, KZeroOnADisconnectedGraphPeelsToTheComponent) {
+  // Two triangles and an isolated vertex. At k = 0 LocateKCore returns the
+  // root, whose subtree is all 7 vertices: the fallback must still cut out
+  // the query vertex's own component.
+  AttributedGraphBuilder b;
+  for (int v = 0; v < 7; ++v) b.AddVertex("v" + std::to_string(v), {"x"});
+  for (auto [u, v] : std::vector<std::pair<VertexId, VertexId>>{
+           {0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}}) {
+    ASSERT_TRUE(b.AddEdge(u, v).ok());
+  }
+  const AttributedGraph g = b.Build();
+  const ClTree tree = ClTree::Build(g);
+  ASSERT_EQ(tree.LocateKCore(0, 0), tree.root());
+  using Answer = std::vector<AttributedCommunity>;
+  EXPECT_EQ(ExpectIndexedMatchOracle(g, tree, {0}, 0, {}),
+            (Answer{{{0, 1, 2}, {}}}));
+  EXPECT_EQ(ExpectIndexedMatchOracle(g, tree, {6}, 0, {}),
+            (Answer{{{6}, {}}}));
+  EXPECT_TRUE(ExpectIndexedMatchOracle(g, tree, {0, 4}, 0, {}).empty());
+}
+
+TEST(AcqFallbackTest, SparseRandomGraphsMatchOracleForEveryVertexAndK) {
+  for (int seed = 0; seed < 4; ++seed) {
+    // Few edges per vertex: several components and many core numbers.
+    const AttributedGraph g = RandomAttributed(
+        40, 60, 5, static_cast<std::uint64_t>(seed) * 7919 + 3);
+    const ClTree tree = ClTree::Build(g);
+    for (VertexId q = 0; q < g.num_vertices(); ++q) {
+      for (std::uint32_t k = 0; k <= 3; ++k) {
+        ExpectIndexedMatchOracle(g, tree, {q}, k, {});
+        auto wq = g.Keywords(q);
+        ExpectIndexedMatchOracle(g, tree, {q}, k,
+                                 KeywordList(wq.begin(), wq.end()));
+      }
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
 // Stats plumbing.
 // --------------------------------------------------------------------------
 

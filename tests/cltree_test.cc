@@ -293,6 +293,61 @@ TEST_P(ClTreeRandomTest, InvertedListsMatchAnchoredKeywords) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ClTreeRandomTest, ::testing::Range(0, 10));
 
+TEST(ClTreeSubtreeTest, SubtreeVerticesMatchConnectedKCoreDenseAndSparse) {
+  // One large random component beside cliques of 2-9 vertices, on shuffled
+  // vertex ids: the large component's k-cores make dense subtrees, the
+  // cliques sparse ones (fewer than one vertex per 64), and no subtree is a
+  // contiguous id range.
+  const std::size_t large = 1200;
+  const std::vector<std::size_t> cliques = {2, 3, 4, 5, 6, 7, 8, 9};
+  std::size_t n = large;
+  for (std::size_t size : cliques) n += size;
+  Rng rng(11);
+  std::vector<VertexId> id(n);
+  for (VertexId v = 0; v < n; ++v) id[v] = v;
+  rng.Shuffle(&id);
+  AttributedGraphBuilder b;
+  for (VertexId v = 0; v < n; ++v) {
+    b.AddVertex("v" + std::to_string(v), {"x"});
+  }
+  for (int i = 0; i < 6000; ++i) {
+    (void)b.AddEdge(id[rng.UniformU32(large)], id[rng.UniformU32(large)]);
+  }
+  std::size_t first = large;
+  for (std::size_t size : cliques) {
+    for (std::size_t a = 0; a < size; ++a) {
+      for (std::size_t c = a + 1; c < size; ++c) {
+        (void)b.AddEdge(id[first + a], id[first + c]);
+      }
+    }
+    first += size;
+  }
+  const AttributedGraph g = b.Build();
+  const ClTree tree = ClTree::Build(g);
+  const auto core = CoreDecomposition(g.graph());
+
+  VertexList everyone(n);
+  for (VertexId v = 0; v < n; ++v) everyone[v] = v;
+  std::size_t dense = 0;
+  std::size_t sparse = 0;
+  for (VertexId q = 0; q < n; ++q) {
+    // k = 0 locates the root, whose subtree is the whole graph.
+    ASSERT_EQ(tree.LocateKCore(q, 0), tree.root());
+    for (std::uint32_t k = 1; k <= core[q]; ++k) {
+      const ClNodeId node = tree.LocateKCore(q, k);
+      ASSERT_NE(node, kInvalidClNode) << "q=" << q << " k=" << k;
+      EXPECT_NE(node, tree.root()) << "q=" << q << " k=" << k;
+      EXPECT_EQ(tree.SubtreeVertices(node),
+                ConnectedKCore(g.graph(), core, q, k))
+          << "q=" << q << " k=" << k;
+      ++(IsDenseSubset(tree.SubtreeSize(node), n) ? dense : sparse);
+    }
+  }
+  EXPECT_EQ(tree.SubtreeVertices(tree.root()), everyone);
+  EXPECT_GT(dense, 0u);
+  EXPECT_GT(sparse, 0u);
+}
+
 /// A K4, a keyword-less pair and a triangle, plus an isolated keyword-less
 /// vertex that leaves the root without keywords. With `keywords` false no
 /// vertex carries a keyword and the vocabulary is empty; otherwise the

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <set>
+#include <string_view>
 
 #include "common/bitset.h"
 #include "common/json.h"
@@ -358,10 +361,88 @@ TEST(JsonWriterTest, NestedArrays) {
   EXPECT_EQ(w.TakeString(), R"({"xs":[1,2,[3]]})");
 }
 
+/// JSON escaping one byte at a time, by the rules JsonWriter documents:
+/// the reference its in-place runs must match.
+std::string ReferenceEscape(std::string_view raw) {
+  std::string out;
+  for (char c : raw) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 TEST(JsonWriterTest, EscapesSpecials) {
   JsonWriter w;
   w.String("a\"b\\c\nd");
   EXPECT_EQ(w.TakeString(), R"("a\"b\\c\nd")");
+
+  // Every byte 0x00-0x7f, alone and inside an unescaped run, and multi-byte
+  // UTF-8 sequences, written as a value and as a key.
+  std::vector<std::string> inputs;
+  for (int c = 0; c < 0x80; ++c) {
+    const std::string byte(1, static_cast<char>(c));
+    inputs.push_back(byte);
+    inputs.push_back("ab" + byte + "cd");
+  }
+  inputs.push_back("gr\xc3\xbc\xc3\x9f \xe6\x97\xa5 \xf0\x9f\x98\x80");
+  for (const std::string& raw : inputs) {
+    const std::string quoted = "\"" + JsonWriter::Escape(raw) + "\"";
+    EXPECT_EQ(quoted, "\"" + ReferenceEscape(raw) + "\"");
+    JsonWriter value;
+    value.String(raw);
+    EXPECT_EQ(value.TakeString(), quoted);
+    JsonWriter key;
+    key.BeginObject();
+    key.Key(raw);
+    key.UInt(1);
+    key.EndObject();
+    const std::string object = key.TakeString();
+    EXPECT_EQ(object, "{" + quoted + ":1}");
+
+    auto parsed_value = JsonValue::Parse(quoted);
+    ASSERT_TRUE(parsed_value.ok()) << quoted;
+    EXPECT_EQ(parsed_value->AsString(), raw);
+    auto parsed_key = JsonValue::Parse(object);
+    ASSERT_TRUE(parsed_key.ok()) << object;
+    EXPECT_TRUE(parsed_key->Has(raw)) << object;
+  }
+}
+
+TEST(JsonWriterTest, IntegersAtTheirLimits) {
+  JsonWriter w;
+  w.BeginArray();
+  w.UInt(0);
+  w.UInt(std::numeric_limits<std::uint64_t>::max());
+  w.Int(std::numeric_limits<std::int64_t>::min());
+  w.Int(0);
+  w.Int(-42);
+  w.EndArray();
+  EXPECT_EQ(w.TakeString(),
+            "[0,18446744073709551615,-9223372036854775808,0,-42]");
 }
 
 TEST(JsonWriterTest, NonFiniteDoubleBecomesNull) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "common/rng.h"
 #include "core/kcore.h"
@@ -221,6 +222,86 @@ TEST(PeelToKCoreTest, MatchesGlobalCoreOnRandomSubsets) {
     }
     EXPECT_EQ(peeled, expected) << "trial " << trial << " k=" << k;
   }
+}
+
+/// The peel spelled out: drop candidates with fewer than k candidate
+/// neighbours until none is left, keep the anchor's component by BFS (when
+/// there is an anchor), then sort.
+VertexList NaivePeel(const Graph& g, const VertexList& candidates,
+                     std::uint32_t k, VertexId anchor) {
+  std::set<VertexId> alive(candidates.begin(), candidates.end());
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (auto it = alive.begin(); it != alive.end();) {
+      std::uint32_t degree = 0;
+      for (VertexId w : g.Neighbors(*it)) degree += alive.count(w);
+      if (degree < k) {
+        it = alive.erase(it);
+        changed = true;
+      } else {
+        ++it;
+      }
+    }
+  }
+  if (anchor == kInvalidVertex) return {alive.begin(), alive.end()};
+  if (alive.count(anchor) == 0) return {};
+  VertexList queue{anchor};
+  std::set<VertexId> seen{anchor};
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (VertexId w : g.Neighbors(queue[head])) {
+      if (alive.count(w) != 0 && seen.insert(w).second) queue.push_back(w);
+    }
+  }
+  std::sort(queue.begin(), queue.end());
+  return queue;
+}
+
+TEST(PeelToKCoreTest, SortedMatchesNaiveReference) {
+  const std::size_t n = 2000;
+  const Graph g = RandomGraph(n, 7000, 41);
+  Rng rng(43);
+  // Sparse sets (fewer than one vertex per 64) are BFS balls, so they hold
+  // some k-core structure; dense sets are random halves of the graph.
+  std::vector<VertexList> sets;
+  for (int i = 0; i < 6; ++i) {
+    VertexList ball{rng.UniformU32(static_cast<std::uint32_t>(n))};
+    std::set<VertexId> seen(ball.begin(), ball.end());
+    for (std::size_t head = 0; head < ball.size() && ball.size() < 24;
+         ++head) {
+      for (VertexId w : g.Neighbors(ball[head])) {
+        if (ball.size() < 24 && seen.insert(w).second) ball.push_back(w);
+      }
+    }
+    std::sort(ball.begin(), ball.end());
+    ASSERT_FALSE(IsDenseSubset(ball.size(), n));
+    sets.push_back(std::move(ball));
+
+    VertexList half;
+    for (VertexId v = 0; v < n; ++v) {
+      if (rng.Bernoulli(0.5)) half.push_back(v);
+    }
+    ASSERT_TRUE(IsDenseSubset(half.size(), n));
+    sets.push_back(std::move(half));
+  }
+
+  for (PeelFrontierMode mode : {PeelFrontierMode::kAuto,
+                                PeelFrontierMode::kStamps,
+                                PeelFrontierMode::kBitset}) {
+    SetPeelFrontierMode(mode);
+    for (const VertexList& candidates : sets) {
+      for (std::uint32_t k = 0; k <= 4; ++k) {
+        const VertexId anchor = candidates[rng.UniformU32(
+            static_cast<std::uint32_t>(candidates.size()))];
+        for (VertexId a : {kInvalidVertex, anchor}) {
+          EXPECT_EQ(PeelToKCoreSorted(g, candidates, k, a),
+                    NaivePeel(g, candidates, k, a))
+              << "mode " << static_cast<int>(mode) << " size "
+              << candidates.size() << " k=" << k << " anchor " << a;
+        }
+      }
+    }
+  }
+  SetPeelFrontierMode(PeelFrontierMode::kAuto);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Tests for the snapshot-keyed result cache behind /v1/search and
 // /v1/batch: cross-session hits with byte-identical bodies, epoch-bump
 // invalidation after /upload, misses on any parameter delta, canonicalized
-// keyword order, warm survival of compactions, capacity eviction, and
-// the /v1/stats counters that surface all of it.
+// keyword order, warm survival of compactions, capacity eviction, the
+// /v1/stats counters that surface all of it, and the interning that lets
+// entries with identical answers share one copy while keeping their own
+// analysis memo.
 
 #include <gtest/gtest.h>
 
@@ -369,13 +371,24 @@ TEST(ClickBodyTest, ClickAfterPublishLikeARebuiltServer) {
   EXPECT_EQ(published.body, fresh.body);
 }
 
+/// An answer holding one community, rendered as just its member ids.
+api::SearchAnswerPtr AnswerOf(const VertexList& members) {
+  auto answer = std::make_shared<api::SearchAnswer>();
+  answer->communities.push_back(Community{"Global", members, {}});
+  JsonWriter w;
+  w.BeginArray();
+  for (VertexId v : members) w.UInt(v);
+  w.EndArray();
+  answer->body = w.TakeString();
+  return answer;
+}
+
 TEST(ClickBodyTest, AnalysisIsComputedOncePerEntry) {
   // The memo answers every call after the first, whatever explorer asks:
   // here a second explorer whose graph would analyze differently.
   Explorer first;
   ASSERT_TRUE(first.UploadGraph(TwoComponents().Build()).ok());
-  api::CachedSearch entry;
-  entry.communities.push_back(Community{"Global", {5, 6, 7, 8, 9, 10}, {}});
+  const api::CachedSearch entry(AnswerOf({5, 6, 7, 8, 9, 10}));
   auto analysis = entry.Analysis(0, first);
   ASSERT_TRUE(analysis.ok());
   EXPECT_EQ(analysis->stats.num_edges, 7u);
@@ -384,11 +397,95 @@ TEST(ClickBodyTest, AnalysisIsComputedOncePerEntry) {
   ASSERT_TRUE(denser.AddEdge(6, 9).ok());
   Explorer second;
   ASSERT_TRUE(second.UploadGraph(denser.Build()).ok());
-  ASSERT_EQ(second.Analyze(entry.communities[0])->stats.num_edges, 8u);
+  ASSERT_EQ(second.Analyze(entry.communities()[0])->stats.num_edges, 8u);
   auto memo = entry.Analysis(0, second);
   ASSERT_TRUE(memo.ok());
   EXPECT_EQ(memo->stats.num_edges, 7u);
   EXPECT_EQ(std::memcmp(&memo->cpj, &analysis->cpj, sizeof(double)), 0);
+}
+
+// --------------------------------------------------------------------------
+// Entries with identical answers share one copy, each with its own memo
+// --------------------------------------------------------------------------
+
+TEST(InternTest, EqualAnswersShareOneObjectButNotTheMemo) {
+  api::ResultCache cache;
+  const VertexList members = {5, 6, 7, 8, 9, 10};
+  const api::SearchAnswerPtr a = cache.Intern(AnswerOf(members));
+  const api::SearchAnswerPtr b = cache.Intern(AnswerOf(members));
+  EXPECT_EQ(a, b);
+  EXPECT_NE(cache.Intern(AnswerOf({5, 6, 7, 8, 9})), a);
+
+  // Two query keys, one answer: each key keeps its own entry.
+  cache.Put("q5", std::make_shared<api::CachedSearch>(a));
+  cache.Put("q6", std::make_shared<api::CachedSearch>(b));
+  const api::CachedSearchPtr entry5 = cache.Get("q5");
+  const api::CachedSearchPtr entry6 = cache.Get("q6");
+  ASSERT_NE(entry5, nullptr);
+  ASSERT_NE(entry6, nullptr);
+  EXPECT_NE(entry5, entry6);
+  EXPECT_EQ(entry5->answer, entry6->answer);
+  // Both entries are charged in full, shared or not.
+  EXPECT_EQ(cache.GetStats().bytes,
+            2 * (a->body.size() + a->communities[0].method.size() +
+                 members.size() * sizeof(VertexId)));
+
+  // A click on one entry fills only that entry's memo: the other one still
+  // analyzes with the explorer it is given (here one whose graph has an
+  // extra member edge).
+  Explorer first;
+  ASSERT_TRUE(first.UploadGraph(TwoComponents().Build()).ok());
+  AttributedGraphBuilder denser = TwoComponents();
+  ASSERT_TRUE(denser.AddEdge(6, 9).ok());
+  Explorer second;
+  ASSERT_TRUE(second.UploadGraph(denser.Build()).ok());
+  ASSERT_EQ(entry5->Analysis(0, first)->stats.num_edges, 7u);
+  EXPECT_EQ(entry6->Analysis(0, second)->stats.num_edges, 8u);
+  EXPECT_EQ(entry5->Analysis(0, second)->stats.num_edges, 7u);
+}
+
+TEST(InternTest, IdenticalTruncatedBodiesWithDifferentMembersAreNotShared) {
+  // Two 2,001-member communities that agree on their first 2,000 members:
+  // a search body lists only those, so both render the same bytes.
+  VertexList head(2000);
+  for (VertexId v = 0; v < 2000; ++v) head[v] = v;
+  auto answer_of = [&head](VertexId last) {
+    auto answer = std::make_shared<api::SearchAnswer>();
+    VertexList members = head;
+    members.push_back(last);
+    answer->communities.push_back(Community{"ACQ", std::move(members), {}});
+    answer->body = AnswerOf(head)->body;
+    return answer;
+  };
+  api::ResultCache cache;
+  const api::SearchAnswerPtr a = cache.Intern(answer_of(5000));
+  const api::SearchAnswerPtr b = cache.Intern(answer_of(6000));
+  ASSERT_EQ(a->body, b->body);
+  EXPECT_NE(a, b);
+  cache.Put("qa", std::make_shared<api::CachedSearch>(a));
+  cache.Put("qb", std::make_shared<api::CachedSearch>(b));
+  EXPECT_EQ(cache.Get("qa")->communities()[0].vertices.back(), 5000u);
+  EXPECT_EQ(cache.Get("qb")->communities()[0].vertices.back(), 6000u);
+}
+
+TEST(InternTest, ClearAndExpiryForgetEarlierAnswers) {
+  api::ResultCache cache;
+  const api::SearchAnswerPtr kept = cache.Intern(AnswerOf({1, 2, 3}));
+  cache.Clear();
+  EXPECT_NE(cache.Intern(AnswerOf({1, 2, 3})), kept);
+
+  // Interning holds answers weakly: once nothing else holds one, an equal
+  // answer is registered afresh.
+  std::weak_ptr<const api::SearchAnswer> gone = cache.Intern(AnswerOf({4}));
+  EXPECT_TRUE(gone.expired());
+  const api::SearchAnswerPtr fresh = cache.Intern(AnswerOf({4}));
+  EXPECT_EQ(cache.Intern(AnswerOf({4})), fresh);
+
+  // A disabled cache interns nothing.
+  api::ResultCache disabled(0);
+  const api::SearchAnswerPtr own = AnswerOf({1, 2, 3});
+  EXPECT_EQ(disabled.Intern(own), own);
+  EXPECT_NE(disabled.Intern(AnswerOf({1, 2, 3})), own);
 }
 
 // Regression: GetStats used to load the counters in an order that let a
@@ -406,11 +503,17 @@ TEST(ResultCacheStatsTest, SnapshotInvariantsHoldUnderConcurrentTraffic) {
       for (std::uint32_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
         const std::string key =
             "q" + std::to_string(t) + "/" + std::to_string(i % 64);
-        if (cache.Get(key) == nullptr) {
-          auto value = std::make_shared<api::CachedSearch>();
-          value->body = "{\"k\":" + std::to_string(i) + "}";
-          cache.Put(key, std::move(value));
+        if (api::CachedSearchPtr hit = cache.Get(key)) {
+          const VertexId member = hit->communities()[0].vertices[0];
+          ASSERT_EQ(hit->body(), AnswerOf({member})->body);
+          continue;
         }
+        // Answers recur across threads and keys, so concurrent Interns
+        // race on the same table slots.
+        const api::SearchAnswerPtr answer =
+            cache.Intern(AnswerOf({i % 8}));
+        ASSERT_EQ(answer->communities[0].vertices, VertexList{i % 8});
+        cache.Put(key, std::make_shared<api::CachedSearch>(answer));
       }
     });
   }
@@ -419,6 +522,7 @@ TEST(ResultCacheStatsTest, SnapshotInvariantsHoldUnderConcurrentTraffic) {
     ASSERT_EQ(stats.lookups, stats.hits + stats.misses);
     ASSERT_LE(stats.evictions, stats.insertions);
     ASSERT_LE(stats.insertions, stats.lookups);
+    if (round % 500 == 499) cache.Clear();
   }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : writers) t.join();

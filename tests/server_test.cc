@@ -278,6 +278,33 @@ TEST_F(ServerFixture, SessionsEndpointListsState) {
   EXPECT_TRUE(found);
 }
 
+TEST_F(ServerFixture, HistoryKeepsTheLastThousandSteps) {
+  const std::string id =
+      GetJson("GET /v1/session/new").Get("session").AsString();
+  // k = i tells the steps apart; a k above every core number still counts
+  // as a search (with no community).
+  for (int i = 0; i < 1005; ++i) {
+    ASSERT_EQ(server_
+                  .Handle("GET /v1/search?name=a&k=" + std::to_string(i) +
+                          "&session=" + id)
+                  .code,
+              200);
+  }
+  const JsonValue history = GetJson("GET /v1/history?session=" + id);
+  const auto& steps = history.Get("history").Items();
+  ASSERT_EQ(steps.size(), 1000u);
+  EXPECT_EQ(steps.front().AsString(), "ACQ:a:k=5");
+  EXPECT_EQ(steps.back().AsString(), "ACQ:a:k=1004");
+  const JsonValue sessions = GetJson("GET /v1/sessions");
+  bool found = false;
+  for (const auto& s : sessions.Get("sessions").Items()) {
+    if (s.Get("id").AsString() != id) continue;
+    found = true;
+    EXPECT_EQ(s.Get("history_length").AsInt(), 1000);
+  }
+  EXPECT_TRUE(found);
+}
+
 TEST_F(ServerFixture, UploadInvalidatesCachedCommunitiesAcrossSessions) {
   const std::string id =
       GetJson("GET /v1/session/new").Get("session").AsString();

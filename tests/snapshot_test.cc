@@ -549,6 +549,36 @@ TEST_F(CorruptionTest, StructuralTamperingWithFixedChecksums) {
   }
 }
 
+TEST_F(CorruptionTest, OverstatedSubtreeSizeKeepsTheSubtreeScanInBounds) {
+  // The loader only bounds a subtree size by the vertex count. Inflating
+  // the smallest subtree to every vertex (checksums fixed) must not walk
+  // SubtreeVertices' dense scan past the vertex-to-node map: it stops at
+  // the last vertex and returns the members the map holds.
+  auto good = Dataset::FromSnapshotFile(good_path_);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  const ClTree& tree = good.value()->index();
+  const std::size_t n = good.value()->graph().num_vertices();
+  ClNodeId node = 0;
+  for (ClNodeId i = 1; i < tree.num_nodes(); ++i) {
+    if (tree.SubtreeSize(i) < tree.SubtreeSize(node)) node = i;
+  }
+  ASSERT_LT(tree.SubtreeSize(node), n);
+
+  std::vector<std::uint8_t> bytes = good_;
+  Section<std::uint64_t>(bytes, SectionId::kTreeSubtreeSizes)[node] = n;
+  const std::size_t index =
+      static_cast<std::size_t>(SectionId::kTreeSubtreeSizes) - 1;
+  SectionEntry entry = TocEntry(index);
+  entry.checksum = Hash64(bytes.data() + entry.offset, entry.length);
+  WriteTocEntry(&bytes, index, entry);
+  const std::string path = TempPath("overstated_subtree.snap");
+  WriteFile(path, bytes);
+  auto loaded = Dataset::FromSnapshotFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value()->index().SubtreeVertices(node),
+            tree.SubtreeVertices(node));
+}
+
 TEST_F(CorruptionTest, NonRawPostingLayoutRejected) {
   // Postings are raw u32 lists only: the header's posting_format must be 0
   // and the reserved sections 22-23 must be empty, even when every
