@@ -1624,7 +1624,7 @@ ApiResult<std::string> QueryService::Stats() {
   w.EndObject();
   // How the served dataset's arrays are backed: "owned" (built in-process),
   // "mmap" (zero-copy views over a page-cache-shared snapshot file) or
-  // "heap" (snapshot read into an aligned buffer).
+  // "overlay" (a mutation overlay over another dataset).
   if (snapshot != nullptr) {
     const Dataset::StorageInfo& storage = snapshot->storage();
     w.Key("storage");

@@ -20,6 +20,19 @@ struct RawTree {
   ClNodeId root = kInvalidClNode;
 };
 
+/// The arrays a built tree serves. Finalize moves each one here once it is
+/// complete, and the tree's owner_ keeps them alive.
+struct Arenas {
+  std::vector<ClNodeId> vertex_node;
+  std::vector<std::uint64_t> subtree_sizes;
+  std::vector<ClNodeId> child_arena;
+  std::vector<VertexId> anchor_arena;
+  std::vector<KeywordId> inv_keyword_arena;
+  std::vector<std::uint32_t> inv_offset_arena;
+  std::vector<VertexId> inv_posting_arena;
+  std::vector<std::uint64_t> node_kw_bloom;
+};
+
 // ---------------------------------------------------------------------------
 // Basic builder: top-down recursive component splitting.
 // ---------------------------------------------------------------------------
@@ -293,6 +306,7 @@ void ClTree::Finalize(const AttributedGraph& g,
                       std::vector<ClTreeRawNode> raw_nodes,
                       ClNodeId raw_root) {
   const std::size_t num_raw = raw_nodes.size();
+  auto arenas = std::make_shared<Arenas>();
 
   // Pass 1 (post-order): minimum vertex in each subtree, for canonical
   // child ordering; and subtree vertex counts.
@@ -367,8 +381,8 @@ void ClTree::Finalize(const AttributedGraph& g,
                 anchor_arena.begin() +
                     static_cast<std::ptrdiff_t>(anchor_begin[pos]));
     }
-    child_arena_ = std::move(child_arena);
-    anchor_arena_ = std::move(anchor_arena);
+    child_arena_ = arenas->child_arena = std::move(child_arena);
+    anchor_arena_ = arenas->anchor_arena = std::move(anchor_arena);
   }
 
   nodes_.clear();
@@ -387,7 +401,7 @@ void ClTree::Finalize(const AttributedGraph& g,
                     anchor_begin[pos + 1] - anchor_begin[pos]};
     subtree_sizes[pos] = counts[raw_id];
   }
-  subtree_sizes_ = std::move(subtree_sizes);
+  subtree_sizes_ = arenas->subtree_sizes = std::move(subtree_sizes);
 
   // subtree_end: preorder subtree of node i is [i, i + node count); compute
   // node counts bottom-up over the canonical ids (children have larger ids).
@@ -460,8 +474,8 @@ void ClTree::Finalize(const AttributedGraph& g,
   const std::size_t total_posts = post_begin[num_raw];
 
   // Fill walk through per-node cursors. The arenas are built in local
-  // vectors and moved into the ArrayRef members once complete (the move
-  // keeps the heap buffers, so the node spans set afterwards stay valid).
+  // vectors and moved into the owner once complete (the move keeps the
+  // heap buffers, so the node spans set afterwards stay valid).
   // Offset slots of keyword-less nodes collapse onto the next non-empty
   // node's first slot, which that node writes with the same value; only
   // the global sentinel has no owner.
@@ -483,11 +497,12 @@ void ClTree::Finalize(const AttributedGraph& g,
     post_arena[post_cursor[node]++] = v;
   });
 
-  vertex_node_ = std::move(vertex_node);
-  inv_keyword_arena_ = std::move(kw_arena);
-  inv_offset_arena_ = std::move(offset_arena);
-  inv_posting_arena_ = std::move(post_arena);
-  node_kw_bloom_ = std::move(blooms);
+  vertex_node_ = arenas->vertex_node = std::move(vertex_node);
+  inv_keyword_arena_ = arenas->inv_keyword_arena = std::move(kw_arena);
+  inv_offset_arena_ = arenas->inv_offset_arena = std::move(offset_arena);
+  inv_posting_arena_ = arenas->inv_posting_arena = std::move(post_arena);
+  node_kw_bloom_ = arenas->node_kw_bloom = std::move(blooms);
+  owner_ = std::move(arenas);
 
   for (std::size_t i = 0; i < num_raw; ++i) {
     const std::size_t count = kw_begin[i + 1] - kw_begin[i];
@@ -725,15 +740,15 @@ Result<ClTree> ClTree::FromParts(const ClTreeParts& parts,
     }
   }
 
-  tree.vertex_node_ = ArrayRef<ClNodeId>::View(parts.vertex_node);
-  tree.subtree_sizes_ = ArrayRef<std::uint64_t>::View(parts.subtree_sizes);
-  tree.child_arena_ = ArrayRef<ClNodeId>::View(parts.child_arena);
-  tree.anchor_arena_ = ArrayRef<VertexId>::View(parts.anchor_arena);
-  tree.inv_keyword_arena_ = ArrayRef<KeywordId>::View(parts.inv_keyword_arena);
-  tree.inv_offset_arena_ =
-      ArrayRef<std::uint32_t>::View(parts.inv_offset_arena);
-  tree.inv_posting_arena_ = ArrayRef<VertexId>::View(parts.inv_posting_arena);
-  tree.node_kw_bloom_ = ArrayRef<std::uint64_t>::View(parts.node_kw_bloom);
+  tree.owner_ = parts.owner;
+  tree.vertex_node_ = parts.vertex_node;
+  tree.subtree_sizes_ = parts.subtree_sizes;
+  tree.child_arena_ = parts.child_arena;
+  tree.anchor_arena_ = parts.anchor_arena;
+  tree.inv_keyword_arena_ = parts.inv_keyword_arena;
+  tree.inv_offset_arena_ = parts.inv_offset_arena;
+  tree.inv_posting_arena_ = parts.inv_posting_arena;
+  tree.node_kw_bloom_ = parts.node_kw_bloom;
 
   // Materialize the node directory: the ONE load-path allocation that
   // scales with the tree (a single vector of span views into the mapped

@@ -22,11 +22,11 @@
 #define CEXPLORER_CLTREE_CLTREE_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "common/array_ref.h"
 #include "common/status.h"
 #include "graph/attributed_graph.h"
 #include "graph/types.h"
@@ -135,11 +135,12 @@ struct ClTreeNodeRecord {
 };
 static_assert(sizeof(ClTreeNodeRecord) == 56, "snapshot wire layout");
 
-/// Borrowed arenas + records from which a ClTree view is constructed (the
-/// snapshot load path). All spans point into caller-owned memory that must
-/// outlive the tree; ClTree::FromParts validates every cross-reference
-/// before building node views over them.
+/// Arenas + records from which a ClTree view is constructed (the snapshot
+/// load path). All spans point into the bytes `owner` keeps alive, and the
+/// tree holds `owner` for as long as it lives; ClTree::FromParts validates
+/// every cross-reference before building node views over them.
 struct ClTreeParts {
+  std::shared_ptr<const void> owner;
   std::span<const ClTreeNodeRecord> records;
   std::span<const ClNodeId> vertex_node;
   std::span<const std::uint64_t> subtree_sizes;
@@ -159,14 +160,6 @@ struct ClTreeParts {
 class ClTree {
  public:
   ClTree() = default;
-
-  // Nodes hold span views into the arenas below. Vector moves keep their
-  // heap buffers, so moving a ClTree preserves every view; copying would
-  // leave the copy's views aliasing the source, so copies are disallowed.
-  ClTree(ClTree&&) = default;
-  ClTree& operator=(ClTree&&) = default;
-  ClTree(const ClTree&) = delete;
-  ClTree& operator=(const ClTree&) = delete;
 
   /// Builds the index on the calling thread, core decomposition included.
   /// The graph must outlive the tree (not owned). The trailing pool and
@@ -270,30 +263,32 @@ class ClTree {
                 ClNodeId raw_root);
 
   // The node directory is always a materialized vector (its spans are
-  // process-local pointers), but every array it points into is an ArrayRef:
-  // owned by the build path, a view over the mapped file on snapshot load.
-  std::vector<ClTreeNode> nodes_;        // preorder
-  ArrayRef<ClNodeId> vertex_node_;       // vertex -> anchoring node
-  ArrayRef<std::uint64_t> subtree_sizes_;
+  // process-local pointers). Every array it points into is a span over
+  // bytes owner_ keeps alive: the arenas Finalize filled, or the mapped
+  // file on a snapshot load. Copying or moving the tree shares them.
+  std::shared_ptr<const void> owner_;
+  std::vector<ClTreeNode> nodes_;          // preorder
+  std::span<const ClNodeId> vertex_node_;  // vertex -> anchoring node
+  std::span<const std::uint64_t> subtree_sizes_;
 
   // Flattened per-node child lists and anchored-vertex lists in preorder
   // node order; nodes view their slices through children / vertices.
-  ArrayRef<ClNodeId> child_arena_;
-  ArrayRef<VertexId> anchor_arena_;
+  std::span<const ClNodeId> child_arena_;
+  std::span<const VertexId> anchor_arena_;
 
   // Tree-wide inverted-list arenas in preorder node order (CSR layout):
   // one keyword entry per (node, distinct keyword), one offset per keyword
   // entry plus a final sentinel, and one postings entry per (anchored
   // vertex, keyword) pair. Nodes view their slices through inv_keywords /
   // inv_postings; sized exactly from the Finalize counting pass.
-  ArrayRef<KeywordId> inv_keyword_arena_;
-  ArrayRef<std::uint32_t> inv_offset_arena_;
-  ArrayRef<VertexId> inv_posting_arena_;
+  std::span<const KeywordId> inv_keyword_arena_;
+  std::span<const std::uint32_t> inv_offset_arena_;
+  std::span<const VertexId> inv_posting_arena_;
 
   // One-word keyword bloom per node (OR of simd::BloomMask over the node's
   // distinct keywords): lets subtree walks skip nodes that cannot possibly
   // anchor all query keywords with a single AND.
-  ArrayRef<std::uint64_t> node_kw_bloom_;
+  std::span<const std::uint64_t> node_kw_bloom_;
 };
 
 }  // namespace cexplorer

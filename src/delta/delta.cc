@@ -14,11 +14,11 @@
 namespace cexplorer {
 namespace delta {
 
-/// Owns every array an overlay dataset's spans point into: the patch CSR,
-/// the appended-vertex attribute tail, the vocabulary extension, and the
-/// base dataset itself (which keeps the base CSR/attribute arrays — heap
-/// or mapped — alive). The overlay AttributedGraph is a member, so an
-/// aliasing shared_ptr onto it pins the whole bundle.
+/// Owns every array an overlay graph's spans point into: the patch CSR,
+/// the appended-vertex attribute tail, the vocabulary extension, the
+/// maintained core numbers, and the base dataset itself (which keeps the
+/// base CSR/attribute arrays, built or mapped, alive). The overlay graph
+/// and its dataset both hold it.
 struct OverlaySnapshot {
   DatasetPtr base;
 
@@ -35,54 +35,53 @@ struct OverlaySnapshot {
   std::vector<std::string> tail_names;
   std::unordered_map<std::string, VertexId> tail_name_index;
 
-  std::shared_ptr<const std::vector<std::uint32_t>> cores;
-
-  AttributedGraph graph;  // wired last; its spans point at the members above
+  std::vector<std::uint32_t> cores;
 };
 
 /// The one place allowed to reach into Graph / Vocabulary /
 /// AttributedGraph / Dataset privates to assemble overlay views and to
 /// mint datasets outside the factory functions.
 struct Access {
-  /// Points `snap->graph` at the base arrays plus the snapshot's patch and
-  /// tail storage. `snap` must already hold its final vectors (no further
-  /// reallocation) and must never move afterwards.
-  static void WireOverlayGraph(OverlaySnapshot* snap,
-                               std::uint64_t num_edges) {
+  /// The overlay graph: the base arrays plus `snap`'s patch and tail
+  /// storage, which the graph keeps alive. `snap` must already hold its
+  /// final vectors (no further reallocation).
+  static AttributedGraph OverlayGraph(
+      std::shared_ptr<const OverlaySnapshot> snap, std::uint64_t num_edges) {
     const AttributedGraph& base = snap->base->graph();
+    AttributedGraph ag;
 
-    Graph& g = snap->graph.graph_;
-    g.offsets_ = ArrayRef<std::uint64_t>::View(base.graph().offsets_.span());
-    g.adjacency_ = ArrayRef<VertexId>::View(base.graph().adjacency_.span());
+    Graph& g = ag.graph_;
+    g = base.graph();  // shares the base CSR
     g.patch_slot_ = snap->patch_slot;
     g.patch_offsets_ = snap->patch_offsets;
     g.patch_adjacency_ = snap->patch_adjacency;
     g.patch_num_edges_ = num_edges;
 
-    Vocabulary& vocab = snap->graph.vocab_;
+    Vocabulary& vocab = ag.vocab_;
     vocab.base_ = &base.vocabulary();
     vocab.extra_words_ = snap->extra_words;
     vocab.extra_index_ = &snap->extra_index;
 
-    AttributedGraph& ag = snap->graph;
     ag.delta_base_ = &base;
     ag.delta_base_n_ = base.num_vertices();
     ag.tail_kw_offsets_ = snap->tail_kw_offsets;
     ag.tail_kw_data_ = snap->tail_kw_data;
     ag.tail_kw_fp_ = snap->tail_kw_fp;
     ag.tail_names_ = snap->tail_names;
-    ag.tail_name_index_ = &snap->tail_name_index;
+    ag.tail_name_lookup_ = &snap->tail_name_index;
+    ag.owner_ = std::move(snap);
+    return ag;
   }
 
-  /// An overlay dataset serving `snap`. Fresh id, fresh graph epoch (the
-  /// graph changed); storage mode "overlay"; SaveSnapshot refuses it.
-  static DatasetPtr MakeOverlayDataset(std::shared_ptr<OverlaySnapshot> snap,
-                                       ClTree index) {
+  /// An overlay dataset serving `graph`, the OverlayGraph of `snap`. Fresh
+  /// id, fresh graph epoch (the graph changed); storage mode "overlay";
+  /// SaveSnapshot refuses it.
+  static DatasetPtr MakeOverlayDataset(
+      std::shared_ptr<const OverlaySnapshot> snap, AttributedGraph graph,
+      ClTree index) {
     auto dataset = std::shared_ptr<Dataset>(new Dataset());
-    dataset->graph_ =
-        std::shared_ptr<const AttributedGraph>(snap, &snap->graph);
-    dataset->core_store_ = snap->cores;
-    dataset->core_span_ = *snap->cores;
+    dataset->graph_ = std::move(graph);
+    dataset->core_span_ = snap->cores;
     dataset->index_ = std::move(index);
     dataset->storage_.mode = "overlay";
     dataset->overlay_ = true;
@@ -104,15 +103,15 @@ struct Access {
   /// caller passes the epoch of the overlay being folded: a compaction
   /// changes storage, not the graph, so epoch-tagged session caches stay
   /// valid across it.
-  static DatasetPtr MakeOwnedDataset(
-      std::shared_ptr<const AttributedGraph> graph,
-      std::vector<std::uint32_t> cores, ClTree index,
-      std::uint64_t graph_epoch) {
+  static DatasetPtr MakeOwnedDataset(AttributedGraph graph,
+                                     std::vector<std::uint32_t> cores,
+                                     ClTree index, std::uint64_t graph_epoch) {
     auto dataset = std::shared_ptr<Dataset>(new Dataset());
     dataset->graph_ = std::move(graph);
-    dataset->core_store_ = std::make_shared<const std::vector<std::uint32_t>>(
-        std::move(cores));
-    dataset->core_span_ = *dataset->core_store_;
+    auto store =
+        std::make_shared<const std::vector<std::uint32_t>>(std::move(cores));
+    dataset->core_span_ = *store;
+    dataset->backing_ = std::move(store);
     dataset->index_ = std::move(index);
     dataset->id_ = Dataset::NextId();
     dataset->graph_epoch_ = graph_epoch;
@@ -432,10 +431,9 @@ Result<DatasetPtr> Mutator::PublishOverlayLocked() {
     snap->tail_names.push_back(t.name);
   }
   snap->tail_name_index = w.tail_name_index;
-  snap->cores =
-      std::make_shared<const std::vector<std::uint32_t>>(w.cores);
+  snap->cores = w.cores;
 
-  Access::WireOverlayGraph(snap.get(), w.num_edges);
+  AttributedGraph graph = Access::OverlayGraph(snap, w.num_edges);
   stats_.publish_arena_copy_ms += MsSince(arena_start);
 
   // Index phase: building from the maintained core numbers keeps this
@@ -443,10 +441,10 @@ Result<DatasetPtr> Mutator::PublishOverlayLocked() {
   // deterministic builder makes the result byte-identical to a
   // from-scratch rebuild.
   const auto index_start = std::chrono::steady_clock::now();
-  ClTree tree = ClTree::Build(snap->graph, *snap->cores,
-                              ClTreeBuildMethod::kAdvanced);
+  ClTree tree = ClTree::Build(graph, snap->cores, ClTreeBuildMethod::kAdvanced);
   stats_.publish_index_repair_ms += MsSince(index_start);
-  DatasetPtr fresh = Access::MakeOverlayDataset(snap, std::move(tree));
+  DatasetPtr fresh = Access::MakeOverlayDataset(
+      std::move(snap), std::move(graph), std::move(tree));
 
   const auto cas_start = std::chrono::steady_clock::now();
   const bool won = publish_(w.published, fresh);
@@ -488,7 +486,7 @@ Result<DatasetPtr> Mutator::CompactLocked() {
   // in first-occurrence order), so postings and JSON render identically.
   const AttributedGraph& base = w.base->graph();
   AttributedGraphBuilder builder;
-  Vocabulary* vocab = builder.mutable_vocabulary();
+  KeywordInterner* vocab = builder.mutable_vocabulary();
   const std::size_t base_words = base.vocabulary().size();
   for (std::size_t i = 0; i < base_words; ++i) {
     vocab->Intern(base.vocabulary().Word(static_cast<KeywordId>(i)));
@@ -519,10 +517,9 @@ Result<DatasetPtr> Mutator::CompactLocked() {
     }
   }
 
-  auto graph =
-      std::make_shared<const AttributedGraph>(builder.Build());
+  AttributedGraph graph = builder.Build();
   std::vector<std::uint32_t> cores = w.cores;
-  ClTree tree = ClTree::Build(*graph, cores, ClTreeBuildMethod::kAdvanced);
+  ClTree tree = ClTree::Build(graph, cores, ClTreeBuildMethod::kAdvanced);
   DatasetPtr compacted =
       Access::MakeOwnedDataset(std::move(graph), std::move(cores),
                                std::move(tree),

@@ -30,14 +30,14 @@ std::uint64_t Dataset::NextId() {
 
 Result<DatasetPtr> Dataset::Build(AttributedGraph graph) {
   auto dataset = std::shared_ptr<Dataset>(new Dataset());
-  dataset->graph_ =
-      std::make_shared<const AttributedGraph>(std::move(graph));
+  dataset->graph_ = std::move(graph);
   // The expensive offline step, on the calling thread: one core
   // decomposition, whose result the CL-tree build reuses.
-  dataset->core_store_ = std::make_shared<const std::vector<std::uint32_t>>(
-      CoreDecomposition(dataset->graph_->graph()));
-  dataset->core_span_ = *dataset->core_store_;
-  dataset->index_ = ClTree::Build(*dataset->graph_, dataset->core_span_,
+  auto cores = std::make_shared<const std::vector<std::uint32_t>>(
+      CoreDecomposition(dataset->graph_.graph()));
+  dataset->core_span_ = *cores;
+  dataset->backing_ = std::move(cores);
+  dataset->index_ = ClTree::Build(dataset->graph_, dataset->core_span_,
                                   ClTreeBuildMethod::kAdvanced);
   g_index_builds.fetch_add(1, std::memory_order_relaxed);
   dataset->id_ = g_next_dataset_id.fetch_add(1, std::memory_order_relaxed);
@@ -57,9 +57,9 @@ Result<DatasetPtr> Dataset::FromSnapshotFile(const std::string& path) {
   auto dataset = std::shared_ptr<Dataset>(new Dataset());
   dataset->graph_ = std::move(loaded.value().graph);
   dataset->core_span_ = loaded.value().core_numbers;
-  dataset->backing_ = std::move(loaded.value().backing);
+  dataset->backing_ = std::move(loaded.value().mapping);
   dataset->index_ = std::move(loaded.value().tree);
-  dataset->storage_.mode = loaded.value().info.mode;
+  dataset->storage_.mode = "mmap";
   dataset->storage_.file_bytes = loaded.value().info.file_bytes;
   dataset->storage_.checksum = loaded.value().info.checksum;
   // No index build happened: the tree came off disk. A snapshot load is a
@@ -79,12 +79,12 @@ Status Dataset::SaveSnapshot(const std::string& path) const {
     return Status::InvalidArgument(
         "dataset carries uncompacted mutations; compact before saving");
   }
-  return snapshot::WriteSnapshot(*graph_, core_span_, index_, path);
+  return snapshot::WriteSnapshot(graph_, core_span_, index_, path);
 }
 
 ExplorerContext Dataset::Context() const {
   ExplorerContext ctx;
-  ctx.graph = graph_.get();
+  ctx.graph = &graph_;
   ctx.index = &index_;
   ctx.core_numbers = core_span_;
   ctx.graph_epoch = graph_epoch_;
@@ -92,7 +92,7 @@ ExplorerContext Dataset::Context() const {
 }
 
 Result<AuthorProfile> Dataset::Profile(VertexId v) const {
-  if (v >= graph_->num_vertices()) {
+  if (v >= graph_.num_vertices()) {
     return Status::InvalidArgument("vertex out of range");
   }
   {
@@ -107,7 +107,7 @@ Result<AuthorProfile> Dataset::Profile(VertexId v) const {
   // indistinguishable from its own.
   Rng rng(0x9e3779b97f4a7c15ULL ^ v);
   AuthorProfile profile =
-      MakeProfile(std::string(graph_->Name(v)), graph_->KeywordStrings(v),
+      MakeProfile(std::string(graph_.Name(v)), graph_.KeywordStrings(v),
                   &rng);
   std::unique_lock<std::shared_mutex> lock(profiles_mu_);
   return profiles_.emplace(v, std::move(profile)).first->second;

@@ -66,9 +66,11 @@ class Dataset {
   /// FromSnapshotFile can restore with no rebuild.
   Status SaveSnapshot(const std::string& path) const;
 
-  /// How a dataset's arrays are backed, surfaced in /v1/stats.
+  /// How a dataset's arrays are backed, surfaced in /v1/stats: "owned"
+  /// (the vectors of an in-process build), "mmap" (a mapped snapshot file,
+  /// with its size and checksum) or "overlay" (a mutation overlay).
   struct StorageInfo {
-    std::string mode = "owned";  ///< "owned", "mmap", "heap" or "overlay"
+    std::string mode = "owned";
     std::uint64_t file_bytes = 0;
     std::uint64_t checksum = 0;
   };
@@ -89,7 +91,7 @@ class Dataset {
 
   // --- Read-only views ----------------------------------------------------
 
-  const AttributedGraph& graph() const { return *graph_; }
+  const AttributedGraph& graph() const { return graph_; }
   const ClTree& index() const { return index_; }
   std::span<const std::uint32_t> core_numbers() const { return core_span_; }
 
@@ -125,14 +127,12 @@ class Dataset {
   /// datasets outside the factory functions above).
   static std::uint64_t NextId();
 
-  std::shared_ptr<const AttributedGraph> graph_;
-  /// Owned storage for core numbers when built in-process; empty for
-  /// snapshot-backed datasets (where `backing_` owns the bytes).
-  std::shared_ptr<const std::vector<std::uint32_t>> core_store_;
-  /// The view algorithms read; points into core_store_ or backing_.
+  AttributedGraph graph_;
+  /// The core numbers algorithms read.
   std::span<const std::uint32_t> core_span_;
-  /// Keeps a mapped/heap snapshot alive for as long as any span into it
-  /// (graph arrays, core numbers, CL-tree arenas) can be referenced.
+  /// Keeps core_span_ alive: the core vector of a build, the mapped
+  /// snapshot, or the storage of a mutation overlay (delta::Access reads
+  /// the overlay back from here).
   std::shared_ptr<const void> backing_;
   ClTree index_;
   StorageInfo storage_;

@@ -5,88 +5,92 @@
 // are small sorted arrays of integer ids — this is what the CL-tree's
 // inverted lists and the ACQ verification loops operate on.
 //
-// The graph exists in two storage modes with one read API. The owned mode
-// (builder path) backs names and the vocabulary with std::string vectors
-// plus hash-map lookup indexes. The view mode (snapshot path, wired up by
-// snapshot::Access) backs every array — including the flattened name/word
-// blobs and their sorted lookup permutations — with spans over a mapped
-// file, so constructing a view allocates nothing proportional to the graph.
+// Every array has one in-memory form, the one the snapshot file stores.
+// Names and keyword strings are concatenated blobs with per-entry offsets
+// plus a sorted id permutation, so name and keyword lookups are binary
+// searches that allocate nothing proportional to the graph.
+// AttributedGraphBuilder lays the arrays out; a snapshot load
+// (snapshot::Access) views the same arrays in the mapped file.
 
 #ifndef CEXPLORER_GRAPH_ATTRIBUTED_GRAPH_H_
 #define CEXPLORER_GRAPH_ATTRIBUTED_GRAPH_H_
 
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "common/array_ref.h"
 #include "common/status.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 
 namespace cexplorer {
 
-/// Bidirectional keyword <-> id mapping shared by an attributed graph.
-///
-/// Owned mode interns through a hash map; view mode serves Word()/Find()
-/// from a character blob + offsets + byte-sorted permutation living in a
-/// mapped snapshot (Find becomes a binary search). Intern is owned-only.
+/// Keyword <-> id mapping of an attributed graph: the words' bytes, their
+/// bounds and the ids sorted by word bytes, so Find() is a binary search.
+/// The arrays belong to the enclosing AttributedGraph, which keeps them
+/// alive; the builder's KeywordInterner assigns the ids.
 class Vocabulary {
  public:
   Vocabulary() = default;
 
-  /// Returns the id of `word`, interning it if new. Owned mode only.
-  KeywordId Intern(std::string_view word);
-
-  /// Returns the id of `word` or kInvalidKeyword if never interned.
+  /// Returns the id of `word` or kInvalidKeyword if absent.
   KeywordId Find(std::string_view word) const;
 
   /// The word for an id. Precondition: id < size(). The view is valid as
-  /// long as this vocabulary (and its backing mapping, if any) lives.
+  /// long as the graph holding this vocabulary lives.
   std::string_view Word(KeywordId id) const {
     if (base_ != nullptr) {
       const std::size_t base_size = base_->size();
       if (id < base_size) return base_->Word(id);
       return extra_words_[id - base_size];
     }
-    if (view_) {
-      return {blob_.data() + offsets_[id],
-              static_cast<std::size_t>(offsets_[id + 1] - offsets_[id])};
-    }
-    return words_[id];
+    return {blob_.data() + offsets_[id],
+            static_cast<std::size_t>(offsets_[id + 1] - offsets_[id])};
   }
 
   /// Number of distinct keywords.
   std::size_t size() const {
     if (base_ != nullptr) return base_->size() + extra_words_.size();
-    return view_ ? offsets_.size() - 1 : words_.size();
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
 
  private:
+  friend class AttributedGraphBuilder;
   friend struct snapshot::Access;
   friend struct delta::Access;
 
-  // Owned mode.
-  std::vector<std::string> words_;
-  std::unordered_map<std::string, KeywordId> index_;
+  // Concatenated word bytes, per-word [offset, offset) bounds (size()+1
+  // entries) and keyword ids sorted by word bytes for Find().
+  std::span<const char> blob_;
+  std::span<const std::uint64_t> offsets_;
+  std::span<const KeywordId> order_;
 
   // Delta-overlay mode (delta::Access): ids below the base vocabulary's
   // size resolve there, appended tail words follow. Interning stays
   // append-only in first-occurrence order, so ids agree with a from-scratch
-  // rebuild of the mutated graph. The overlay owner keeps base_ and the
-  // extra-word storage alive.
+  // rebuild of the mutated graph. The overlay graph's owner keeps base_
+  // and the extra-word storage alive.
   const Vocabulary* base_ = nullptr;
   std::span<const std::string> extra_words_;
   const std::unordered_map<std::string, KeywordId>* extra_index_ = nullptr;
+};
 
-  // View mode: concatenated word bytes, per-word [offset, offset) bounds
-  // (size()+1 entries) and keyword ids sorted by word bytes for Find().
-  bool view_ = false;
-  std::span<const char> blob_;
-  std::span<const std::uint64_t> offsets_;
-  std::span<const KeywordId> order_;
+/// Assigns keyword ids in first-occurrence order while a graph is built
+/// (AttributedGraphBuilder::mutable_vocabulary). Build lays the interned
+/// words out as the graph's Vocabulary.
+class KeywordInterner {
+ public:
+  /// Returns the id of `word`, interning it if new.
+  KeywordId Intern(std::string_view word);
+
+ private:
+  friend class AttributedGraphBuilder;
+
+  std::vector<std::string> words_;
+  std::unordered_map<std::string, KeywordId> index_;
 };
 
 /// Immutable attributed graph G(V, E) with W(v) keyword sets and names.
@@ -134,18 +138,14 @@ class AttributedGraph {
   }
 
   /// Display name of vertex v (may be empty when unnamed). The view is
-  /// valid as long as this graph (and its backing mapping, if any) lives.
+  /// valid as long as this graph, or a copy of it, lives.
   std::string_view Name(VertexId v) const {
     if (delta_base_ != nullptr) {
       if (v < delta_base_n_) return delta_base_->Name(v);
       return tail_names_[v - delta_base_n_];
     }
-    if (names_view_) {
-      return {name_blob_.data() + name_offsets_[v],
-              static_cast<std::size_t>(name_offsets_[v + 1] -
-                                       name_offsets_[v])};
-    }
-    return names_[v];
+    return {name_blob_.data() + name_offsets_[v],
+            static_cast<std::size_t>(name_offsets_[v + 1] - name_offsets_[v])};
   }
 
   /// Finds a vertex by exact name (case-insensitive); kInvalidVertex if
@@ -170,29 +170,28 @@ class AttributedGraph {
 
   Graph graph_;
   Vocabulary vocab_;
-  ArrayRef<std::uint64_t> keyword_offsets_;  // size n+1
-  ArrayRef<KeywordId> keyword_data_;         // sorted per vertex
-  ArrayRef<std::uint64_t> keyword_fp_;       // bloom fingerprint per vertex
 
-  // Names, owned mode: one string per vertex plus a lower-cased lookup map
-  // (first insertion wins, so ambiguous names resolve to the lowest id).
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, VertexId> name_index_;
+  // Keeps the arrays below and vocab_'s alive: the builder's vectors, the
+  // mapped snapshot, or a delta overlay's storage. Copying the graph
+  // shares them.
+  std::shared_ptr<const void> owner_;
+  std::span<const std::uint64_t> keyword_offsets_;  // size n+1
+  std::span<const KeywordId> keyword_data_;         // sorted per vertex
+  std::span<const std::uint64_t> keyword_fp_;  // bloom fingerprint per vertex
 
-  // Names, view mode: concatenated bytes + per-vertex bounds (n+1), and
-  // the ids of non-empty-named vertices sorted by (lower-cased name, id)
-  // so FindByName is a case-insensitive binary search with the same
-  // lowest-id-wins tie-break as the owned map.
-  bool names_view_ = false;
+  // Names: concatenated bytes, per-vertex bounds (n+1), and the ids of
+  // non-empty-named vertices sorted by (lower-cased name, id), so
+  // FindByName is a case-insensitive binary search in which the lowest id
+  // wins a tie.
   std::span<const char> name_blob_;
   std::span<const std::uint64_t> name_offsets_;
   std::span<const VertexId> name_order_;
 
   // Delta-overlay mode (delta::Access): attributes of vertices below
-  // delta_base_n_ delegate to the base graph — whatever its storage mode —
-  // while appended tail vertices read the tail arrays; graph_ carries the
-  // patched topology for every vertex. The overlay owner (a Dataset
-  // backing) keeps delta_base_ and the tail storage alive.
+  // delta_base_n_ delegate to the base graph, while appended tail vertices
+  // read the tail arrays; graph_ carries the patched topology for every
+  // vertex. owner_ then holds the overlay's storage, which also keeps the
+  // base dataset (and so delta_base_) alive.
   const AttributedGraph* delta_base_ = nullptr;
   std::size_t delta_base_n_ = 0;
   std::span<const std::uint64_t> tail_kw_offsets_;  // tail count + 1
@@ -201,7 +200,7 @@ class AttributedGraph {
   std::span<const std::string> tail_names_;
   /// Lower-cased tail name -> id, consulted only when the base misses
   /// (first-insertion-wins, matching a from-scratch rebuild).
-  const std::unordered_map<std::string, VertexId>* tail_name_index_ = nullptr;
+  const std::unordered_map<std::string, VertexId>* tail_name_lookup_ = nullptr;
 };
 
 /// Builder: declare vertices (name + keywords), add edges, Build().
@@ -219,19 +218,22 @@ class AttributedGraphBuilder {
   /// Records the undirected edge {u, v}. Vertices must already exist.
   Status AddEdge(VertexId u, VertexId v);
 
-  /// Direct access to the vocabulary (e.g. to pre-intern a topic list).
-  Vocabulary* mutable_vocabulary() { return &vocab_; }
+  /// The keyword interner (e.g. to pre-intern a topic list).
+  KeywordInterner* mutable_vocabulary() { return &vocab_; }
 
   /// Number of vertices added so far.
-  std::size_t num_vertices() const { return names_.size(); }
+  std::size_t num_vertices() const { return name_offsets_.size() - 1; }
 
   /// Builds the attributed graph; the builder is left empty.
   AttributedGraph Build();
 
  private:
-  Vocabulary vocab_;
-  std::vector<std::string> names_;
-  std::vector<std::vector<KeywordId>> vertex_keywords_;
+  KeywordInterner vocab_;
+  // Names and keyword rows, appended per vertex in the graph's layout.
+  std::string name_blob_;
+  std::vector<std::uint64_t> name_offsets_{0};
+  std::vector<std::uint64_t> keyword_offsets_{0};
+  std::vector<KeywordId> keyword_data_;
   GraphBuilder edges_;
 };
 

@@ -100,8 +100,12 @@ Graph GraphBuilder::Build() {
   offsets[n] = write;
   adjacency.resize(write);
   adjacency.shrink_to_fit();
-  g.offsets_ = std::move(offsets);
-  g.adjacency_ = std::move(adjacency);
+  auto csr = std::make_shared<
+      std::pair<std::vector<std::uint64_t>, std::vector<VertexId>>>(
+      std::move(offsets), std::move(adjacency));
+  g.offsets_ = csr->first;
+  g.adjacency_ = csr->second;
+  g.owner_ = std::move(csr);
 
   num_vertices_ = 0;
   edges_.clear();

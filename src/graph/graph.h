@@ -9,11 +9,11 @@
 #define CEXPLORER_GRAPH_GRAPH_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "common/array_ref.h"
 #include "common/status.h"
 #include "graph/types.h"
 
@@ -29,6 +29,10 @@ struct Access;
 
 /// Immutable undirected simple graph (no self-loops, no parallel edges).
 /// Construct through GraphBuilder or the factory functions in graph/io.h.
+///
+/// The CSR arrays are spans over bytes the graph co-owns: the builder's
+/// vectors after a build, the mapped file after a snapshot load. Copying a
+/// graph shares those bytes.
 ///
 /// A graph may additionally carry a copy-on-write delta overlay (wired by
 /// delta::Access): a per-vertex patch-slot table over the base CSR. A
@@ -94,8 +98,8 @@ class Graph {
   /// Maximum degree over all vertices (0 for the empty graph).
   std::size_t MaxDegree() const;
 
-  /// Approximate footprint of the CSR arrays, in bytes (heap bytes in
-  /// owned mode, mapped bytes in view mode).
+  /// Approximate footprint of the CSR arrays, in bytes (heap or mapped,
+  /// whichever backs them).
   std::size_t MemoryBytes() const {
     return offsets_.size() * sizeof(std::uint64_t) +
            adjacency_.size() * sizeof(VertexId) +
@@ -112,14 +116,16 @@ class Graph {
   friend struct snapshot::Access;
   friend struct delta::Access;
 
-  // Owned vectors on the build path, or views over a mapped snapshot
-  // (snapshot::Access wires those up; the mapping outlives the graph).
-  ArrayRef<std::uint64_t> offsets_;  // size n+1
-  ArrayRef<VertexId> adjacency_;     // size 2m, sorted per vertex
+  // Keeps offsets_ and adjacency_ alive: GraphBuilder's vectors, or the
+  // mapping that snapshot::Access views.
+  std::shared_ptr<const void> owner_;
+  std::span<const std::uint64_t> offsets_;  // size n+1
+  std::span<const VertexId> adjacency_;     // size 2m, sorted per vertex
 
   // Delta-overlay mode (delta::Access): one slot entry per overlay vertex
   // and a patch CSR holding the full sorted adjacency of every patched
-  // vertex. The overlay owner (a Dataset backing) keeps the spans alive.
+  // vertex. The owner of the overlay AttributedGraph holding this graph
+  // keeps the spans alive.
   std::span<const std::uint32_t> patch_slot_;     // size n_total
   std::span<const std::uint64_t> patch_offsets_;  // size slots+1
   std::span<const VertexId> patch_adjacency_;

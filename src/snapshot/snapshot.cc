@@ -1,82 +1,45 @@
 #include "snapshot/snapshot.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
-#include <new>
 #include <random>
 #include <utility>
 #include <vector>
 
-#include "common/hash64.h"
-#include "snapshot/format.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define CEXPLORER_HAVE_POSIX 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include "common/hash64.h"
+#include "snapshot/format.h"
 
 namespace cexplorer {
 namespace snapshot {
 
 /// The one place granted friend access to Graph / AttributedGraph /
-/// Vocabulary / ClTree internals: reads the private arenas on save and
-/// wires up span-backed view instances on load. Keeping every privileged
-/// operation in this struct keeps the storage classes' public API free of
-/// serialization concerns.
+/// Vocabulary / ClTree internals: lists the arrays a dataset holds on save
+/// and points a graph's spans at the mapped sections on load. Keeping
+/// every privileged operation in this struct keeps the storage classes'
+/// public API free of serialization concerns.
 struct Access {
-  // --- Save side: private array readers -----------------------------------
-  static std::span<const std::uint64_t> GraphOffsets(const Graph& g) {
-    return g.offsets_.span();
-  }
-  static std::span<const VertexId> GraphAdjacency(const Graph& g) {
-    return g.adjacency_.span();
-  }
-  static std::span<const std::uint64_t> KeywordOffsets(
-      const AttributedGraph& g) {
-    return g.keyword_offsets_.span();
-  }
-  static std::span<const KeywordId> KeywordData(const AttributedGraph& g) {
-    return g.keyword_data_.span();
-  }
-  static std::span<const std::uint64_t> KeywordFingerprints(
-      const AttributedGraph& g) {
-    return g.keyword_fp_.span();
+  struct Section {
+    SectionId id;
+    const void* data;
+    std::uint64_t length;  // bytes
+  };
+
+  template <typename T>
+  static Section Of(SectionId id, std::span<const T> s) {
+    return {id, s.data(), s.size() * sizeof(T)};
   }
 
-  static std::span<const ClNodeId> TreeVertexNode(const ClTree& t) {
-    return t.vertex_node_.span();
-  }
-  static std::span<const std::uint64_t> TreeSubtreeSizes(const ClTree& t) {
-    return t.subtree_sizes_.span();
-  }
-  static std::span<const ClNodeId> TreeChildArena(const ClTree& t) {
-    return t.child_arena_.span();
-  }
-  static std::span<const VertexId> TreeAnchorArena(const ClTree& t) {
-    return t.anchor_arena_.span();
-  }
-  static std::span<const KeywordId> TreeInvKeywords(const ClTree& t) {
-    return t.inv_keyword_arena_.span();
-  }
-  static std::span<const std::uint32_t> TreeInvOffsets(const ClTree& t) {
-    return t.inv_offset_arena_.span();
-  }
-  static std::span<const VertexId> TreeInvPostings(const ClTree& t) {
-    return t.inv_posting_arena_.span();
-  }
-  static std::span<const std::uint64_t> TreeNodeBlooms(const ClTree& t) {
-    return t.node_kw_bloom_.span();
-  }
+  // --- Save side -----------------------------------------------------------
 
   /// Converts each node's spans to (begin, count) pairs against the
   /// tree-wide arenas — the position-independent form the file stores.
@@ -101,44 +64,78 @@ struct Access {
     return records;
   }
 
-  // --- Load side: view-mode constructors ----------------------------------
-  static Graph MakeGraph(std::span<const std::uint64_t> offsets,
-                         std::span<const VertexId> adjacency) {
-    Graph g;
-    g.offsets_ = ArrayRef<std::uint64_t>::View(offsets);
-    g.adjacency_ = ArrayRef<VertexId>::View(adjacency);
-    return g;
+  /// Every section of a snapshot of (g, cores, t), in SectionId order: the
+  /// arrays the dataset holds, written as it holds them. `meta` and
+  /// `records` back the two sections computed for the file.
+  static std::array<Section, kSectionCount> Sections(
+      const AttributedGraph& g, std::span<const std::uint32_t> cores,
+      const ClTree& t, std::span<const std::uint64_t> meta,
+      std::span<const ClTreeNodeRecord> records) {
+    // A default-constructed (empty) graph holds no arrays at all, but the
+    // file format (and the loader's offsets validation) always expects
+    // count+1 offset entries: write the canonical single zero instead.
+    static constexpr std::uint64_t kZeroOffset[1] = {0};
+    const auto offsets = [](std::span<const std::uint64_t> s) {
+      return s.empty() ? std::span<const std::uint64_t>(kZeroOffset) : s;
+    };
+    return {
+        Of(SectionId::kMeta, meta),
+        Of(SectionId::kGraphOffsets, offsets(g.graph_.offsets_)),
+        Of(SectionId::kGraphAdjacency, g.graph_.adjacency_),
+        Of(SectionId::kKeywordOffsets, offsets(g.keyword_offsets_)),
+        Of(SectionId::kKeywordData, g.keyword_data_),
+        Of(SectionId::kKeywordFingerprints, g.keyword_fp_),
+        Of(SectionId::kNameBlob, g.name_blob_),
+        Of(SectionId::kNameOffsets, offsets(g.name_offsets_)),
+        Of(SectionId::kNameOrder, g.name_order_),
+        Of(SectionId::kVocabBlob, g.vocab_.blob_),
+        Of(SectionId::kVocabOffsets, offsets(g.vocab_.offsets_)),
+        Of(SectionId::kVocabOrder, g.vocab_.order_),
+        Of(SectionId::kCoreNumbers, cores),
+        Of(SectionId::kTreeRecords, records),
+        Of(SectionId::kTreeVertexNode, t.vertex_node_),
+        Of(SectionId::kTreeSubtreeSizes, t.subtree_sizes_),
+        Of(SectionId::kTreeChildArena, t.child_arena_),
+        Of(SectionId::kTreeAnchorArena, t.anchor_arena_),
+        Of(SectionId::kTreeInvKeywords, t.inv_keyword_arena_),
+        Of(SectionId::kTreeInvOffsets, t.inv_offset_arena_),
+        Of(SectionId::kTreeInvPostings, t.inv_posting_arena_),
+        Section{SectionId::kReserved22, nullptr, 0},
+        Section{SectionId::kReserved23, nullptr, 0},
+        Of(SectionId::kTreeNodeBlooms, t.node_kw_bloom_),
+    };
   }
 
-  static Vocabulary MakeVocabulary(std::span<const char> blob,
-                                   std::span<const std::uint64_t> offsets,
-                                   std::span<const KeywordId> order) {
-    Vocabulary v;
-    v.view_ = true;
-    v.blob_ = blob;
-    v.offsets_ = offsets;
-    v.order_ = order;
-    return v;
-  }
+  // --- Load side -----------------------------------------------------------
 
+  /// A graph viewing validated sections of a mapping; the graph and its
+  /// topology both hold `mapping`.
   static AttributedGraph MakeAttributedGraph(
-      Graph graph, Vocabulary vocab,
+      const std::shared_ptr<const void>& mapping,
+      std::span<const std::uint64_t> graph_offsets,
+      std::span<const VertexId> adjacency,
       std::span<const std::uint64_t> keyword_offsets,
       std::span<const KeywordId> keyword_data,
       std::span<const std::uint64_t> keyword_fp,
       std::span<const char> name_blob,
       std::span<const std::uint64_t> name_offsets,
-      std::span<const VertexId> name_order) {
+      std::span<const VertexId> name_order, std::span<const char> vocab_blob,
+      std::span<const std::uint64_t> vocab_offsets,
+      std::span<const KeywordId> vocab_order) {
     AttributedGraph g;
-    g.graph_ = std::move(graph);
-    g.vocab_ = std::move(vocab);
-    g.keyword_offsets_ = ArrayRef<std::uint64_t>::View(keyword_offsets);
-    g.keyword_data_ = ArrayRef<KeywordId>::View(keyword_data);
-    g.keyword_fp_ = ArrayRef<std::uint64_t>::View(keyword_fp);
-    g.names_view_ = true;
+    g.graph_.owner_ = mapping;
+    g.graph_.offsets_ = graph_offsets;
+    g.graph_.adjacency_ = adjacency;
+    g.owner_ = mapping;
+    g.keyword_offsets_ = keyword_offsets;
+    g.keyword_data_ = keyword_data;
+    g.keyword_fp_ = keyword_fp;
     g.name_blob_ = name_blob;
     g.name_offsets_ = name_offsets;
     g.name_order_ = name_order;
+    g.vocab_.blob_ = vocab_blob;
+    g.vocab_.offsets_ = vocab_offsets;
+    g.vocab_.order_ = vocab_order;
     return g;
   }
 };
@@ -153,34 +150,9 @@ Status Corrupt(const std::string& path, const std::string& what) {
   return Status::Unavailable("snapshot " + path + " rejected: " + what);
 }
 
-/// Case-insensitive byte-wise three-way compare (matches ToLower()).
-int CiCompare(std::string_view a, std::string_view b) {
-  const std::size_t n = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const unsigned char ca = static_cast<unsigned char>(
-        std::tolower(static_cast<unsigned char>(a[i])));
-    const unsigned char cb = static_cast<unsigned char>(
-        std::tolower(static_cast<unsigned char>(b[i])));
-    if (ca != cb) return ca < cb ? -1 : 1;
-  }
-  if (a.size() == b.size()) return 0;
-  return a.size() < b.size() ? -1 : 1;
-}
-
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
-
-struct PendingSection {
-  SectionId id;
-  const void* data;
-  std::uint64_t length;  // bytes
-};
-
-template <typename T>
-PendingSection MakeSection(SectionId id, std::span<const T> s) {
-  return {id, s.data(), s.size() * sizeof(T)};
-}
 
 /// A fresh name in `path`'s directory (so the final rename stays on one
 /// filesystem). The exclusive create that uses it fails on a collision
@@ -192,9 +164,8 @@ std::string TempSiblingPath(const std::string& path) {
 }
 
 /// Flushes the directory entry of `path` to disk, making a rename into
-/// that directory durable. A no-op where POSIX fsync is unavailable.
+/// that directory durable.
 bool SyncParentDirectory(const std::string& path) {
-#if CEXPLORER_HAVE_POSIX
   std::filesystem::path dir = std::filesystem::path(path).parent_path();
   if (dir.empty()) dir = ".";
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
@@ -202,10 +173,6 @@ bool SyncParentDirectory(const std::string& path) {
   const bool synced = ::fsync(fd) == 0;
   ::close(fd);
   return synced;
-#else
-  (void)path;
-  return true;
-#endif
 }
 
 }  // namespace
@@ -219,93 +186,13 @@ Status WriteSnapshot(const AttributedGraph& g,
         "core-number array does not match the graph");
   }
 
-  // Flatten names into blob + offsets + the case-insensitive lookup
-  // permutation (non-empty names sorted by lowered bytes, ties by id — the
-  // exact lowest-id-wins order the owned-mode hash map produces).
-  std::string name_blob;
-  std::vector<std::uint64_t> name_offsets(n + 1, 0);
-  std::vector<VertexId> name_order;
-  for (VertexId v = 0; v < n; ++v) {
-    const std::string_view name = g.Name(v);
-    name_blob.append(name);
-    name_offsets[v + 1] = name_blob.size();
-    if (!name.empty()) name_order.push_back(v);
-  }
-  std::sort(name_order.begin(), name_order.end(),
-            [&g](VertexId a, VertexId b) {
-              const int c = CiCompare(g.Name(a), g.Name(b));
-              return c != 0 ? c < 0 : a < b;
-            });
-
-  // Flatten the vocabulary the same way (exact-byte sort for Find()).
-  const Vocabulary& vocab = g.vocabulary();
-  const std::size_t num_words = vocab.size();
-  std::string vocab_blob;
-  std::vector<std::uint64_t> vocab_offsets(num_words + 1, 0);
-  std::vector<KeywordId> vocab_order(num_words);
-  for (KeywordId id = 0; id < num_words; ++id) {
-    vocab_blob.append(vocab.Word(id));
-    vocab_offsets[id + 1] = vocab_blob.size();
-    vocab_order[id] = id;
-  }
-  std::sort(vocab_order.begin(), vocab_order.end(),
-            [&vocab](KeywordId a, KeywordId b) {
-              return vocab.Word(a) < vocab.Word(b);
-            });
-
-  // An empty graph stores no CSR arrays at all, but the file format (and the
-  // loader's offsets validation) always expects n+1 offset entries — write
-  // the canonical single-zero arrays in that case.
-  static constexpr std::uint64_t kZeroOffset[1] = {0};
-  std::span<const std::uint64_t> graph_offsets =
-      Access::GraphOffsets(g.graph());
-  if (graph_offsets.empty()) graph_offsets = kZeroOffset;
-  std::span<const std::uint64_t> keyword_offsets = Access::KeywordOffsets(g);
-  if (keyword_offsets.empty()) keyword_offsets = kZeroOffset;
-
   const std::vector<ClTreeNodeRecord> records = Access::ExportRecords(tree);
   const std::uint64_t meta[4] = {
       static_cast<std::uint64_t>(n),
-      static_cast<std::uint64_t>(Access::GraphAdjacency(g.graph()).size()),
-      static_cast<std::uint64_t>(num_words),
+      static_cast<std::uint64_t>(2 * g.graph().num_edges()),
+      static_cast<std::uint64_t>(g.vocabulary().size()),
       static_cast<std::uint64_t>(tree.num_nodes())};
-
-  const PendingSection sections[kSectionCount] = {
-      {SectionId::kMeta, meta, sizeof(meta)},
-      MakeSection(SectionId::kGraphOffsets, graph_offsets),
-      MakeSection(SectionId::kGraphAdjacency,
-                  Access::GraphAdjacency(g.graph())),
-      MakeSection(SectionId::kKeywordOffsets, keyword_offsets),
-      MakeSection(SectionId::kKeywordData, Access::KeywordData(g)),
-      MakeSection(SectionId::kKeywordFingerprints,
-                  Access::KeywordFingerprints(g)),
-      MakeSection(SectionId::kNameBlob,
-                  std::span<const char>(name_blob.data(), name_blob.size())),
-      MakeSection(SectionId::kNameOffsets,
-                  std::span<const std::uint64_t>(name_offsets)),
-      MakeSection(SectionId::kNameOrder,
-                  std::span<const VertexId>(name_order)),
-      MakeSection(SectionId::kVocabBlob,
-                  std::span<const char>(vocab_blob.data(), vocab_blob.size())),
-      MakeSection(SectionId::kVocabOffsets,
-                  std::span<const std::uint64_t>(vocab_offsets)),
-      MakeSection(SectionId::kVocabOrder,
-                  std::span<const KeywordId>(vocab_order)),
-      MakeSection(SectionId::kCoreNumbers, cores),
-      MakeSection(SectionId::kTreeRecords,
-                  std::span<const ClTreeNodeRecord>(records)),
-      MakeSection(SectionId::kTreeVertexNode, Access::TreeVertexNode(tree)),
-      MakeSection(SectionId::kTreeSubtreeSizes,
-                  Access::TreeSubtreeSizes(tree)),
-      MakeSection(SectionId::kTreeChildArena, Access::TreeChildArena(tree)),
-      MakeSection(SectionId::kTreeAnchorArena, Access::TreeAnchorArena(tree)),
-      MakeSection(SectionId::kTreeInvKeywords, Access::TreeInvKeywords(tree)),
-      MakeSection(SectionId::kTreeInvOffsets, Access::TreeInvOffsets(tree)),
-      MakeSection(SectionId::kTreeInvPostings, Access::TreeInvPostings(tree)),
-      {SectionId::kReserved22, nullptr, 0},
-      {SectionId::kReserved23, nullptr, 0},
-      MakeSection(SectionId::kTreeNodeBlooms, Access::TreeNodeBlooms(tree)),
-  };
+  const auto sections = Access::Sections(g, cores, tree, meta, records);
 
   // Lay out: header, TOC, 64-byte-aligned payloads, 8-byte-aligned footer.
   SnapshotHeader header;
@@ -358,9 +245,7 @@ Status WriteSnapshot(const AttributedGraph& g,
   footer.file_size = header.file_size;
   put(&footer, sizeof(footer));
   ok = std::fflush(out) == 0 && ok;
-#if CEXPLORER_HAVE_POSIX
   ok = ok && ::fsync(::fileno(out)) == 0;
-#endif
   ok = std::fclose(out) == 0 && ok;
   if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
@@ -379,110 +264,46 @@ Status WriteSnapshot(const AttributedGraph& g,
 
 namespace {
 
-/// Owns the snapshot bytes: a MAP_SHARED read-only mapping when available,
-/// else a 64-byte-aligned heap buffer filled by plain reads.
-class Backing {
+/// A read-only MAP_SHARED mapping of a whole snapshot file, unmapped when
+/// the last graph, tree or dataset viewing it lets go.
+class Mapping {
  public:
-  Backing(const Backing&) = delete;
-  Backing& operator=(const Backing&) = delete;
-
-  ~Backing() {
-#if CEXPLORER_HAVE_POSIX
-    if (mapped_) {
-      ::munmap(const_cast<std::uint8_t*>(data_), size_);
-      return;
-    }
-#endif
-    if (data_ != nullptr) {
-      ::operator delete(const_cast<std::uint8_t*>(data_),
-                        std::align_val_t{kSectionAlignment});
-    }
-  }
-
-  static Result<std::shared_ptr<Backing>> Open(const std::string& path) {
-    const char* env = std::getenv("CEXPLORER_SNAPSHOT_MMAP");
-    const bool allow_mmap =
-        env == nullptr || (std::string_view(env) != "0" &&
-                           std::string_view(env) != "off");
-#if CEXPLORER_HAVE_POSIX
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-      return Status::Unavailable("cannot open snapshot " + path);
-    }
-    struct stat st;
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-      ::close(fd);
-      return Status::Unavailable("cannot stat snapshot " + path);
-    }
-    const std::size_t size = static_cast<std::size_t>(st.st_size);
-    if (allow_mmap && size > 0) {
-      void* base = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
-      if (base != MAP_FAILED) {
-        ::close(fd);
-        auto backing = std::shared_ptr<Backing>(new Backing());
-        backing->data_ = static_cast<const std::uint8_t*>(base);
-        backing->size_ = size;
-        backing->mapped_ = true;
-        return backing;
-      }
-      // Fall through to the heap path (e.g. a filesystem without mmap).
-    }
-    auto backing = std::shared_ptr<Backing>(new Backing());
-    if (size > 0) {
-      auto* buf = static_cast<std::uint8_t*>(
-          ::operator new(size, std::align_val_t{kSectionAlignment}));
-      backing->data_ = buf;
-      backing->size_ = size;
-      std::size_t done = 0;
-      while (done < size) {
-        const ssize_t got = ::read(fd, buf + done, size - done);
-        if (got <= 0) {
-          ::close(fd);
-          return Status::Unavailable("cannot read snapshot " + path);
-        }
-        done += static_cast<std::size_t>(got);
-      }
-    }
-    ::close(fd);
-    return backing;
-#else
-    (void)allow_mmap;
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) return Status::Unavailable("cannot open snapshot " + path);
-    const std::streamoff size = in.tellg();
-    in.seekg(0);
-    auto backing = std::shared_ptr<Backing>(new Backing());
-    if (size > 0) {
-      auto* buf = static_cast<std::uint8_t*>(::operator new(
-          static_cast<std::size_t>(size), std::align_val_t{kSectionAlignment}));
-      backing->data_ = buf;
-      backing->size_ = static_cast<std::size_t>(size);
-      if (!in.read(reinterpret_cast<char*>(buf), size)) {
-        return Status::Unavailable("cannot read snapshot " + path);
-      }
-    }
-    return backing;
-#endif
-  }
+  Mapping(const void* data, std::size_t size)
+      : data_(static_cast<const std::uint8_t*>(data)), size_(size) {}
+  ~Mapping() { ::munmap(const_cast<std::uint8_t*>(data_), size_); }
+  Mapping(const Mapping&) = delete;
+  Mapping& operator=(const Mapping&) = delete;
 
   const std::uint8_t* data() const { return data_; }
   std::size_t size() const { return size_; }
-  bool mapped() const { return mapped_; }
 
  private:
-  Backing() = default;
-
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-  bool mapped_ = false;
+  const std::uint8_t* data_;
+  std::size_t size_;
 };
 
-/// Backing + the view-mode graph constructed over it, allocated together
-/// so the aliased graph shared_ptr keeps the mapping alive transitively.
-struct Holder {
-  std::shared_ptr<Backing> backing;
-  AttributedGraph graph;
-};
+/// Maps `path` read-only. A file too small for a header and a footer is
+/// rejected before mmap, which cannot map an empty file.
+Result<std::shared_ptr<const Mapping>> Map(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::Unavailable("cannot open snapshot " + path);
+  struct stat st;
+  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
+    ::close(fd);
+    return Status::Unavailable("cannot stat snapshot " + path);
+  }
+  const std::size_t size = static_cast<std::size_t>(st.st_size);
+  if (size < sizeof(SnapshotHeader) + sizeof(SnapshotFooter)) {
+    ::close(fd);
+    return Corrupt(path, "file too small");
+  }
+  void* base = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
+  ::close(fd);
+  if (base == MAP_FAILED) {
+    return Status::Unavailable("cannot map snapshot " + path);
+  }
+  return std::make_shared<const Mapping>(base, size);
+}
 
 template <typename T>
 bool TypedSpan(const std::uint8_t* base, const SectionEntry& entry,
@@ -507,14 +328,11 @@ bool ValidOffsets(std::span<const std::uint64_t> offsets, std::size_t count,
 }  // namespace
 
 Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
-  auto backing = Backing::Open(path);
-  if (!backing.ok()) return backing.status();
-  const std::uint8_t* base = backing.value()->data();
-  const std::uint64_t size = backing.value()->size();
+  auto mapped = Map(path);
+  if (!mapped.ok()) return mapped.status();
+  const std::uint8_t* base = mapped.value()->data();
+  const std::uint64_t size = mapped.value()->size();
 
-  if (size < sizeof(SnapshotHeader) + sizeof(SnapshotFooter)) {
-    return Corrupt(path, "file too small");
-  }
   SnapshotHeader header;
   std::memcpy(&header, base, sizeof(header));
   if (header.magic != kMagic) return Corrupt(path, "bad magic");
@@ -666,11 +484,24 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
   if (vocab_order.size() != num_words) {
     return Corrupt(path, "vocabulary order size mismatch");
   }
-  for (std::uint32_t kw : vocab_order) {
-    if (kw >= num_words) return Corrupt(path, "vocabulary order entry");
+  // Vocabulary::Find binary-searches this order, so it must ascend
+  // strictly by word bytes, which also rules out a repeated id or word.
+  const auto word = [&](std::uint32_t kw) {
+    return std::string_view(vocab_blob.data() + vocab_offsets[kw],
+                            vocab_offsets[kw + 1] - vocab_offsets[kw]);
+  };
+  for (std::size_t i = 0; i < num_words; ++i) {
+    if (vocab_order[i] >= num_words) {
+      return Corrupt(path, "vocabulary order entry");
+    }
+    if (i > 0 && word(vocab_order[i - 1]) >= word(vocab_order[i])) {
+      return Corrupt(path, "vocabulary order not strictly ascending");
+    }
   }
 
+  const std::shared_ptr<const void> mapping = std::move(mapped.value());
   ClTreeParts parts;
+  parts.owner = mapping;
   parts.records = records;
   parts.vertex_node = vertex_node;
   parts.subtree_sizes = subtree_sizes;
@@ -683,21 +514,14 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
   auto tree = ClTree::FromParts(parts, static_cast<std::size_t>(n));
   if (!tree.ok()) return tree.status();
 
-  auto holder = std::make_shared<Holder>();
-  holder->backing = std::move(backing.value());
-  holder->graph = Access::MakeAttributedGraph(
-      Access::MakeGraph(graph_offsets, adjacency),
-      Access::MakeVocabulary(vocab_blob, vocab_offsets, vocab_order),
-      keyword_offsets, keyword_data, keyword_fp, name_blob, name_offsets,
-      name_order);
-
   LoadedSnapshot loaded;
-  loaded.graph = std::shared_ptr<const AttributedGraph>(holder,
-                                                        &holder->graph);
+  loaded.graph = Access::MakeAttributedGraph(
+      mapping, graph_offsets, adjacency, keyword_offsets, keyword_data,
+      keyword_fp, name_blob, name_offsets, name_order, vocab_blob,
+      vocab_offsets, vocab_order);
   loaded.core_numbers = cores;
   loaded.tree = std::move(tree.value());
-  loaded.backing = holder;
-  loaded.info.mode = holder->backing->mapped() ? "mmap" : "heap";
+  loaded.mapping = mapping;
   loaded.info.file_bytes = size;
   loaded.info.checksum = header.toc_checksum;
   return loaded;

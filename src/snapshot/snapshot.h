@@ -1,7 +1,8 @@
 // Zero-copy dataset persistence: write a Dataset's immutable artifacts
 // (graph CSR + attributes, core numbers, CL-tree arenas) into the sectioned
-// binary format of snapshot/format.h, and load them back by mmap-ing the
-// file read-only and constructing span views over the mapping.
+// binary format of snapshot/format.h, each array as the dataset holds it,
+// and load them back by mmap-ing the file read-only and constructing span
+// views over the mapping.
 //
 // Loading performs a fixed number of allocations regardless of graph size
 // (the CL-tree node directory plus O(1) bookkeeping); every O(n)/O(m)
@@ -29,22 +30,20 @@
 namespace cexplorer {
 namespace snapshot {
 
-/// How a loaded snapshot is backed, plus its identity for /v1/stats.
+/// A loaded snapshot's identity for /v1/stats.
 struct LoadInfo {
-  std::string mode;             ///< "mmap" or "heap"
   std::uint64_t file_bytes = 0;
-  std::uint64_t checksum = 0;   ///< XXH64 of the section table (file id)
+  std::uint64_t checksum = 0;  ///< XXH64 of the section table (file id)
 };
 
-/// A snapshot loaded into (or mapped over) memory. `graph` aliases the
-/// backing holder, so any copy of it keeps the mapping alive; `tree` and
-/// `core_numbers` view the same backing, which the receiving Dataset must
-/// retain via `backing` for as long as they are in use.
+/// A snapshot mapped into memory. `graph` and `tree` each hold the mapping,
+/// so any copy of them keeps it alive; `core_numbers` views it too, and the
+/// receiving Dataset must retain `mapping` for as long as they are in use.
 struct LoadedSnapshot {
-  std::shared_ptr<const AttributedGraph> graph;
+  AttributedGraph graph;
   std::span<const std::uint32_t> core_numbers;
   ClTree tree;
-  std::shared_ptr<const void> backing;
+  std::shared_ptr<const void> mapping;
   LoadInfo info;
 };
 
@@ -58,9 +57,8 @@ Status WriteSnapshot(const AttributedGraph& g,
                      std::span<const std::uint32_t> cores, const ClTree& tree,
                      const std::string& path);
 
-/// Maps (or, when mmap is unavailable or disabled via
-/// CEXPLORER_SNAPSHOT_MMAP=0, reads into a 64-byte-aligned heap buffer)
-/// and fully validates a snapshot file.
+/// Maps a snapshot file read-only and fully validates it. A file that
+/// cannot be opened, mapped or validated is Unavailable.
 Result<LoadedSnapshot> LoadSnapshot(const std::string& path);
 
 }  // namespace snapshot

@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "explorer/dataset.h"
 #include "graph/attributed_graph.h"
 #include "graph/fixtures.h"
 #include "graph/graph.h"
@@ -111,16 +112,45 @@ TEST(GraphTest, LargeRandomGraphDegreeSum) {
 // AttributedGraph
 // --------------------------------------------------------------------------
 
+/// `g` as a snapshot save and reload serves it. The returned copy shares
+/// the mapping, which outlives the dataset that loaded it.
+AttributedGraph Reloaded(AttributedGraph g, const std::string& file) {
+  auto built = Dataset::Build(std::move(g));
+  const std::string path = ::testing::TempDir() + "/" + file;
+  if (!built.ok() || !built.value()->SaveSnapshot(path).ok()) {
+    ADD_FAILURE() << "cannot save " << path;
+    return AttributedGraph();
+  }
+  auto loaded = Dataset::FromSnapshotFile(path);
+  if (!loaded.ok()) {
+    ADD_FAILURE() << loaded.status().ToString();
+    return AttributedGraph();
+  }
+  return loaded.value()->graph();
+}
+
 TEST(VocabularyTest, InternIsIdempotent) {
-  Vocabulary vocab;
-  KeywordId a = vocab.Intern("data");
-  KeywordId b = vocab.Intern("system");
-  EXPECT_NE(a, b);
-  EXPECT_EQ(vocab.Intern("data"), a);
-  EXPECT_EQ(vocab.size(), 2u);
-  EXPECT_EQ(vocab.Word(a), "data");
-  EXPECT_EQ(vocab.Find("system"), b);
-  EXPECT_EQ(vocab.Find("nope"), kInvalidKeyword);
+  AttributedGraphBuilder b;
+  KeywordInterner* interner = b.mutable_vocabulary();
+  const KeywordId data = interner->Intern("data");
+  const KeywordId system = interner->Intern("system");
+  EXPECT_NE(data, system);
+  EXPECT_EQ(interner->Intern("data"), data);
+  EXPECT_EQ(interner->Intern("database"), 2u);  // ids in first-seen order
+  EXPECT_EQ(interner->Intern("caf\xC3\xA9"), 3u);
+  b.AddVertexWithIds("v", {system, data});
+  const AttributedGraph built = b.Build();
+  for (const AttributedGraph& g : {built, Reloaded(built, "vocab.snap")}) {
+    const Vocabulary& vocab = g.vocabulary();
+    ASSERT_EQ(vocab.size(), 4u);
+    EXPECT_EQ(vocab.Word(data), "data");
+    for (KeywordId kw = 0; kw < vocab.size(); ++kw) {
+      EXPECT_EQ(vocab.Find(vocab.Word(kw)), kw) << vocab.Word(kw);
+    }
+    EXPECT_EQ(vocab.Find("nope"), kInvalidKeyword);
+    EXPECT_EQ(vocab.Find("dat"), kInvalidKeyword);  // a prefix of a word
+    EXPECT_EQ(vocab.Find(""), kInvalidKeyword);
+  }
 }
 
 TEST(AttributedGraphTest, KeywordsSortedAndDeduped) {
@@ -154,11 +184,29 @@ TEST(AttributedGraphTest, FindByNameCaseInsensitive) {
   AttributedGraphBuilder b;
   b.AddVertex("Jim Gray", {"data"});
   b.AddVertex("Michael Stonebraker", {"system"});
-  AttributedGraph g = b.Build();
-  EXPECT_EQ(g.FindByName("jim gray"), 0u);
-  EXPECT_EQ(g.FindByName("JIM GRAY"), 0u);
-  EXPECT_EQ(g.FindByName("michael stonebraker"), 1u);
-  EXPECT_EQ(g.FindByName("nobody"), kInvalidVertex);
+  // Vertex 2 repeats vertex 0's name in another case, 3 is unnamed, 4 is a
+  // prefix of another name, and 6 holds bytes of 0x80 and above, so it
+  // sorts after every ASCII name.
+  b.AddVertex("JIM GRAY", {"web"});
+  b.AddVertex("", {"data"});
+  b.AddVertex("Jim", {});
+  b.AddVertex("Zoe", {});
+  b.AddVertex("\xC3\x89mile", {});
+  b.AddVertex("Ana", {});
+  const AttributedGraph built = b.Build();
+  for (const AttributedGraph& g : {built, Reloaded(built, "names.snap")}) {
+    EXPECT_EQ(g.FindByName("jim gray"), 0u);
+    EXPECT_EQ(g.FindByName("JIM GRAY"), 0u);
+    EXPECT_EQ(g.FindByName("michael stonebraker"), 1u);
+    EXPECT_EQ(g.FindByName("nobody"), kInvalidVertex);
+    EXPECT_EQ(g.FindByName(""), kInvalidVertex);
+    EXPECT_EQ(g.FindByName("JIM"), 4u);
+    EXPECT_EQ(g.FindByName("Jim Gra"), kInvalidVertex);
+    EXPECT_EQ(g.FindByName("zoe"), 5u);
+    EXPECT_EQ(g.FindByName("\xC3\x89MILE"), 6u);
+    EXPECT_EQ(g.FindByName("\xC3\xA9mile"), kInvalidVertex);
+    EXPECT_EQ(g.FindByName("ana"), 7u);
+  }
 }
 
 TEST(AttributedGraphTest, EdgeValidation) {
