@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "acq/memo.h"
 #include "common/simd/simd.h"
 #include "core/kcore.h"
 
@@ -45,6 +46,7 @@ AcqScratch& ThreadAcqScratch() {
 struct QueryContext {
   const AttributedGraph* g = nullptr;
   const ClTree* index = nullptr;  // null for the brute-force oracle
+  AcqMemo* memo = nullptr;        // read by Dec's first level when set
   VertexList query_vertices;      // non-empty; [0] is the anchor
   const ExecControl* control = nullptr;  // checked once per lattice level
   std::uint32_t k = 0;
@@ -337,6 +339,37 @@ Result<std::vector<AttributedCommunity>> RunIncremental(QueryContext* ctx,
 // Dec: decremental descent from the largest support-feasible keyword set.
 // ---------------------------------------------------------------------------
 
+/// Dec's first level, {S_eff}, through the memo: the same community
+/// VerifyLevel would find, read from the labelled k-core memoized for
+/// (node, k, S_eff) as the anchor's component, provided every query vertex
+/// carries the anchor's label. A miss gathers as usual; a dense candidate
+/// set is peeled with labels and memoized, a sparse one takes PeelAndCheck.
+VertexList VerifyFirstLevel(QueryContext* ctx, const KeywordList& effective) {
+  std::shared_ptr<const LabelledKCore> core =
+      ctx->memo->Find(ctx->node, ctx->k, effective);
+  if (core == nullptr) {
+    VertexList candidates = GatherBySubtree(*ctx, effective);
+    if (candidates.size() < ctx->k + 1) {
+      ++ctx->stats.support_pruned;
+      return {};
+    }
+    const std::size_t n = ctx->g->num_vertices();
+    if (!IsDenseSubset(candidates.size(), n)) {
+      return PeelAndCheck(*ctx, std::move(candidates), &ctx->stats);
+    }
+    ++ctx->stats.candidates_verified;
+    core = std::make_shared<const LabelledKCore>(PeelToLabelledKCoreSorted(
+        ctx->g->graph(), std::move(candidates), ctx->k));
+    ctx->memo->Insert(ctx->node, ctx->k, effective, core, n);
+  }
+  const std::uint32_t label = core->LabelOf(ctx->query_vertices[0]);
+  if (label == LabelledKCore::kNoLabel) return {};
+  for (VertexId q : ctx->query_vertices) {
+    if (core->LabelOf(q) != label) return {};
+  }
+  return core->Members(label);
+}
+
 Result<std::vector<AttributedCommunity>> RunDec(QueryContext* ctx) {
   // Per-keyword support within the component; keywords that cannot reach
   // k+1 supporting vertices can never appear in a qualified set.
@@ -351,14 +384,19 @@ Result<std::vector<AttributedCommunity>> RunDec(QueryContext* ctx) {
   if (effective.empty()) return FallbackCommunity(ctx);
 
   std::vector<KeywordList> frontier{effective};
-  while (!frontier.empty()) {
+  for (bool first_level = true; !frontier.empty(); first_level = false) {
     CEXPLORER_RETURN_IF_ERROR(CheckControl(ctx->control));
     ctx->stats.candidates_generated += frontier.size();
-    std::vector<VertexList> gathered(frontier.size());
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-      gathered[i] = GatherBySubtree(*ctx, frontier[i]);
+    std::vector<VertexList> communities;
+    if (first_level && ctx->memo != nullptr) {
+      communities.push_back(VerifyFirstLevel(ctx, effective));
+    } else {
+      std::vector<VertexList> gathered(frontier.size());
+      for (std::size_t i = 0; i < frontier.size(); ++i) {
+        gathered[i] = GatherBySubtree(*ctx, frontier[i]);
+      }
+      communities = VerifyLevel(ctx, std::move(gathered));
     }
-    std::vector<VertexList> communities = VerifyLevel(ctx, std::move(gathered));
 
     std::vector<AttributedCommunity> qualified;
     // Flat frontier expansion: collect every one-smaller subset, then
@@ -453,9 +491,9 @@ Result<QueryContext> MakeContext(const AttributedGraph& g, const ClTree* index,
 }
 
 Result<AcqResult> RunQuery(const AttributedGraph& g, const ClTree* index,
-                           VertexList query_vertices, std::uint32_t k,
-                           KeywordList keywords, AcqAlgorithm algo,
-                           const ExecControl* control) {
+                           AcqMemo* memo, VertexList query_vertices,
+                           std::uint32_t k, KeywordList keywords,
+                           AcqAlgorithm algo, const ExecControl* control) {
   const bool need_index = algo != AcqAlgorithm::kBruteForce;
   if (need_index && index == nullptr) {
     return Status::FailedPrecondition("indexed algorithm requires a CL-tree");
@@ -464,6 +502,7 @@ Result<AcqResult> RunQuery(const AttributedGraph& g, const ClTree* index,
                             std::move(keywords), need_index, control);
   if (!ctx_or.ok()) return ctx_or.status();
   QueryContext ctx = std::move(ctx_or.value());
+  ctx.memo = memo;
 
   AcqResult result;
   if (need_index && ctx.node == kInvalidClNode) {
@@ -516,7 +555,8 @@ KeywordList SharedKeywords(const AttributedGraph& g,
 Result<AcqResult> AcqEngine::Search(VertexId q, std::uint32_t k,
                                     KeywordList keywords, AcqAlgorithm algo,
                                     const ExecControl* control) const {
-  return RunQuery(*g_, index_, {q}, k, std::move(keywords), algo, control);
+  return RunQuery(*g_, index_, memo_, {q}, k, std::move(keywords), algo,
+                  control);
 }
 
 Result<AcqResult> AcqEngine::SearchByName(
@@ -541,8 +581,8 @@ Result<AcqResult> AcqEngine::SearchMulti(const VertexList& query_vertices,
                                          std::uint32_t k, KeywordList keywords,
                                          AcqAlgorithm algo,
                                          const ExecControl* control) const {
-  return RunQuery(*g_, index_, query_vertices, k, std::move(keywords), algo,
-                  control);
+  return RunQuery(*g_, index_, memo_, query_vertices, k, std::move(keywords),
+                  algo, control);
 }
 
 }  // namespace cexplorer

@@ -21,6 +21,11 @@
 // verification through the CL-tree inverted lists), while Dec — the system
 // default — descends from the largest support-feasible set. All three are
 // exact and are property-tested against the brute-force oracle.
+//
+// Dec's first level, the whole support-feasible set, reads an AcqMemo
+// (acq/memo.h) when the engine has one: a hit answers with q's component
+// of the memoized labelled k-core, and a dense miss peels with labels and
+// fills the memo. Deeper levels and the other algorithms never touch it.
 
 #ifndef CEXPLORER_ACQ_ACQ_H_
 #define CEXPLORER_ACQ_ACQ_H_
@@ -37,6 +42,7 @@
 
 namespace cexplorer {
 
+class AcqMemo;
 class ThreadPool;
 
 /// Which ACQ query algorithm to run.
@@ -102,6 +108,12 @@ class AcqEngine {
             ThreadPool* = nullptr)
       : g_(graph), index_(index) {}
 
+  /// An engine whose Dec first level reads and fills `memo` (null runs
+  /// without one). The memo must hold entries of this graph and index
+  /// only, and outlive the engine.
+  AcqEngine(const AttributedGraph* graph, const ClTree* index, AcqMemo* memo)
+      : g_(graph), index_(index), memo_(memo) {}
+
   /// Runs an ACQ query. With a `control`, the lattice walk checkpoints at
   /// every level and the query aborts with kCancelled / kDeadlineExceeded.
   ///
@@ -131,6 +143,7 @@ class AcqEngine {
  private:
   const AttributedGraph* g_;
   const ClTree* index_;
+  AcqMemo* memo_ = nullptr;
 };
 
 }  // namespace cexplorer

@@ -243,6 +243,30 @@ std::optional<std::uint32_t> Uint32Field(const JsonValue& value) {
   return CheckedUint32(value.AsDouble());
 }
 
+/// An optional JSON string field: absent or null reads as "", anything but
+/// a string as nullopt.
+std::optional<std::string> StringField(const JsonValue& value) {
+  if (value.is_null()) return std::string();
+  if (value.type() != JsonValue::Type::kString) return std::nullopt;
+  return value.AsString();
+}
+
+/// A search's `keywords`: absent or null means none, a string is split at
+/// commas, and an array must hold strings only (empty ones are skipped).
+/// Anything else is nullopt.
+std::optional<std::vector<std::string>> KeywordsField(const JsonValue& value) {
+  if (value.type() == JsonValue::Type::kString) {
+    return SplitNonEmpty(value.AsString(), ',');
+  }
+  if (!value.is_null() && !value.is_array()) return std::nullopt;
+  std::vector<std::string> keywords;
+  for (const JsonValue& kw : value.Items()) {
+    if (kw.type() != JsonValue::Type::kString) return std::nullopt;
+    if (!kw.AsString().empty()) keywords.push_back(kw.AsString());
+  }
+  return keywords;
+}
+
 /// Decodes the POST /v1/jobs body into a JobSpec (kind not yet resolved —
 /// the caller matches it against the registry). `kind_text` receives the
 /// raw "kind" field ("" when absent).
@@ -271,16 +295,13 @@ ApiResult<JobSpec> ParseJobSpec(const std::string& body,
     if (!k) return ApiError::InvalidArgument("bad 'k'");
     spec.query.k = *k;
   }
-  const JsonValue& kws = parsed->Get("keywords");
-  if (kws.is_array()) {
-    for (const JsonValue& kw : kws.Items()) {
-      if (!kw.AsString().empty()) {
-        spec.query.keywords.push_back(kw.AsString());
-      }
-    }
-  } else if (!kws.AsString().empty()) {
-    spec.query.keywords = SplitNonEmpty(kws.AsString(), ',');
+  auto keywords = KeywordsField(parsed->Get("keywords"));
+  if (!keywords) {
+    return ApiError::InvalidArgument(
+        "bad 'keywords': must be an array of strings or a comma-separated "
+        "string");
   }
+  spec.query.keywords = std::move(*keywords);
   const JsonValue& params = parsed->Get("params");
   if (!params.is_null()) {
     if (!params.is_object()) {
@@ -1624,7 +1645,9 @@ ApiResult<std::string> QueryService::Stats() {
   w.EndObject();
   // How the served dataset's arrays are backed: "owned" (built in-process),
   // "mmap" (zero-copy views over a page-cache-shared snapshot file) or
-  // "overlay" (a mutation overlay over another dataset).
+  // "overlay" (a mutation overlay over another dataset). Then its memo of
+  // Dec's first level: the labelled k-cores it holds and the searches it
+  // answered.
   if (snapshot != nullptr) {
     const Dataset::StorageInfo& storage = snapshot->storage();
     w.Key("storage");
@@ -1637,6 +1660,20 @@ ApiResult<std::string> QueryService::Stats() {
       w.Key("checksum");
       w.UInt(storage.checksum);
     }
+    w.EndObject();
+    const AcqMemo::Stats memo = snapshot->acq_memo().GetStats();
+    w.Key("acq_memo");
+    w.BeginObject();
+    w.Key("entries");
+    w.UInt(memo.entries);
+    w.Key("survivors");
+    w.UInt(memo.survivors);
+    w.Key("hits");
+    w.UInt(memo.hits);
+    w.Key("misses");
+    w.UInt(memo.misses);
+    w.Key("drops");
+    w.UInt(memo.drops);
     w.EndObject();
   }
   w.EndObject();
@@ -1883,7 +1920,12 @@ ApiResult<BatchRequest> QueryService::ParseBatch(const std::string& json) {
       decoded.error = "entry is not an object";
       continue;
     }
-    if (item.Has("name")) decoded.search.name = item.Get("name").AsString();
+    const auto name = StringField(item.Get("name"));
+    if (!name) {
+      decoded.error = "bad name: must be a string";
+      continue;
+    }
+    decoded.search.name = *name;
     if (item.Has("vertex")) {
       const auto v = Uint32Field(item.Get("vertex"));
       if (!v) {
@@ -1904,18 +1946,20 @@ ApiResult<BatchRequest> QueryService::ParseBatch(const std::string& json) {
       }
       decoded.search.k = *k;
     }
-    const JsonValue& kws = item.Get("keywords");
-    if (kws.is_array()) {
-      for (const JsonValue& kw : kws.Items()) {
-        if (!kw.AsString().empty()) {
-          decoded.search.keywords.push_back(kw.AsString());
-        }
-      }
-    } else if (!kws.AsString().empty()) {
-      decoded.search.keywords = SplitNonEmpty(kws.AsString(), ',');
+    auto keywords = KeywordsField(item.Get("keywords"));
+    if (!keywords) {
+      decoded.error =
+          "bad keywords: must be an array of strings or a comma-separated "
+          "string";
+      continue;
     }
-    decoded.search.algo = item.Get("algo").AsString();
-    if (decoded.search.algo.empty()) decoded.search.algo = "ACQ";
+    decoded.search.keywords = std::move(*keywords);
+    const auto algo = StringField(item.Get("algo"));
+    if (!algo) {
+      decoded.error = "bad algo: must be a string";
+      continue;
+    }
+    decoded.search.algo = algo->empty() ? "ACQ" : *algo;
   }
   return batch;
 }

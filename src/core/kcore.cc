@@ -137,35 +137,6 @@ PeelScratch& ThreadLocalPeelScratch() {
   return scratch;
 }
 
-VertexList ConnectedKCore(const Graph& g,
-                          std::span<const std::uint32_t> core_numbers,
-                          VertexId q, std::uint32_t k) {
-  if (q >= g.num_vertices() || core_numbers[q] < k) return {};
-  // BFS within the k-core on the thread's reusable stamp arrays: the only
-  // allocation left is the result itself.
-  PeelScratch& s = ThreadLocalPeelScratch();
-  const std::uint32_t epoch = s.Begin(g.num_vertices());
-  for (std::size_t v = 0; v < core_numbers.size(); ++v) {
-    if (core_numbers[v] >= k) s.member_[v] = epoch;
-  }
-  s.queue_.clear();
-  s.queue_.push_back(q);
-  s.visited_[q] = epoch;
-  std::size_t head = 0;
-  while (head < s.queue_.size()) {
-    VertexId u = s.queue_[head++];
-    for (VertexId w : g.Neighbors(u)) {
-      if (s.member_[w] == epoch && s.visited_[w] != epoch) {
-        s.visited_[w] = epoch;
-        s.queue_.push_back(w);
-      }
-    }
-  }
-  VertexList out(s.queue_.begin(), s.queue_.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 namespace {
 
 std::atomic<PeelFrontierMode> g_peel_frontier_mode{PeelFrontierMode::kAuto};
@@ -206,10 +177,11 @@ struct BitsetMembership {
 
 /// The peel proper, parameterised over the membership representation. Both
 /// instantiations execute the identical algorithm (same queue order, same
-/// tie-breaks), so the result is bit-identical across representations.
+/// tie-breaks), so the survivors are bit-identical across representations.
+/// Leaves exactly the survivors of `candidates` marked as members.
 template <typename Membership>
-VertexList PeelBody(const Graph& g, VertexList candidates, std::uint32_t k,
-                    VertexId anchor, PeelScratch& s, Membership m) {
+void PeelMembers(const Graph& g, const VertexList& candidates, std::uint32_t k,
+                 PeelScratch& s, Membership m) {
   for (VertexId v : candidates) {
     m.AddMember(v);
     s.degree_[v] = 0;
@@ -237,26 +209,38 @@ VertexList PeelBody(const Graph& g, VertexList candidates, std::uint32_t k,
       if (s.degree_[w]-- == k) s.queue_.push_back(w);
     }
   }
+}
 
+/// Marks the connected component of the surviving member `root` as visited
+/// by BFS over the members, handing each reached vertex to `reach`.
+template <typename Membership, typename Reach>
+void VisitComponent(const Graph& g, VertexId root, PeelScratch& s,
+                    Membership m, Reach&& reach) {
+  s.queue_.clear();
+  s.queue_.push_back(root);
+  m.MarkVisited(root);
+  for (std::size_t head = 0; head < s.queue_.size(); ++head) {
+    const VertexId u = s.queue_[head];
+    reach(u);
+    for (VertexId w : g.Neighbors(u)) {
+      if (m.IsMember(w) && !m.Visited(w)) {
+        m.MarkVisited(w);
+        s.queue_.push_back(w);
+      }
+    }
+  }
+}
+
+template <typename Membership>
+VertexList PeelBody(const Graph& g, VertexList candidates, std::uint32_t k,
+                    VertexId anchor, PeelScratch& s, Membership m) {
+  PeelMembers(g, candidates, k, s, m);
   if (anchor != kInvalidVertex) {
     if (anchor >= g.num_vertices() || !m.IsMember(anchor)) {
       candidates.clear();
       return candidates;
     }
-    // Mark the anchor's connected component among the survivors.
-    s.queue_.clear();
-    s.queue_.push_back(anchor);
-    m.MarkVisited(anchor);
-    head = 0;
-    while (head < s.queue_.size()) {
-      VertexId u = s.queue_[head++];
-      for (VertexId w : g.Neighbors(u)) {
-        if (m.IsMember(w) && !m.Visited(w)) {
-          m.MarkVisited(w);
-          s.queue_.push_back(w);
-        }
-      }
-    }
+    VisitComponent(g, anchor, s, m, [](VertexId) {});
   }
   // The result is a subset of `candidates`, so it compacts into the input
   // buffer in candidate order: ascending, with no allocation and no sort.
@@ -268,6 +252,35 @@ VertexList PeelBody(const Graph& g, VertexList candidates, std::uint32_t k,
   }
   candidates.resize(out);
   return candidates;
+}
+
+template <typename Membership>
+LabelledKCore LabelBody(const Graph& g, VertexList candidates, std::uint32_t k,
+                        PeelScratch& s, Membership m) {
+  PeelMembers(g, candidates, k, s, m);
+  // After the peel no survivor's degree is read again, so degree_ holds
+  // each survivor's label. Roots are taken in candidate order, which
+  // numbers the components by their smallest member.
+  std::uint32_t next_label = 0;
+  std::size_t survivors = 0;
+  for (VertexId v : candidates) {
+    if (!m.IsMember(v)) continue;
+    ++survivors;
+    if (m.Visited(v)) continue;
+    VisitComponent(g, v, s, m, [&](VertexId u) { s.degree_[u] = next_label; });
+    ++next_label;
+  }
+  LabelledKCore out;
+  out.labels.reserve(survivors);
+  std::size_t kept = 0;
+  for (VertexId v : candidates) {
+    if (!m.IsMember(v)) continue;
+    candidates[kept++] = v;
+    out.labels.push_back(s.degree_[v]);
+  }
+  candidates.resize(kept);
+  out.vertices = std::move(candidates);
+  return out;
 }
 
 bool UseBitsetFrontier(std::size_t num_candidates, std::size_t n) {
@@ -285,7 +298,40 @@ bool UseBitsetFrontier(std::size_t num_candidates, std::size_t n) {
   return IsDenseSubset(num_candidates, n);
 }
 
+/// Runs `body` with the membership representation UseBitsetFrontier picks
+/// for `num_candidates` of g's vertices, on fresh scratch state.
+template <typename Body>
+auto WithMembership(const Graph& g, std::size_t num_candidates,
+                    PeelScratch& s, Body&& body) {
+  const std::size_t n = g.num_vertices();
+  if (UseBitsetFrontier(num_candidates, n)) {
+    s.BeginBits(n);
+    return body(
+        BitsetMembership{s.member_bits_.data(), s.visited_bits_.data()});
+  }
+  const std::uint32_t epoch = s.Begin(n);
+  return body(StampMembership{s.member_.data(), s.visited_.data(), epoch});
+}
+
 }  // namespace
+
+VertexList ConnectedKCore(const Graph& g,
+                          std::span<const std::uint32_t> core_numbers,
+                          VertexId q, std::uint32_t k) {
+  if (q >= g.num_vertices() || core_numbers[q] < k) return {};
+  // BFS within the k-core on the thread's reusable stamp arrays: the only
+  // allocation left is the result itself.
+  PeelScratch& s = ThreadLocalPeelScratch();
+  const std::uint32_t epoch = s.Begin(g.num_vertices());
+  const StampMembership m{s.member_.data(), s.visited_.data(), epoch};
+  for (std::size_t v = 0; v < core_numbers.size(); ++v) {
+    if (core_numbers[v] >= k) m.AddMember(static_cast<VertexId>(v));
+  }
+  VisitComponent(g, q, s, m, [](VertexId) {});
+  VertexList out(s.queue_.begin(), s.queue_.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
 void SetPeelFrontierMode(PeelFrontierMode mode) {
   g_peel_frontier_mode.store(mode, std::memory_order_relaxed);
@@ -299,16 +345,9 @@ VertexList PeelToKCoreSorted(const Graph& g, VertexList candidates,
                              std::uint32_t k, VertexId anchor,
                              PeelScratch* scratch) {
   PeelScratch& s = *scratch;
-  const std::size_t n = g.num_vertices();
-  if (UseBitsetFrontier(candidates.size(), n)) {
-    s.BeginBits(n);
-    return PeelBody(g, std::move(candidates), k, anchor, s,
-                    BitsetMembership{s.member_bits_.data(),
-                                     s.visited_bits_.data()});
-  }
-  const std::uint32_t epoch = s.Begin(n);
-  return PeelBody(g, std::move(candidates), k, anchor, s,
-                  StampMembership{s.member_.data(), s.visited_.data(), epoch});
+  return WithMembership(g, candidates.size(), s, [&](auto m) {
+    return PeelBody(g, std::move(candidates), k, anchor, s, m);
+  });
 }
 
 VertexList PeelToKCoreSorted(const Graph& g, VertexList candidates,
@@ -329,6 +368,30 @@ VertexList PeelToKCore(const Graph& g, VertexList candidates, std::uint32_t k,
                        VertexId anchor) {
   return PeelToKCore(g, std::move(candidates), k, anchor,
                      &ThreadLocalPeelScratch());
+}
+
+std::uint32_t LabelledKCore::LabelOf(VertexId v) const {
+  const auto it = std::lower_bound(vertices.begin(), vertices.end(), v);
+  if (it == vertices.end() || *it != v) return kNoLabel;
+  return labels[static_cast<std::size_t>(it - vertices.begin())];
+}
+
+VertexList LabelledKCore::Members(std::uint32_t label) const {
+  VertexList out;
+  out.reserve(static_cast<std::size_t>(
+      std::count(labels.begin(), labels.end(), label)));
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    if (labels[i] == label) out.push_back(vertices[i]);
+  }
+  return out;
+}
+
+LabelledKCore PeelToLabelledKCoreSorted(const Graph& g, VertexList candidates,
+                                        std::uint32_t k) {
+  PeelScratch& s = ThreadLocalPeelScratch();
+  return WithMembership(g, candidates.size(), s, [&](auto m) {
+    return LabelBody(g, std::move(candidates), k, s, m);
+  });
 }
 
 std::uint32_t MaxCoreNumber(std::span<const std::uint32_t> core_numbers) {

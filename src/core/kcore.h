@@ -120,6 +120,32 @@ VertexList PeelToKCoreSorted(const Graph& g, VertexList candidates,
                              std::uint32_t k, VertexId anchor,
                              PeelScratch* scratch);
 
+/// A candidate set peeled to its k-core with every connected component of
+/// the survivors labelled: `vertices` holds the survivors ascending and
+/// `labels[i]` the component of vertices[i]. Components are numbered 0, 1,
+/// ... in the order of their smallest member.
+struct LabelledKCore {
+  /// What LabelOf answers for a vertex that did not survive.
+  static constexpr std::uint32_t kNoLabel = ~std::uint32_t{0};
+
+  VertexList vertices;
+  std::vector<std::uint32_t> labels;
+
+  /// The component label of `v`, or kNoLabel.
+  std::uint32_t LabelOf(VertexId v) const;
+
+  /// The survivors carrying `label`, ascending.
+  VertexList Members(std::uint32_t label) const;
+};
+
+/// PeelToKCoreSorted without an anchor, plus one BFS over the survivors
+/// that labels their components. Members(LabelOf(v)) equals
+/// PeelToKCoreSorted(g, candidates, k, v) for every survivor v, so one
+/// labelled peel answers every anchor in the set. `candidates` must be
+/// sorted ascending with no duplicates; uses the calling thread's scratch.
+LabelledKCore PeelToLabelledKCoreSorted(const Graph& g, VertexList candidates,
+                                        std::uint32_t k);
+
 /// Maximum core number present in `core_numbers` (0 for empty input).
 std::uint32_t MaxCoreNumber(std::span<const std::uint32_t> core_numbers);
 

@@ -41,6 +41,8 @@
 
 namespace cexplorer {
 
+class AcqMemo;
+
 /// Read-only view of the loaded graph handed to algorithms. All pointers
 /// are owned by the Dataset snapshot and valid during the call (and until
 /// the next Upload for cached use).
@@ -51,6 +53,10 @@ struct ExplorerContext {
   /// Monotonic id bumped on every Upload; lets algorithms cache per-graph
   /// state (e.g. a CODICIL clustering) safely.
   std::uint64_t graph_epoch = 0;
+  /// The snapshot's memo of ACQ's Dec first level, the one writable part
+  /// of the view: internally synchronized, so concurrent runs share it.
+  /// Null runs ACQ without a memo.
+  AcqMemo* acq_memo = nullptr;
 };
 
 /// What an algorithm computes: a per-query community list (search) or a

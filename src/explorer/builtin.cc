@@ -98,7 +98,7 @@ Result<AlgorithmOutput> AcqSearchAlgorithm::Run(ExecContext& ctx) {
     }
   }
 
-  AcqEngine engine(ctx.view.graph, ctx.view.index);
+  AcqEngine engine(ctx.view.graph, ctx.view.index, ctx.view.acq_memo);
   auto result = engine.SearchMulti(vertices.value(), ctx.query.k,
                                    std::move(keyword_ids), variant,
                                    ctx.control);

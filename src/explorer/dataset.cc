@@ -88,6 +88,7 @@ ExplorerContext Dataset::Context() const {
   ctx.index = &index_;
   ctx.core_numbers = core_span_;
   ctx.graph_epoch = graph_epoch_;
+  ctx.acq_memo = &acq_memo_;
   return ctx;
 }
 

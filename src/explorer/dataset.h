@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "acq/memo.h"
 #include "cltree/cltree.h"
 #include "common/status.h"
 #include "data/names.h"
@@ -45,8 +46,9 @@ class Dataset;
 using DatasetPtr = std::shared_ptr<const Dataset>;
 
 /// An uploaded graph plus its offline-built index artifacts. Immutable
-/// after construction (the lazily-populated profile store is internally
-/// synchronized), so it is safe to share across threads without locking.
+/// after construction (the lazily-populated profile store and ACQ memo are
+/// internally synchronized), so it is safe to share across threads without
+/// locking.
 class Dataset {
  public:
   /// Builds a dataset from an in-memory graph on the calling thread: one
@@ -108,6 +110,10 @@ class Dataset {
   /// long as this dataset is alive.
   ExplorerContext Context() const;
 
+  /// The memo of Dec's first level (acq/memo.h) that searches on this
+  /// dataset fill; it starts empty, as every dataset is built fresh.
+  const AcqMemo& acq_memo() const { return acq_memo_; }
+
   /// The author profile popup of Figure 2; generated deterministically per
   /// vertex on first access, cached, and shared by all sessions.
   /// Thread-safe.
@@ -146,6 +152,10 @@ class Dataset {
   // the exclusive lock just to publish.
   mutable std::shared_mutex profiles_mu_;
   mutable std::unordered_map<VertexId, AuthorProfile> profiles_;
+
+  // Labelled k-cores of Dec's first level, filled by searches (read-mostly
+  // like the profiles, with its own lock).
+  mutable AcqMemo acq_memo_;
 };
 
 }  // namespace cexplorer

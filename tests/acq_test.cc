@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "acq/acq.h"
+#include "acq/memo.h"
 #include "common/rng.h"
 #include "core/kcore.h"
 #include "graph/fixtures.h"
@@ -458,6 +459,112 @@ TEST(AcqFallbackTest, SparseRandomGraphsMatchOracleForEveryVertexAndK) {
                                  KeywordList(wq.begin(), wq.end()));
       }
     }
+  }
+}
+
+// --------------------------------------------------------------------------
+// The memo of Dec's first level: one memo serves every query on a graph, so
+// later queries read entries that earlier ones filled.
+// --------------------------------------------------------------------------
+
+/// Runs Dec through `memo` and expects the answer of BruteForce and of Dec
+/// without a memo.
+void ExpectMemoMatchesOracle(const AttributedGraph& g, const ClTree& tree,
+                             AcqMemo* memo, const VertexList& query,
+                             std::uint32_t k, const KeywordList& keywords) {
+  const AcqEngine plain(&g, &tree);
+  const AcqEngine memoized(&g, &tree, memo);
+  auto oracle =
+      plain.SearchMulti(query, k, keywords, AcqAlgorithm::kBruteForce);
+  auto dec = plain.SearchMulti(query, k, keywords, AcqAlgorithm::kDec);
+  auto result = memoized.SearchMulti(query, k, keywords, AcqAlgorithm::kDec);
+  ASSERT_TRUE(oracle.ok() && dec.ok() && result.ok());
+  EXPECT_EQ(result->communities, oracle->communities)
+      << "q=" << query[0] << " |Q|=" << query.size() << " k=" << k;
+  EXPECT_EQ(result->communities, dec->communities)
+      << "q=" << query[0] << " |Q|=" << query.size() << " k=" << k;
+}
+
+/// The keywords both `a` and `b` carry.
+KeywordList SharedByBoth(const AttributedGraph& g, VertexId a, VertexId b) {
+  KeywordList shared;
+  for (KeywordId kw : g.Keywords(a)) {
+    if (g.HasKeyword(b, kw)) shared.push_back(kw);
+  }
+  return shared;
+}
+
+TEST(AcqMemoTest, SharedMemoMatchesOracleOverEveryVertex) {
+  for (int seed = 0; seed < 6; ++seed) {
+    const AttributedGraph g = RandomAttributed(
+        36, 110, 6, static_cast<std::uint64_t>(seed) * 131 + 17);
+    const ClTree tree = ClTree::Build(g);
+    const auto n = static_cast<std::uint32_t>(g.num_vertices());
+    AcqMemo memo;
+    Rng rng(static_cast<std::uint64_t>(seed) * 31 + 3);
+    for (std::uint32_t k = 0; k <= 4; ++k) {
+      for (VertexId q = 0; q < n; ++q) {
+        auto wq = g.Keywords(q);
+        const KeywordList all(wq.begin(), wq.end());
+        KeywordList subset;
+        for (KeywordId kw : all) {
+          if (rng.Bernoulli(0.5)) subset.push_back(kw);
+        }
+        ExpectMemoMatchesOracle(g, tree, &memo, {q}, k, all);
+        ExpectMemoMatchesOracle(g, tree, &memo, {q}, k, subset);
+
+        // Pairs: a neighbour and a vertex of q's CL-tree node (usually one
+        // component), and any vertex (often another component).
+        std::vector<VertexId> partners{rng.UniformU32(n)};
+        const auto nbrs = g.graph().Neighbors(q);
+        if (!nbrs.empty()) {
+          partners.push_back(nbrs[rng.UniformU32(
+              static_cast<std::uint32_t>(nbrs.size()))]);
+        }
+        const ClNodeId node = tree.LocateKCore(q, k);
+        if (node != kInvalidClNode) {
+          const VertexList same = tree.SubtreeVertices(node);
+          partners.push_back(
+              same[rng.UniformU32(static_cast<std::uint32_t>(same.size()))]);
+        }
+        for (VertexId b : partners) {
+          ExpectMemoMatchesOracle(g, tree, &memo, {q, b}, k,
+                                  SharedByBoth(g, q, b));
+        }
+      }
+    }
+    const AcqMemo::Stats stats = memo.GetStats();
+    EXPECT_GT(stats.hits, 0u) << "seed " << seed;
+    EXPECT_GT(stats.entries, 0u) << "seed " << seed;
+    EXPECT_LE(stats.survivors,
+              AcqMemo::kSurvivorsPerVertex * g.num_vertices());
+  }
+}
+
+TEST(AcqMemoTest, PassingTheBoundDropsEveryEntryAndKeepsAnswers) {
+  // Four keywords over 30 well-connected vertices: every keyword subset at
+  // every k is its own key with most of its carriers surviving, so the
+  // memo passes its 8n = 240 survivors within the first pass.
+  const AttributedGraph g = RandomAttributed(30, 200, 4, 7);
+  const ClTree tree = ClTree::Build(g);
+  const std::size_t bound = AcqMemo::kSurvivorsPerVertex * g.num_vertices();
+  AcqMemo memo;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::uint32_t k = 0; k <= 3; ++k) {
+      for (VertexId q = 0; q < g.num_vertices(); ++q) {
+        auto wq = g.Keywords(q);
+        const KeywordList all(wq.begin(), wq.end());
+        for (std::uint32_t mask = 1; mask < (1u << all.size()); ++mask) {
+          KeywordList subset;
+          for (std::size_t i = 0; i < all.size(); ++i) {
+            if (mask & (1u << i)) subset.push_back(all[i]);
+          }
+          ExpectMemoMatchesOracle(g, tree, &memo, {q}, k, subset);
+          ASSERT_LE(memo.GetStats().survivors, bound);
+        }
+      }
+    }
+    EXPECT_GT(memo.GetStats().drops, 0u) << "pass " << pass;
   }
 }
 

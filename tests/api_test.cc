@@ -174,6 +174,21 @@ TEST_F(ApiFixture, StatsReportKernelSelection) {
   EXPECT_FALSE(parsed->Get("kernels").Get("isa").AsString().empty());
 }
 
+TEST_F(ApiFixture, StatsReportAcqMemo) {
+  const auto memo = [&] { return GetJson("GET /v1/stats").Get("acq_memo"); };
+  EXPECT_EQ(memo().Get("entries").AsInt(), 0);
+  // A and C sit in one 2-core component and share {x, y}: the first search
+  // peels {A, C, D} with labels, the second reads it.
+  Get("GET /v1/search?name=A&k=2&keywords=x,y");
+  Get("GET /v1/search?name=C&k=2&keywords=x,y");
+  const JsonValue after = memo();
+  EXPECT_EQ(after.Get("entries").AsInt(), 1);
+  EXPECT_EQ(after.Get("survivors").AsInt(), 3);
+  EXPECT_EQ(after.Get("hits").AsInt(), 1);
+  EXPECT_EQ(after.Get("misses").AsInt(), 1);
+  EXPECT_EQ(after.Get("drops").AsInt(), 0);
+}
+
 TEST_F(ApiFixture, StatsReportMutationsBlock) {
   // The mutations block is always present, zeroed before any mutation.
   const JsonValue zero = GetJson("GET /v1/stats").Get("mutations");
@@ -706,6 +721,41 @@ TEST_F(ApiFixture, BatchPostBody) {
 
   // An empty payload is an invalid argument.
   EXPECT_EQ(ErrorCode("POST /v1/batch", 400), "INVALID_ARGUMENT");
+}
+
+TEST_F(ApiFixture, MistypedSearchFieldsRejected) {
+  const std::string good =
+      "{\"name\": \"a\", \"k\": 2, \"keywords\": [\"x\", \"y\"]}";
+  for (const std::string bad : {
+           "{\"name\": \"a\", \"k\": 2, \"keywords\": 7}",
+           "{\"name\": \"a\", \"k\": 2, \"keywords\": {\"x\": 1}}",
+           "{\"name\": \"a\", \"k\": 2, \"keywords\": [\"x\", 7]}",
+           "{\"name\": \"a\", \"k\": 2, \"algo\": 5}",
+           "{\"name\": 5, \"vertex\": 0, \"k\": 2}"}) {
+    const JsonValue v =
+        GetJson("POST /v1/batch\n\n[" + good + ", " + bad + ", " + good + "]");
+    const auto& results = v.Get("results").Items();
+    ASSERT_EQ(results.size(), 3u) << bad;
+    EXPECT_EQ(results[1].Get("error").Get("code").AsString(),
+              "INVALID_ARGUMENT")
+        << bad;
+    for (std::size_t i : {0u, 2u}) {
+      EXPECT_FALSE(results[i].Has("error")) << bad;
+      EXPECT_EQ(results[i].Get("num_communities").AsInt(), 1) << bad;
+    }
+  }
+  // An absent or null `keywords` still means none.
+  const JsonValue v = GetJson(
+      "POST /v1/batch\n\n[{\"name\": \"a\", \"k\": 2},"
+      " {\"name\": \"a\", \"k\": 2, \"keywords\": null}]");
+  for (const JsonValue& result : v.Get("results").Items()) {
+    EXPECT_FALSE(result.Has("error")) << result.Dump();
+  }
+  // A job spec decodes its keywords the same way.
+  EXPECT_EQ(ErrorCode("POST /v1/jobs\n\n{\"algo\": \"ACQ\", \"name\": \"a\","
+                      " \"keywords\": 7}",
+                      400),
+            "INVALID_ARGUMENT");
 }
 
 // --------------------------------------------------------------------------

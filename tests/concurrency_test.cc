@@ -15,10 +15,12 @@
 #include <thread>
 #include <vector>
 
+#include "acq/acq.h"
 #include "common/json.h"
 #include "core/kcore.h"
 #include "data/dblp.h"
 #include "explorer/dataset.h"
+#include "explorer/explorer.h"
 #include "server/http.h"
 #include "server/server.h"
 
@@ -713,6 +715,90 @@ TEST(ConcurrencyTest, PublishesRacingSearches) {
   auto stats = JsonValue::Parse(server.Handle("GET /v1/stats").body);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->Get("mutations").Get("batches").AsInt(), accepted);
+}
+
+// The first searches of one community on a fresh dataset: 8 threads search
+// one (CL-tree node, keyword set) from 8 query vertices at once, through
+// the dataset's memo of Dec's first level. Each may peel and the first
+// insert wins; every answer must equal BruteForce.
+TEST(ConcurrencyTest, FirstSearchesOfOneComponentRace) {
+  constexpr int kThreads = 8;
+  constexpr std::uint32_t kK = 2;
+  auto built = Dataset::Build(GenerateDblp(SmallDblp(37)).graph);
+  ASSERT_TRUE(built.ok());
+  const DatasetPtr dataset = std::move(built.value());
+  const AttributedGraph& g = dataset->graph();
+  const ClTree& tree = dataset->index();
+
+  // The hub's k-core component and the hub keyword most of it carries.
+  VertexId hub = 0;
+  for (VertexId v = 1; v < g.num_vertices(); ++v) {
+    if (g.graph().Degree(v) > g.graph().Degree(hub)) hub = v;
+  }
+  const ClNodeId node = tree.LocateKCore(hub, kK);
+  ASSERT_NE(node, kInvalidClNode);
+  KeywordId keyword = kInvalidKeyword;
+  for (KeywordId kw : g.Keywords(hub)) {
+    if (keyword == kInvalidKeyword ||
+        tree.CountKeyword(node, kw) > tree.CountKeyword(node, keyword)) {
+      keyword = kw;
+    }
+  }
+  ASSERT_NE(keyword, kInvalidKeyword);
+  VertexList queries;
+  for (VertexId v : tree.SubtreeVertices(node)) {
+    if (g.HasKeyword(v, keyword) && queries.size() < kThreads) {
+      queries.push_back(v);
+    }
+  }
+  ASSERT_EQ(queries.size(), static_cast<std::size_t>(kThreads));
+
+  const AcqEngine oracle(&g, &tree);
+  std::vector<std::vector<AttributedCommunity>> expected(kThreads);
+  int keyword_communities = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    auto answer = oracle.Search(queries[t], kK, {keyword},
+                                AcqAlgorithm::kBruteForce);
+    ASSERT_TRUE(answer.ok());
+    expected[t] = std::move(answer->communities);
+    if (expected[t].size() == 1 && !expected[t][0].shared_keywords.empty()) {
+      ++keyword_communities;
+    }
+  }
+  ASSERT_GT(keyword_communities, 1) << "the race needs a shared community";
+
+  std::vector<Result<std::vector<Community>>> answers(
+      kThreads, Status::Internal("not run"));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Explorer view;
+      view.AttachDataset(dataset);
+      Query query;
+      query.vertices = {queries[t]};
+      query.k = kK;
+      query.keywords = {std::string(g.vocabulary().Word(keyword))};
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      answers[t] = view.Search("ACQ", query);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(answers[t].ok()) << answers[t].status().ToString();
+    ASSERT_EQ(answers[t]->size(), expected[t].size())
+        << "vertex " << queries[t];
+    for (std::size_t i = 0; i < expected[t].size(); ++i) {
+      EXPECT_EQ((*answers[t])[i].vertices, expected[t][i].vertices);
+      EXPECT_EQ((*answers[t])[i].shared_keywords,
+                expected[t][i].shared_keywords);
+    }
+  }
+  const AcqMemo::Stats memo = dataset->acq_memo().GetStats();
+  EXPECT_EQ(memo.entries, 1u);
+  EXPECT_EQ(memo.hits + memo.misses, static_cast<std::uint64_t>(kThreads));
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "delta/core_maintenance.h"
 #include "delta/delta.h"
 #include "explorer/dataset.h"
+#include "explorer/explorer.h"
 #include "graph/attributed_graph.h"
 #include "graph/graph.h"
 
@@ -386,6 +387,74 @@ TEST(DeltaOverlayTest, MutateThenQueryFuzzMatchesRebuild) {
       }
     }
   }
+}
+
+// A publish builds a new dataset, so it starts with an empty memo of Dec's
+// first level: a search after an edge removal inside a memoized community
+// answers like a fresh upload of the mutated graph, while a reader pinned
+// to the old dataset keeps reading the old memo and the old answer.
+TEST(DeltaOverlayTest, PublishLeavesNoStaleAcqMemo) {
+  // A K4 on {0, 1, 2, 3} plus vertex 4 linked to 0, 1 and 2: all five
+  // carry "db" and form one 3-core. Vertex 5 hangs off 3.
+  Mirror mirror;
+  for (int v = 0; v < 6; ++v) {
+    mirror.names.push_back("author " + std::to_string(v));
+    mirror.keywords.push_back(v < 5 ? std::vector<std::string>{"db", "ml"}
+                                    : std::vector<std::string>{"ml"});
+  }
+  for (auto [u, v] : std::vector<std::pair<VertexId, VertexId>>{
+           {0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, {4, 0}, {4, 1},
+           {4, 2}, {5, 3}}) {
+    mirror.Add(u, v);
+  }
+  api::QueryService service;
+  ASSERT_TRUE(service.UploadGraph(mirror.Rebuild()).ok());
+  auto search = [](api::QueryService* on, VertexId q) {
+    api::SearchRequest request;
+    request.vertices = {q};
+    request.k = 3;
+    request.keywords = {"db"};
+    return on->Search(request);
+  };
+
+  // 1. Vertex 0's search fills the memo with the five-member 3-core.
+  ASSERT_TRUE(search(&service, 0).ok());
+  const DatasetPtr before = service.dataset();
+  EXPECT_EQ(before->acq_memo().GetStats().entries, 1u);
+
+  // 2. Removing 2-4 (RemoveEdges serves DELETE /v1/edges) drops vertex 4
+  // below degree 3.
+  mirror.Remove(2, 4);
+  auto removed = Mutate(&service, EdgesBody({{2, 4}}), /*remove=*/true);
+  ASSERT_TRUE(removed.ok()) << removed.error().ToJson();
+  EXPECT_NE(service.dataset(), before);
+
+  // 3. Vertex 1, a member of the old community, answers like a fresh
+  // upload of the mutated graph.
+  api::QueryService fresh;
+  ASSERT_TRUE(fresh.UploadGraph(mirror.Rebuild()).ok());
+  auto live = search(&service, 1);
+  auto expected = search(&fresh, 1);
+  ASSERT_TRUE(live.ok() && expected.ok());
+  EXPECT_EQ(live.value(), expected.value());
+  Explorer current;
+  current.AttachDataset(service.dataset());
+  Query query;
+  query.vertices = {1};
+  query.k = 3;
+  query.keywords = {"db"};
+  auto now = current.Search("ACQ", query);
+  ASSERT_TRUE(now.ok() && now->size() == 1u);
+  EXPECT_EQ(now->front().vertices, (VertexList{0, 1, 2, 3}));
+
+  // The reader pinned to the old dataset still sees the old community,
+  // read from the old memo.
+  Explorer pinned;
+  pinned.AttachDataset(before);
+  auto old = pinned.Search("ACQ", query);
+  ASSERT_TRUE(old.ok() && old->size() == 1u);
+  EXPECT_EQ(old->front().vertices, (VertexList{0, 1, 2, 3, 4}));
+  EXPECT_GE(before->acq_memo().GetStats().hits, 1u);
 }
 
 TEST(DeltaOverlayTest, AppendedVertexIsSearchable) {

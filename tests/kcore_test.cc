@@ -304,5 +304,89 @@ TEST(PeelToKCoreTest, SortedMatchesNaiveReference) {
   SetPeelFrontierMode(PeelFrontierMode::kAuto);
 }
 
+/// `blocks` disjoint random graphs of n / blocks vertices each, with `m`
+/// edges in all: every k-core of it has at least one component per block
+/// it touches.
+Graph BlockGraph(std::size_t n, std::size_t blocks, std::size_t m,
+                 std::uint64_t seed) {
+  Rng rng(seed);
+  const std::uint32_t size = static_cast<std::uint32_t>(n / blocks);
+  GraphBuilder b(n);
+  for (std::size_t i = 0; i < m; ++i) {
+    const VertexId base = size * rng.UniformU32(
+                                     static_cast<std::uint32_t>(blocks));
+    b.AddEdge(base + rng.UniformU32(size), base + rng.UniformU32(size));
+  }
+  return b.Build();
+}
+
+TEST(LabelledPeelTest, EveryComponentIsTheAnchoredPeel) {
+  const std::size_t n = 640;
+  Rng rng(53);
+  std::size_t multi_component_cores = 0;
+  for (const Graph& g :
+       {RandomGraph(n, 2200, 49), BlockGraph(n, 8, 2200, 51)}) {
+    // Sparse sets are BFS balls of at most 9 vertices (9 * 64 < 640);
+    // dense sets are random halves of the graph.
+    std::vector<VertexList> sets;
+    for (int i = 0; i < 4; ++i) {
+      VertexList ball{rng.UniformU32(static_cast<std::uint32_t>(n))};
+      std::set<VertexId> seen(ball.begin(), ball.end());
+      for (std::size_t head = 0; head < ball.size() && ball.size() < 9;
+           ++head) {
+        for (VertexId w : g.Neighbors(ball[head])) {
+          if (ball.size() < 9 && seen.insert(w).second) ball.push_back(w);
+        }
+      }
+      std::sort(ball.begin(), ball.end());
+      ASSERT_FALSE(IsDenseSubset(ball.size(), n));
+      sets.push_back(std::move(ball));
+
+      VertexList half;
+      for (VertexId v = 0; v < n; ++v) {
+        if (rng.Bernoulli(0.5)) half.push_back(v);
+      }
+      ASSERT_TRUE(IsDenseSubset(half.size(), n));
+      sets.push_back(std::move(half));
+    }
+
+    for (PeelFrontierMode mode : {PeelFrontierMode::kAuto,
+                                  PeelFrontierMode::kStamps,
+                                  PeelFrontierMode::kBitset}) {
+      SetPeelFrontierMode(mode);
+      for (const VertexList& candidates : sets) {
+        for (std::uint32_t k = 0; k <= 4; ++k) {
+          const LabelledKCore core =
+              PeelToLabelledKCoreSorted(g, candidates, k);
+          ASSERT_EQ(core.vertices, PeelToKCoreSorted(g, candidates, k));
+          ASSERT_EQ(core.labels.size(), core.vertices.size());
+          // Labels count up in the order of each component's smallest
+          // member.
+          std::uint32_t components = 0;
+          for (std::uint32_t label : core.labels) {
+            ASSERT_LE(label, components);
+            if (label == components) ++components;
+          }
+          if (components > 1) ++multi_component_cores;
+          for (VertexId v = 0; v < n; ++v) {
+            const std::uint32_t label = core.LabelOf(v);
+            if (!std::binary_search(core.vertices.begin(),
+                                    core.vertices.end(), v)) {
+              EXPECT_EQ(label, LabelledKCore::kNoLabel) << "vertex " << v;
+              continue;
+            }
+            EXPECT_EQ(core.Members(label),
+                      PeelToKCoreSorted(g, candidates, k, v))
+                << "mode " << static_cast<int>(mode) << " size "
+                << candidates.size() << " k=" << k << " vertex " << v;
+          }
+        }
+      }
+    }
+  }
+  SetPeelFrontierMode(PeelFrontierMode::kAuto);
+  EXPECT_GT(multi_component_cores, 0u);
+}
+
 }  // namespace
 }  // namespace cexplorer
